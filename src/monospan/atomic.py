@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ExponentLike, as_exponent
+from .core import ExponentLike, as_exponent, complex_field, required_field
 from .errors import (
     ConvergenceWarning,
     DomainError,
@@ -147,9 +147,8 @@ class AtomicMeasure:
             raise DomainError('measure JSON must be {"atoms": [...]}') from None
         atoms = []
         for a in raw:
-            t = a["tau"]
-            tau = complex(t[0], t[1]) if isinstance(t, (list, tuple)) else complex(t)
-            atoms.append((tau, float(a["w"])))
+            tau = complex_field(required_field(a, "tau", "atom"), "atom tau")
+            atoms.append((tau, float(required_field(a, "w", "atom"))))
         return cls(tuple(atoms))
 
     def to_json(self) -> dict:
@@ -222,11 +221,6 @@ class InnerFunction:
             part = singular_inner_taylor(tau, w, N)
             acc = part if acc is None else np.convolve(acc, part)[:N]
         return acc
-
-
-def inner_eval(S: InnerFunction, z) -> complex:
-    """Value of the inner function at a disk point."""
-    return S.evaluate(z)
 
 
 def conjugation_identity_check(c: float, wp: float, z_grid) -> tuple[float, complex]:

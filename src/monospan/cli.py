@@ -26,22 +26,13 @@ from .acceptance import DEFAULT_SEED
 from .atomic import AtomicMeasure, AtomicSpaceParams, model_space_distance, proj_norm_sq
 from .convergence import (
     PiecewiseMonomial,
+    _distance_point,
     constant_family,
-    distance_curve,
     interval_family,
     limit_membership_test,
-    muntz_family,
     muntz_limit_experiment,
 )
-from .core import (
-    Exponent,
-    MonomialSet,
-    distance_to_span,
-    monomial_distance_closed_form,
-    monomial_inner,
-    monomial_pairing_oracle,
-    muntz_verdict,
-)
+from .core import Exponent, MonomialSet, complex_field, muntz_verdict
 from .errors import DomainError, MonomialError, NumericalError
 from .laguerre import LaguerreExpansion, apply_J_expansion, apply_J_monomial, expand_monomial
 from .operators import PhiSpec, hat_matrix, monomial_operator, pick_positivity_check
@@ -73,18 +64,6 @@ def _parse_complex(text: str, what: str) -> complex:
     except ValueError:
         pass
     raise UsageError(f"{what} must be 're' or 're,im', got {text!r}")
-
-
-def _cfield(value, what: str) -> complex:
-    """A complex number from a JSON field: a number or an [re, im] pair."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        try:
-            return complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError):
-            pass
-    raise UsageError(f"{what} must be a number or an [re, im] pair, got {value!r}")
 
 
 def _pair(z) -> list[float]:
@@ -233,7 +212,7 @@ _PARAM_BUILDERS = {
 
 def _normalize_seq(seq):
     if isinstance(seq, list):
-        return [_cfield(v, "sequence entry") for v in seq]
+        return [complex_field(v, "sequence entry") for v in seq]
     if isinstance(seq, dict):
         return seq
     raise UsageError("sequence must be a JSON array or a generator object")
@@ -242,30 +221,15 @@ def _normalize_seq(seq):
 def _run_dist(params: dict, precision: str, seed) -> tuple[dict, int]:
     S = MonomialSet.from_json(params["set"])
     if params["t"] is not None:
-        t = _cfield(params["t"], "--t")
-        et = Exponent(t.real, t.imag, params.get("logpow", 0))
-        if et.logpow == 0 and all(e.logpow == 0 for e in S):
-            d = monomial_distance_closed_form(et, S)
-            payload = {"distance": d, "method": "closed-form", "condition_estimate": 1.0}
-            return payload, 0
-        res = distance_to_span(
-            monomial_pairing_oracle(et),
-            float(monomial_inner(et, et).real),
-            S,
-            precision=precision,
-        )
+        t = complex_field(params["t"], "--t")
+        f = PiecewiseMonomial.monomial(Exponent(t.real, t.imag, params.get("logpow", 0)))
     else:
         f = PiecewiseMonomial.from_spec(params["f"])
-        if f.is_single_monomial and all(e.logpow == 0 for e in S):
-            c, et, _ = f.terms[0]
-            d = abs(c) * monomial_distance_closed_form(et, S)
-            payload = {"distance": d, "method": "closed-form", "condition_estimate": 1.0}
-            return payload, 0
-        res = distance_to_span(f.pairing_oracle(), f.norm_sq, S, precision=precision)
+    point = _distance_point(f, S, precision)
     payload = {
-        "distance": float(res.distance),
-        "method": f"gram-{res.precision}",
-        "condition_estimate": float(res.condition_estimate),
+        "distance": float(point.distance),
+        "method": point.method,
+        "condition_estimate": float(point.condition_estimate),
     }
     return payload, 0
 
@@ -280,7 +244,7 @@ def _sarason_eval(spec: dict, z: complex) -> tuple[complex, float | None, str]:
         raise UsageError("function spec must be an object with a 'kind' field")
     kind = spec["kind"]
     if kind == "monomial":
-        s = _cfield(spec.get("s", 0.0), "monomial exponent")
+        s = complex_field(spec.get("s", 0.0), "monomial exponent")
         logpow = int(spec.get("logpow", 0))
         if logpow == 0:
             return forward_monomial(s).evaluate(z), None, "closed-form"
@@ -294,7 +258,7 @@ def _sarason_eval(spec: dict, z: complex) -> tuple[complex, float | None, str]:
         err = 0.0
         exact = True
         for item in spec.get("terms", []):
-            c = _cfield(item.get("coeff", 1.0), "combination coefficient")
+            c = complex_field(item.get("coeff", 1.0), "combination coefficient")
             v, e, _ = _sarason_eval(item["f"], z)
             total += c * v
             if e is not None:
@@ -303,7 +267,7 @@ def _sarason_eval(spec: dict, z: complex) -> tuple[complex, float | None, str]:
         return total, (None if exact else err), "composite"
     if kind == "table":
         xs = np.asarray(spec["x"], dtype=float)
-        ys = np.array([_cfield(v, "table value") for v in spec["y"]])
+        ys = np.array([complex_field(v, "table value") for v in spec["y"]])
         if len(xs) != len(ys) or len(xs) < 2:
             raise UsageError("table spec needs matching x and y arrays with >= 2 entries")
         if np.any(np.diff(xs) <= 0) or xs[0] <= 0 or xs[-1] > 1:
@@ -320,7 +284,7 @@ def _sarason_eval(spec: dict, z: complex) -> tuple[complex, float | None, str]:
 
 
 def _run_sarason(params: dict, precision: str, seed) -> tuple[dict, int]:
-    z = _cfield(params["z"], "--z")
+    z = complex_field(params["z"], "--z")
     value, err, method = _sarason_eval(params["f"], z)
     payload = {
         "z": _pair(z),
@@ -332,7 +296,7 @@ def _run_sarason(params: dict, precision: str, seed) -> tuple[dict, int]:
 
 
 def _run_laguerre(params: dict, precision: str, seed) -> tuple[dict, int]:
-    s = _cfield(params["s"], "--s")
+    s = complex_field(params["s"], "--s")
     exp = expand_monomial(s, params["n"])
     payload = {
         "s": _pair(s),
@@ -351,16 +315,17 @@ def _phi_from_spec(spec: dict) -> PhiSpec:
     if kind == "identity":
         return PhiSpec("poly", (0.0, 1.0))
     if kind == "poly":
-        return PhiSpec("poly", tuple(_cfield(c, "phi coefficient") for c in spec.get("coeffs", [])))
+        coeffs = tuple(complex_field(c, "phi coefficient") for c in spec.get("coeffs", []))
+        return PhiSpec("poly", coeffs)
     if kind == "rational":
         return PhiSpec(
             "rational",
-            tuple(_cfield(c, "phi numerator") for c in spec.get("coeffs", [])),
-            tuple(_cfield(c, "phi denominator") for c in spec.get("denom", [])),
+            tuple(complex_field(c, "phi numerator") for c in spec.get("coeffs", [])),
+            tuple(complex_field(c, "phi denominator") for c in spec.get("denom", [])),
         )
     if kind == "table":
         entries = tuple(
-            (_cfield(w, "table point"), _cfield(v, "table value"))
+            (complex_field(w, "table point"), complex_field(v, "table value"))
             for w, v in spec.get("entries", [])
         )
         return PhiSpec("table", table=entries)
@@ -370,7 +335,7 @@ def _phi_from_spec(spec: dict) -> PhiSpec:
 def _run_op(params: dict, precision: str, seed) -> tuple[dict, int]:
     if params["verb"] == "pick":
         phi = _phi_from_spec(params["phi"])
-        grid = [_cfield(g, "grid point") for g in params["grid"]]
+        grid = [complex_field(g, "grid point") for g in params["grid"]]
         passes, smallest = pick_positivity_check(phi, float(params["M"]), grid)
         payload = {
             "passes": bool(passes),
@@ -385,8 +350,8 @@ def _run_op(params: dict, precision: str, seed) -> tuple[dict, int]:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise UsageError("--input must be an object with a 'kind' field")
     if spec["kind"] == "monomial":
-        s = _cfield(spec.get("s", 0.0), "input exponent")
-        coeff = _cfield(spec.get("coeff", 1.0), "input coefficient")
+        s = complex_field(spec.get("s", 0.0), "input exponent")
+        coeff = complex_field(spec.get("coeff", 1.0), "input coefficient")
         if op == "J":
             c, e = apply_J_monomial(s)
             c = coeff * c
@@ -395,7 +360,7 @@ def _run_op(params: dict, precision: str, seed) -> tuple[dict, int]:
         payload = {"kind": "monomial", "coeff": _pair(c), "s": _pair(e.s)}
         return payload, 0
     if spec["kind"] == "coefficients":
-        vec = np.array([_cfield(v, "coefficient") for v in spec.get("values", [])])
+        vec = np.array([complex_field(v, "coefficient") for v in spec.get("values", [])])
         if vec.size == 0:
             raise UsageError("coefficient input must be nonempty")
         if op == "J":
@@ -408,9 +373,9 @@ def _run_op(params: dict, precision: str, seed) -> tuple[dict, int]:
 
 
 def _run_atomic(params: dict, precision: str, seed) -> tuple[dict, int]:
-    s = _cfield(params["s"], "--s")
+    s = complex_field(params["s"], "--s")
     if params["verb"] == "proj":
-        tau = _cfield(params["tau"], "--tau")
+        tau = complex_field(params["tau"], "--tau")
         p = AtomicSpaceParams(tau, float(params["w"]))
         payload = {
             "tau": _pair(tau),
@@ -438,24 +403,22 @@ def _run_converge(params: dict, precision: str, seed) -> tuple[dict, int]:
     if family == "interval":
         fam = interval_family(float(params["rho"]))
     elif family == "muntz":
-        fam = muntz_family(_normalize_seq(params["seq"]))
+        seq = _normalize_seq(params["seq"])
     elif family == "constant":
         fam = constant_family(MonomialSet.from_json(params["set"]))
     else:
         raise UsageError(f"unknown family {family!r}")
     f = PiecewiseMonomial.from_spec(params["f"])
     nmax = int(params["nmax"])
-    dists, conds = distance_curve(f, fam, nmax, precision=precision, with_conditions=True)
     if family == "muntz":
-        report = muntz_limit_experiment(params["seq"] if isinstance(params["seq"], dict)
-                                        else _normalize_seq(params["seq"]), f, nmax)
+        report = muntz_limit_experiment(seq, f, nmax, precision=precision)
     else:
-        report = limit_membership_test(f, fam, nmax)
+        report = limit_membership_test(f, fam, nmax, precision=precision)
     payload = {
-        "family": fam.description,
+        "family": report.description,
         "n": list(range(1, nmax + 1)),
-        "distance": [float(d) for d in dists],
-        "condition_estimate": [float(c) for c in conds],
+        "distance": [float(d) for d in report.distances],
+        "condition_estimate": [float(c) for c in report.conditions],
         "verdict": report.verdict,
         "fitted_limit": float(report.fitted_limit),
         "density_verdict": report.density_verdict,

@@ -3,25 +3,28 @@
 A sequence of monomial sets S_n spans a sequence of subspaces; a function
 f belongs to the limit exactly when dist(f, M(S_n)) -> 0.  The curves are
 computed exactly where possible: for monomial f the distance is a stable
-closed-form product, and for piecewise monomials (indicator-times-monomial
-combinations) all pairings have the closed form
+closed-form product, and for piecewise monomials (combinations of
+indicator-times-monomial terms, each with an optional log power) every
+pairing and norm is a sum of the closed moments
 
-    <chi_[a,1] x^t, x^s> = (1 - a^(1+t+conj(s))) / (1 + t + conj(s)),
+    <chi_[a,1] x^t (ln x)^j, x^s (ln x)^k> = integral_a^1 x^(p-1) (ln x)^m dx,
+        p = 1 + t + conj(s),  m = j + k,
 
-so Gram solves never touch quadrature.  Limits are never decided by a
-finite curve; the fitted verdict is three-valued, with explicit thresholds
-and an undetermined fallback.
+which equal (-1)^m m! / p^(m+1) at a = 0 and (1 - a^p)/p at m = 0, with
+the recurrence I_m = -(a^p (ln a)^m + m I_(m-1))/p in between (see
+core.cauchy_moment), so Gram solves never touch quadrature.  Limits are
+never decided by a finite curve; the fitted verdict is three-valued, with
+explicit thresholds and an undetermined fallback.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
-import mpmath as mp
 import numpy as np
 
 from .core import (
@@ -30,6 +33,8 @@ from .core import (
     MonomialSet,
     as_exponent,
     as_monomial_set,
+    cauchy_moment,
+    complex_field,
     distance_to_span,
     materialize_sequence,
     monomial_distance_closed_form,
@@ -43,22 +48,30 @@ DEFAULT_TOL = 1e-3
 
 @dataclass(frozen=True)
 class PiecewiseMonomial:
-    """A combination sum c_i chi_[a_i, 1] x^(t_i) with a_i = 0 meaning no cutoff."""
+    """A combination sum c_i chi_[a_i, 1] x^(t_i) (ln x)^(k_i); a_i = 0 means no cutoff.
 
-    terms: tuple[tuple[complex, Exponent, float], ...]
+    Terms are (coeff, exponent, cutoff, logpow) tuples; a three-field term
+    has logpow 0.  The log power lives only in the fourth field, so a term
+    whose exponent carries one is rejected rather than read two ways.
+    """
+
+    terms: tuple[tuple[complex, Exponent, float, int], ...]
 
     def __post_init__(self) -> None:
         if not self.terms:
             raise DomainError("need at least one term")
         clean = []
-        for c, t, a in self.terms:
+        for term in self.terms:
+            c, t, a, k = term if len(term) == 4 else (*term, 0)
             t = as_exponent(t)
             if t.logpow != 0:
-                raise DomainError("piecewise-monomial terms require logpow = 0")
+                raise DomainError("a term's log power goes in its fourth field, not its exponent")
+            if not (isinstance(k, (int, np.integer)) and k >= 0):
+                raise DomainError(f"logpow must be a nonnegative integer, got {k!r}")
             a = float(a)
             if not 0 <= a < 1:
                 raise DomainError(f"cutoff must lie in [0, 1), got {a}")
-            clean.append((complex(c), t, a))
+            clean.append((complex(c), t, a, int(k)))
         object.__setattr__(self, "terms", tuple(clean))
 
     @classmethod
@@ -67,7 +80,9 @@ class PiecewiseMonomial:
 
     @classmethod
     def monomial(cls, t: ExponentLike) -> "PiecewiseMonomial":
-        return cls(((1.0, as_exponent(t), 0.0),))
+        """x^t (ln x)^k, with k taken from the exponent's logpow."""
+        et = as_exponent(t)
+        return cls(((1.0, Exponent(et.re, et.im), 0.0, et.logpow),))
 
     @classmethod
     def indicator(cls, a: float, t: ExponentLike = 0.0) -> "PiecewiseMonomial":
@@ -92,10 +107,10 @@ class PiecewiseMonomial:
             raise DomainError("function spec must be a shorthand string or a {'terms': [...]} object")
         terms = []
         for item in spec["terms"]:
-            c = item.get("coeff", 1.0)
-            c = complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-            t = item.get("t", 0.0)
-            t = complex(t[0], t[1]) if isinstance(t, (list, tuple)) else complex(t)
+            if not isinstance(item, dict):
+                raise DomainError(f"function term must be an object, got {item!r}")
+            c = complex_field(item.get("coeff", 1.0), "term coeff")
+            t = complex_field(item.get("t", 0.0), "term exponent t")
             terms.append((c, as_exponent(t), float(item.get("a", 0.0))))
         return cls(tuple(terms))
 
@@ -103,49 +118,29 @@ class PiecewiseMonomial:
     def is_single_monomial(self) -> bool:
         return len(self.terms) == 1 and self.terms[0][2] == 0.0
 
-    def _pairing_double(self, s: Exponent) -> complex:
-        acc = 0j
-        for c, t, a in self.terms:
-            p = 1 + t.s + s.s.conjugate()
-            top = 1.0 if a == 0.0 else 1 - a**p
-            acc += c * top / p
-        return acc
-
-    def _pairing_mp(self, s: Exponent):
-        acc = mp.mpc(0)
-        sc = mp.mpc(s.re, -s.im)
-        for c, t, a in self.terms:
-            p = 1 + mp.mpc(t.re, t.im) + sc
-            top = mp.mpf(1) if a == 0.0 else 1 - mp.power(mp.mpf(a), p)
-            acc += mp.mpc(c) * top / p
-        return acc
-
     def pairing_oracle(self) -> Callable[[Exponent], complex]:
-        """<f, x^s> as a function of s, exact in either precision regime."""
-
-        def oracle(s: Exponent):
-            if mp.mp.dps > 25:
-                return self._pairing_mp(s)
-            return self._pairing_double(s)
-
-        return oracle
+        """<f, x^s (ln x)^j> as a function of s, exact in either precision regime."""
+        return lambda s: sum(
+            cauchy_moment(t.s, s.s, k + s.logpow, a, c) for c, t, a, k in self.terms
+        )
 
     @property
     def norm_sq(self) -> float:
-        acc = 0j
-        for ci, ti, ai in self.terms:
-            for cj, tj, aj in self.terms:
-                p = 1 + ti.s + tj.s.conjugate()
-                a = max(ai, aj)
-                top = 1.0 if a == 0.0 else 1 - a**p
-                acc += ci * cj.conjugate() * top / p
+        acc = sum(
+            cauchy_moment(ti.s, tj.s, ki + kj, max(ai, aj), ci * cj.conjugate())
+            for ci, ti, ai, ki in self.terms
+            for cj, tj, aj, kj in self.terms
+        )
         return float(acc.real)
 
     def evaluate(self, x) -> np.ndarray:
         x_arr = np.asarray(x, dtype=float)
         out = np.zeros_like(x_arr, dtype=complex)
-        for c, t, a in self.terms:
-            out += c * np.where(x_arr >= a, x_arr.astype(complex) ** t.s, 0j)
+        for c, t, a, k in self.terms:
+            v = x_arr.astype(complex) ** t.s
+            if k:
+                v = v * np.log(x_arr) ** k
+            out += c * np.where(x_arr >= a, v, 0j)
         return out
 
 
@@ -204,18 +199,19 @@ def constant_family(S) -> SubspaceSequence:
     return SubspaceSequence(lambda n: S, "constant")
 
 
-def _distance_point(
-    f: PiecewiseMonomial, S: MonomialSet, precision: str
-) -> tuple[float, float]:
-    """One (distance, condition estimate) sample; exact product when possible."""
-    if f.is_single_monomial and all(e.logpow == 0 for e in S):
-        c, t, _ = f.terms[0]
-        d = abs(c) * monomial_distance_closed_form(t, S)
-        return d, 1.0
-    res = distance_to_span(
-        f.pairing_oracle(), f.norm_sq, S, precision=precision
-    )
-    return res.distance, res.condition_estimate
+class DistancePoint(NamedTuple):
+    distance: float
+    condition_estimate: float
+    method: str  # "closed-form" | "gram-double" | "gram-extended(dps=N)"
+
+
+def _distance_point(f: PiecewiseMonomial, S: MonomialSet, precision: str) -> DistancePoint:
+    """One distance sample and the route that produced it; exact product when possible."""
+    c, t, _, k = f.terms[0]
+    if f.is_single_monomial and k == 0 and all(e.logpow == 0 for e in S):
+        return DistancePoint(abs(c) * monomial_distance_closed_form(t, S), 1.0, "closed-form")
+    res = distance_to_span(f.pairing_oracle(), f.norm_sq, S, precision=precision)
+    return DistancePoint(res.distance, res.condition_estimate, f"gram-{res.precision}")
 
 
 def distance_curve(
@@ -243,7 +239,7 @@ def distance_curve(
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                d, c = _distance_point(f, S, precision)
+                d, c, _ = _distance_point(f, S, precision)
         except NumericalError:
             d, c = math.nan, math.inf
         dists[n - 1] = d
@@ -259,6 +255,7 @@ class ConvergenceReport:
 
     description: str
     distances: np.ndarray
+    conditions: np.ndarray
     fitted_limit: float
     verdict: str  # "in-limit" | "not-in-limit" | "undetermined"
     density_verdict: str | None = None
@@ -266,7 +263,7 @@ class ConvergenceReport:
 
 
 def limit_membership_test(
-    f, seq: SubspaceSequence, n_max: int, tol: float = DEFAULT_TOL
+    f, seq: SubspaceSequence, n_max: int, tol: float = DEFAULT_TOL, *, precision: str = "double"
 ) -> ConvergenceReport:
     """Three-valued membership verdict for f against the limit of M(S_n).
 
@@ -276,22 +273,24 @@ def limit_membership_test(
     final value; not-in-limit when the fit and the window agree the curve
     has flattened at a level >= tol; undetermined otherwise.  A finite
     curve cannot prove a set-theoretic limit; the thresholds are honest
-    heuristics, with tol as the only contract knob.
+    heuristics, with tol as the only contract knob.  The curve is computed
+    once, at `precision` (as in distance_curve), and the report carries its
+    distances and condition estimates.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
     fpm = PiecewiseMonomial.from_spec(f)
-    curve = distance_curve(fpm, seq, n_max)
+    curve, conds = distance_curve(fpm, seq, n_max, precision=precision, with_conditions=True)
     finite = curve[np.isfinite(curve)]
     if len(finite) < 3:
-        return ConvergenceReport(seq.description, curve, math.nan, "undetermined")
+        return ConvergenceReport(seq.description, curve, conds, math.nan, "undetermined")
     n_pts = len(curve)
     k = max(3, math.ceil(n_pts / 4))
     idx = np.arange(n_pts - k + 1, n_pts + 1, dtype=float)
     window = curve[-k:]
     good = np.isfinite(window)
     if good.sum() < 2:
-        return ConvergenceReport(seq.description, curve, math.nan, "undetermined")
+        return ConvergenceReport(seq.description, curve, conds, math.nan, "undetermined")
     b, a = np.polyfit(1.0 / idx[good], window[good], 1)
     d_end = float(finite[-1])
     w_vals = window[good]
@@ -305,10 +304,12 @@ def limit_membership_test(
         verdict = "not-in-limit"
     else:
         verdict = "undetermined"
-    return ConvergenceReport(seq.description, curve, fitted, verdict)
+    return ConvergenceReport(seq.description, curve, conds, fitted, verdict)
 
 
-def muntz_limit_experiment(seq, f, n_max: int) -> ConvergenceReport:
+def muntz_limit_experiment(
+    seq, f, n_max: int, *, precision: str = "double"
+) -> ConvergenceReport:
     """Couple the analytic density verdict with the observed distance curve.
 
     The exponent sequence is judged by the complex-criterion series; the
@@ -321,7 +322,7 @@ def muntz_limit_experiment(seq, f, n_max: int) -> ConvergenceReport:
     # judge density from the generator itself so symbolic certificates apply
     seq_obj = sequence_from_spec(seq) if not isinstance(seq, (list, tuple)) else list(seq)
     density = muntz_verdict(seq_obj, "complex")
-    report = limit_membership_test(f, family, n_max)
+    report = limit_membership_test(f, family, n_max, precision=precision)
     agreement: bool | None = None
     if density.verdict != "undetermined" and report.verdict != "undetermined":
         agreement = (density.verdict == "dense") == (report.verdict == "in-limit")
@@ -332,11 +333,4 @@ def muntz_limit_experiment(seq, f, n_max: int) -> ConvergenceReport:
                 ConvergenceWarning,
                 stacklevel=2,
             )
-    return ConvergenceReport(
-        family.description,
-        report.distances,
-        report.fitted_limit,
-        report.verdict,
-        density.verdict,
-        agreement,
-    )
+    return replace(report, density_verdict=density.verdict, agreement=agreement)

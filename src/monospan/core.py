@@ -17,6 +17,7 @@ precision (mpmath) when the condition estimate passes EXTENDED_THRESHOLD.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, Union
@@ -156,12 +157,35 @@ class GramSystem:
     condition_estimate: float
 
 
+def cauchy_moment(t: complex, s: complex, m: int = 0, a: float = 0.0, c=1):
+    """c times the moment integral over [a, 1] of x^(p-1) (ln x)^m, p = 1 + t + conj(s).
+
+    At a = 0 this is c (-1)^m m! / p^(m+1); at a > 0 it follows the
+    integration-by-parts recurrence I_0 = (1 - a^p)/p,
+    I_m = -(a^p (ln a)^m + m I_(m-1))/p.  Under an mpmath working precision
+    above double (as set by the extended solve ladder) the operands are
+    lifted to mpmath and the result is a full-precision mpc, so
+    ill-conditioned Gram solves are not capped by double-rounded entries.
+    """
+    if mp.mp.dps > 25:
+        p = 1 + mp.mpc(t.real, t.imag) + mp.mpc(s.real, -s.imag)
+        c, factorial, power, log = mp.mpc(c), mp.factorial, mp.power, mp.log
+    else:
+        p = 1 + t + s.conjugate()
+        factorial, power, log = math.factorial, pow, math.log
+    if a == 0.0:
+        return c * (-1) ** m * factorial(m) / p ** (m + 1)
+    ap = power(a, p)
+    acc = c * (1 - ap) / p
+    for k in range(1, m + 1):
+        acc = -(c * ap * log(a) ** k + k * acc) / p
+    return acc
+
+
 def monomial_inner(a: ExponentLike, b: ExponentLike) -> complex:
     """Inner product <x^a (ln x)^j, x^b (ln x)^k>, conjugating the b slot."""
     ea, eb = as_exponent(a), as_exponent(b)
-    m = ea.logpow + eb.logpow
-    denom = 1 + ea.s + eb.s.conjugate()
-    return (-1) ** m * math.factorial(m) / denom ** (m + 1)
+    return cauchy_moment(ea.s, eb.s, ea.logpow + eb.logpow)
 
 
 def gram_build(S, max_size: int = 64) -> GramSystem:
@@ -196,12 +220,6 @@ class DistanceResult:
     precision: str
 
 
-def _mp_inner(a: Exponent, b: Exponent):
-    m = a.logpow + b.logpow
-    denom = 1 + mp.mpc(a.re, a.im) + mp.mpc(b.re, -b.im)
-    return (-1) ** m * mp.factorial(m) / denom ** (m + 1)
-
-
 def _solve_extended(
     S: MonomialSet, f_moments: Callable[[Exponent], complex], f_norm_sq
 ) -> tuple[float, np.ndarray, int]:
@@ -222,7 +240,7 @@ def _solve_extended(
                 for j, mj in enumerate(S):
                     # normal-equation matrix: row i pairs against m_i in the
                     # second slot, i.e. A[i,j] = <m_j, m_i>
-                    G[i, j] = _mp_inner(mj, mi)
+                    G[i, j] = monomial_inner(mj, mi)
             r = mp.matrix([mp.mpc(f_moments(m)) for m in S])
             try:
                 c = mp.lu_solve(G, r)
@@ -293,13 +311,7 @@ def monomial_pairing_oracle(t: ExponentLike) -> Callable[[Exponent], complex]:
     ill-conditioned Gram solves are not capped by double-rounded pairings.
     """
     et = as_exponent(t)
-
-    def oracle(m: Exponent):
-        if mp.mp.dps > 25:
-            return _mp_inner(et, m)
-        return monomial_inner(et, m)
-
-    return oracle
+    return lambda m: monomial_inner(et, m)
 
 
 def monomial_distance_closed_form(t: ExponentLike, S) -> float:
@@ -363,11 +375,24 @@ class GeometricSequence:
 SequenceLike = Union[AffineSequence, GeometricSequence, Sequence]
 
 
-def _parse_complex_field(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        re, im = value
-        return complex(float(re), float(im))
-    return complex(value)
+def complex_field(value, what: str) -> complex:
+    """A complex number from a JSON field: a number or an [re, im] pair."""
+    try:
+        if isinstance(value, numbers.Number) and not isinstance(value, bool):
+            return complex(value)
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            return complex(float(value[0]), float(value[1]))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{what} must be a number or an [re, im] pair, got {value!r}")
+
+
+def required_field(spec, key: str, what: str):
+    """spec[key] from a JSON object, or a DomainError naming the missing field."""
+    try:
+        return spec[key]
+    except (TypeError, KeyError):
+        raise DomainError(f"{what} needs the field {key!r}") from None
 
 
 def sequence_from_spec(spec) -> SequenceLike:
@@ -378,14 +403,17 @@ def sequence_from_spec(spec) -> SequenceLike:
         kind = spec.get("kind")
         if kind == "affine":
             return AffineSequence(
-                _parse_complex_field(spec["a"]), _parse_complex_field(spec.get("b", 0.0))
+                complex_field(required_field(spec, "a", "affine sequence"), "affine a"),
+                complex_field(spec.get("b", 0.0), "affine b"),
             )
         if kind == "geometric":
             return GeometricSequence(
-                _parse_complex_field(spec.get("base", 1.0)), float(spec["ratio"])
+                complex_field(spec.get("base", 1.0), "geometric base"),
+                float(required_field(spec, "ratio", "geometric sequence")),
             )
         if kind == "explicit":
-            return [_parse_complex_field(v) for v in spec["values"]]
+            values = required_field(spec, "values", "explicit sequence")
+            return [complex_field(v, "sequence entry") for v in values]
         raise DomainError(f"unknown sequence kind {kind!r}")
     return list(spec)
 

@@ -43,6 +43,15 @@ def test_dist_gram_route_matches_quadrature_value(capsys):
     assert abs(payload["distance"] - expected) < 1e-12
 
 
+def test_dist_f_and_t_agree_on_confluent_set(capsys):
+    conf = '{"exponents":[{"re":1},{"re":1,"logpow":1}]}'
+    by_f = run_json(capsys, ["dist", "--f", "monomial:1.5", "--set", conf])
+    by_t = run_json(capsys, ["dist", "--t", "1.5", "--set", conf])
+    assert by_f == by_t
+    # dist(x^t, span{x^s, x^s ln x}) = (|t-s| / |t+s+1|)^2 / sqrt(2t+1)
+    assert by_f["distance"] == pytest.approx(0.5 * (1 / 7) ** 2, rel=1e-9)
+
+
 def test_muntz_affine_classical_dense(capsys):
     payload = run_json(
         capsys,
@@ -164,6 +173,45 @@ def test_converge_muntz_json(capsys):
     assert payload["agreement"] is True
 
 
+def test_converge_extended_verdict_reads_the_printed_curve(capsys):
+    exps = ",".join(f'{{"re":{0.3 * k:.1f}}}' for k in range(8))
+    payload = run_json(
+        capsys,
+        [
+            "converge", "--family", "constant", "--set", f'{{"exponents":[{exps}]}}',
+            "--f", "chi:0.5", "--nmax", "4", "--precision", "extended",
+        ],
+    )
+    # a constant curve fits to its own value, up to the rounding of the fit
+    assert payload["fitted_limit"] == pytest.approx(payload["distance"][-1], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        ["--family", "interval", "--rho", "0.25"],
+        ["--family", "muntz", "--seq", '{"kind":"affine","a":1}'],
+        ["--family", "constant", "--set", X2_SET],
+    ],
+)
+def test_converge_computes_one_curve(monkeypatch, capsys, family):
+    import monospan.cli as cli
+    import monospan.convergence as cv
+
+    original = cv.distance_curve
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in (cv, cli):
+        if getattr(mod, "distance_curve", None) is original:
+            monkeypatch.setattr(mod, "distance_curve", counting)
+    run_json(capsys, ["converge", *family, "--f", "chi:0.5", "--nmax", "4"])
+    assert len(calls) == 1
+
+
 def test_converge_csv_header_and_rows(capsys):
     code, out, err = run(
         capsys,
@@ -249,6 +297,29 @@ def test_domain_errors_exit_3(capsys):
     for argv in cases:
         code, _, err = run(capsys, argv)
         assert code == 3, (argv, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["muntz", "--seq", '{"kind":"affine","a":"x"}'],
+        ["muntz", "--seq", '{"kind":"affine","a":[1,2,3]}'],
+        ["muntz", "--seq", '{"kind":"geometric"}'],
+        ["dist", "--f", '{"terms":[{"t":[1]}]}', "--set", X0_SET],
+        ["atomic", "dist", "--s", "0.5", "--measure", '{"atoms":[{"tau":"a","w":1}]}'],
+        ["atomic", "dist", "--s", "0.5", "--measure", '{"atoms":[{"tau":[1,0]}]}'],
+    ],
+)
+def test_malformed_json_fields_exit_3(capsys, argv):
+    code, _, err = run(capsys, argv)
+    assert code == 3
+    assert err.startswith("mono: domain error:")
+
+
+def test_malformed_flag_text_exit_2(capsys):
+    code, _, err = run(capsys, ["dist", "--t", "1,2,3", "--set", X0_SET])
+    assert code == 2
+    assert err.startswith("mono: usage error:")
 
 
 def test_numerical_error_exit_4(capsys):

@@ -107,6 +107,46 @@ def test_norm_and_pairing_against_quadrature():
         assert pair(e) == pytest.approx(re_val + 1j * im_val, abs=1e-8)
 
 
+def test_pairing_and_distance_on_confluent_set_against_quadrature():
+    # chi_[0.3,1] against x^0.5, x^0.5 ln x, x^0.5 (ln x)^2, x^2: every
+    # pairing and Gram entry comes from scipy quad, independent of the moments
+    f = PiecewiseMonomial.from_spec("chi:0.3")
+    S = MonomialSet((Exponent(0.5, 0.0, 0), Exponent(0.5, 0.0, 1), Exponent(0.5, 0.0, 2),
+                     Exponent(2.0, 0.0, 0)))
+
+    def m(e):
+        return lambda x: x ** e.re * math.log(x) ** e.logpow
+
+    r = np.array([integrate.quad(m(e), 0.3, 1.0, epsabs=1e-14, epsrel=1e-13)[0] for e in S])
+    pair = f.pairing_oracle()
+    for e, expect in zip(S, r):
+        assert pair(e) == pytest.approx(expect, rel=1e-11, abs=1e-13)
+
+    G = np.array([[integrate.quad(lambda x: m(a)(x) * m(b)(x), 0.0, 1.0,
+                                  epsabs=1e-14, epsrel=1e-13, limit=200)[0] for b in S]
+                  for a in S])
+    expect = math.sqrt(0.7 - r @ np.linalg.solve(G, r))
+    assert cv._distance_point(f, S, "double").distance == pytest.approx(expect, rel=1e-6)
+
+
+def test_log_power_terms_against_quadrature():
+    # 2 chi_[0.3,1] x^0.7 (ln x)^2 + x: cutoff and log power together
+    f = PiecewiseMonomial(((2.0, Exponent(0.7), 0.3, 2), (1.0, Exponent(1.0), 0.0)))
+
+    def fx(x):
+        return x + (2.0 * x ** 0.7 * math.log(x) ** 2 if x >= 0.3 else 0.0)
+
+    nsq, _ = integrate.quad(lambda x: fx(x) ** 2, 0.0, 1.0, points=[0.3])
+    assert f.norm_sq == pytest.approx(nsq, rel=1e-10)
+    assert f.evaluate(0.5) == pytest.approx(fx(0.5))
+    pair = f.pairing_oracle()
+    for e in (Exponent(0.0), Exponent(1.5, 0.0, 1)):
+        expect, _ = integrate.quad(
+            lambda x: fx(x) * x ** e.re * math.log(x) ** e.logpow, 0.0, 1.0, points=[0.3]
+        )
+        assert pair(e) == pytest.approx(expect, rel=1e-10)
+
+
 def test_evaluate_matches_terms():
     f = PiecewiseMonomial.from_spec("chi:0.5")
     xs = np.linspace(0.01, 0.99, 23)
@@ -143,7 +183,7 @@ def test_interval_family_distance_closed_form():
     fam = interval_family(0.25)
     f = PiecewiseMonomial.constant()
     for n in (10, 100, 1000, 10000):
-        d, _ = cv._distance_point(f, fam.set_at(n), "double")
+        d = cv._distance_point(f, fam.set_at(n), "double").distance
         assert abs(d - (n + 1) / (2 * n + 1)) < 1e-12
 
 
@@ -224,7 +264,7 @@ def test_distance_pythagoras_residual():
     f = PiecewiseMonomial.from_spec("chi:0.5")
     exps = [1.0 + 0.0j, 2.0 + 0.0j, 3.0 + 0.0j]
     S = MonomialSet(tuple(Exponent(s.real, s.imag, 0) for s in exps))
-    d, _ = cv._distance_point(f, S, "double")
+    d = cv._distance_point(f, S, "double").distance
 
     G = np.array([[1.0 / (1.0 + si + np.conj(sj)) for sj in exps] for si in exps])
     r = np.array([(1.0 - 0.5 ** (1.0 + np.conj(s))) / (1.0 + np.conj(s)) for s in exps])

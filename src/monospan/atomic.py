@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ExponentLike, as_exponent, complex_field, required_field
+from .core import ExponentLike, as_exponent, complex_field, list_field, real_field, required_field
 from .errors import (
     ConvergenceWarning,
     DomainError,
@@ -34,9 +34,12 @@ from .errors import (
     TruncationWarning,
 )
 from .laguerre import LaguerreExpansion
+from .sarason import _as_disk
 
 _MODEL_N_MAX = 8192
 _ATOM_COLLISION = 1e-14
+_SENSITIVITY_TOL = 0.01
+_MOMENT_ORDER = 8
 
 
 def _check_unimodular(tau: complex) -> complex:
@@ -141,14 +144,10 @@ class AtomicMeasure:
 
     @classmethod
     def from_json(cls, payload: dict) -> "AtomicMeasure":
-        try:
-            raw = payload["atoms"]
-        except (TypeError, KeyError):
-            raise DomainError('measure JSON must be {"atoms": [...]}') from None
         atoms = []
-        for a in raw:
+        for a in list_field(required_field(payload, "atoms", "measure JSON"), "measure atoms"):
             tau = complex_field(required_field(a, "tau", "atom"), "atom tau")
-            atoms.append((tau, float(required_field(a, "w", "atom"))))
+            atoms.append((tau, real_field(required_field(a, "w", "atom"), "atom w")))
         return cls(tuple(atoms))
 
     def to_json(self) -> dict:
@@ -189,9 +188,7 @@ class InnerFunction:
     measure: AtomicMeasure
 
     def evaluate(self, z) -> complex:
-        from .sarason import DiskPoint
-
-        zv = z.z if isinstance(z, DiskPoint) else DiskPoint(z).z
+        zv = _as_disk(z)
         for tau, _ in self.measure.atoms:
             if abs(zv - tau) < _ATOM_COLLISION:
                 raise NumericalError(f"evaluation point {zv} collides with the atom {tau}")
@@ -202,9 +199,7 @@ class InnerFunction:
 
     def modulus(self, z) -> float:
         """|S(z)| = exp(-sum w_k Re((tau_k+z)/(tau_k-z))), without the phase."""
-        from .sarason import DiskPoint
-
-        zv = z.z if isinstance(z, DiskPoint) else DiskPoint(z).z
+        zv = _as_disk(z)
         expo = 0.0
         for tau, w in self.measure.atoms:
             expo -= w * ((tau + zv) / (tau - zv)).real
@@ -252,9 +247,7 @@ def conjugation_identity_check(c: float, wp: float, z_grid) -> tuple[float, comp
     lhs = []
     rhs = []
     for z in z_grid:
-        from .sarason import DiskPoint
-
-        zv = z.z if isinstance(z, DiskPoint) else DiskPoint(z).z
+        zv = _as_disk(z)
         psi_z = ((1 - 1j * c) * zv + 1j * c) / (1 + 1j * c - 1j * c * zv)
         lhs.append(S_minus1.evaluate(psi_z))
         rhs.append(S_tau.evaluate(zv))
@@ -274,33 +267,23 @@ def _toeplitz_analytic_apply(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _toeplitz_coanalytic_apply(phi: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """T_phibar f: (T f)_m = sum_j conj(phi_j) f_{m+j}.
+    """T_phibar f: (T f)_m = sum_j conj(phi_j) f_{m+j}, applied as one correlation.
 
-    Exact (not merely truncated) whenever f is supported on indices < N,
-    because the discarded products all involve coefficients of f beyond N.
+    phi and f have the same length N.  Exact (not merely truncated) whenever
+    f is supported on indices < N, because the discarded products all
+    involve coefficients of f beyond N.
     """
-    N = len(f)
-    out = np.empty(N, dtype=complex)
-    pc = np.conj(phi)
-    for m in range(N):
-        out[m] = np.dot(pc[: N - m], f[m:])
-    return out
+    return np.correlate(f, phi, "full")[len(f) - 1 :]
 
 
-def model_space_distance(
-    f: LaguerreExpansion,
-    mu: AtomicMeasure,
-    N: int = 4096,
-    *,
-    sensitivity_tol: float = 0.01,
-) -> float:
+def model_space_distance(f: LaguerreExpansion, mu: AtomicMeasure, N: int = 4096) -> float:
     """Distance from f to the atomic space of mu, via Toeplitz truncation.
 
     In transform coordinates the atomic space is (phi H^2)-perp for the
     inner function phi of mu, so the distance is ||T_phi T_phibar f||.
     Both factors are compressions to N coefficients; the same quantity is
     recomputed at N/2 and a TruncationWarning is issued when the two
-    disagree by more than sensitivity_tol relative.  The truncated value
+    disagree by more than 1% relative.  The truncated value
     approaches the distance from below as N grows.
 
     An empty measure spans the whole space, so every distance is zero;
@@ -324,7 +307,7 @@ def model_space_distance(
 
     d_full = at(N)
     d_half = at(N // 2)
-    if abs(d_full - d_half) > sensitivity_tol * max(d_full, 1e-9):
+    if abs(d_full - d_half) > _SENSITIVITY_TOL * max(d_full, 1e-9):
         warnings.warn(
             f"model-space distance is truncation-sensitive: {d_half:.6g} at N={N // 2} "
             f"vs {d_full:.6g} at N={N}",
@@ -349,13 +332,11 @@ def weakstar_experiment(
     mu_limit: AtomicMeasure,
     test_functions: list[LaguerreExpansion],
     N: int = 2048,
-    *,
-    moment_order: int = 8,
 ) -> WeakStarReport:
     """Track dist(f, M(mu_n)) along a weak-star convergent measure sequence.
 
     Weak-star convergence is checked on trigonometric moments up to
-    moment_order; a sequence whose final deviation has not shrunk below
+    order 8; a sequence whose final deviation has not shrunk below
     its initial deviation draws a ConvergenceWarning (the experiment still
     runs).  The H2 gap between the inner functions of mu_n and of the
     limit is reported alongside, since it controls the distance gap.
@@ -364,9 +345,9 @@ def weakstar_experiment(
         raise DomainError("empty measure sequence")
     if not test_functions:
         raise DomainError("no test functions supplied")
-    m_limit = mu_limit.moments(moment_order)
+    m_limit = mu_limit.moments(_MOMENT_ORDER)
     devs = np.array(
-        [float(np.max(np.abs(mu.moments(moment_order) - m_limit))) for mu in mu_seq]
+        [float(np.max(np.abs(mu.moments(_MOMENT_ORDER) - m_limit))) for mu in mu_seq]
     )
     if len(mu_seq) >= 2 and devs[-1] > 1e-9 and devs[-1] > 0.9 * devs[0]:
         warnings.warn(

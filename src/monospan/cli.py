@@ -32,7 +32,10 @@ from .convergence import (
     limit_membership_test,
     muntz_limit_experiment,
 )
-from .core import Exponent, MonomialSet, complex_field, muntz_verdict
+from .core import (
+    Exponent, MonomialSet, complex_field, int_field, list_field, muntz_verdict, real_field,
+    required_field,
+)
 from .errors import DomainError, MonomialError, NumericalError
 from .laguerre import LaguerreExpansion, apply_J_expansion, apply_J_monomial, expand_monomial
 from .operators import PhiSpec, hat_matrix, monomial_operator, pick_positivity_check
@@ -64,6 +67,10 @@ def _parse_complex(text: str, what: str) -> complex:
     except ValueError:
         pass
     raise UsageError(f"{what} must be 're' or 're,im', got {text!r}")
+
+
+def _complex_list(value, what: str) -> list[complex]:
+    return [complex_field(v, what) for v in list_field(value, f"{what} list")]
 
 
 def _pair(z) -> list[float]:
@@ -245,29 +252,30 @@ def _sarason_eval(spec: dict, z: complex) -> tuple[complex, float | None, str]:
     kind = spec["kind"]
     if kind == "monomial":
         s = complex_field(spec.get("s", 0.0), "monomial exponent")
-        logpow = int(spec.get("logpow", 0))
+        logpow = int_field(spec.get("logpow", 0), "monomial logpow")
         if logpow == 0:
             return forward_monomial(s).evaluate(z), None, "closed-form"
         res = forward_quadrature(monomial_function(Exponent(s.real, s.imag, logpow)), z)
         return res.value, res.error, "quadrature"
     if kind == "indicator":
-        s = float(spec.get("s", 1.0))
+        s = real_field(spec.get("s", 1.0), "indicator cutoff s")
         return forward_indicator(s).evaluate(z), None, "closed-form"
     if kind == "linear-combination":
         total = 0j
         err = 0.0
         exact = True
-        for item in spec.get("terms", []):
+        for item in list_field(spec.get("terms", []), "combination terms"):
+            v, e, _ = _sarason_eval(required_field(item, "f", "combination term"), z)
             c = complex_field(item.get("coeff", 1.0), "combination coefficient")
-            v, e, _ = _sarason_eval(item["f"], z)
             total += c * v
             if e is not None:
                 exact = False
                 err += abs(c) * e
         return total, (None if exact else err), "composite"
     if kind == "table":
-        xs = np.asarray(spec["x"], dtype=float)
-        ys = np.array([complex_field(v, "table value") for v in spec["y"]])
+        xs = list_field(required_field(spec, "x", "table spec"), "table x")
+        xs = np.array([real_field(v, "table x") for v in xs])
+        ys = np.array(_complex_list(required_field(spec, "y", "table spec"), "table value"))
         if len(xs) != len(ys) or len(xs) < 2:
             raise UsageError("table spec needs matching x and y arrays with >= 2 entries")
         if np.any(np.diff(xs) <= 0) or xs[0] <= 0 or xs[-1] > 1:
@@ -315,27 +323,26 @@ def _phi_from_spec(spec: dict) -> PhiSpec:
     if kind == "identity":
         return PhiSpec("poly", (0.0, 1.0))
     if kind == "poly":
-        coeffs = tuple(complex_field(c, "phi coefficient") for c in spec.get("coeffs", []))
-        return PhiSpec("poly", coeffs)
+        return PhiSpec("poly", tuple(_complex_list(spec.get("coeffs", []), "phi coefficient")))
     if kind == "rational":
         return PhiSpec(
             "rational",
-            tuple(complex_field(c, "phi numerator") for c in spec.get("coeffs", [])),
-            tuple(complex_field(c, "phi denominator") for c in spec.get("denom", [])),
+            tuple(_complex_list(spec.get("coeffs", []), "phi numerator")),
+            tuple(_complex_list(spec.get("denom", []), "phi denominator")),
         )
     if kind == "table":
-        entries = tuple(
-            (complex_field(w, "table point"), complex_field(v, "table value"))
-            for w, v in spec.get("entries", [])
-        )
-        return PhiSpec("table", table=entries)
+        entries = []
+        for entry in list_field(spec.get("entries", []), "phi table entries"):
+            w, v = list_field(entry, "phi table entry", 2)
+            entries.append((complex_field(w, "table point"), complex_field(v, "table value")))
+        return PhiSpec("table", table=tuple(entries))
     raise DomainError(f"unknown phi kind {kind!r}")
 
 
 def _run_op(params: dict, precision: str, seed) -> tuple[dict, int]:
     if params["verb"] == "pick":
         phi = _phi_from_spec(params["phi"])
-        grid = [complex_field(g, "grid point") for g in params["grid"]]
+        grid = _complex_list(params["grid"], "grid point")
         passes, smallest = pick_positivity_check(phi, float(params["M"]), grid)
         payload = {
             "passes": bool(passes),
@@ -360,7 +367,7 @@ def _run_op(params: dict, precision: str, seed) -> tuple[dict, int]:
         payload = {"kind": "monomial", "coeff": _pair(c), "s": _pair(e.s)}
         return payload, 0
     if spec["kind"] == "coefficients":
-        vec = np.array([complex_field(v, "coefficient") for v in spec.get("values", [])])
+        vec = np.array(_complex_list(spec.get("values", []), "coefficient"))
         if vec.size == 0:
             raise UsageError("coefficient input must be nonempty")
         if op == "J":

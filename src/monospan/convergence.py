@@ -36,9 +36,11 @@ from .core import (
     cauchy_moment,
     complex_field,
     distance_to_span,
+    list_field,
     materialize_sequence,
     monomial_distance_closed_form,
     muntz_verdict,
+    real_field,
     sequence_from_spec,
 )
 from .errors import ConvergenceWarning, DomainError, NumericalError
@@ -97,21 +99,21 @@ class PiecewiseMonomial:
             if spec == "const":
                 return cls.constant()
             if spec.startswith("chi:"):
-                return cls.indicator(float(spec[4:]))
+                return cls.indicator(real_field(spec[4:], "indicator cutoff"))
             if spec.startswith("monomial:"):
                 parts = spec[len("monomial:"):].split(",")
-                t = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
+                t = complex(*(real_field(p, "monomial exponent") for p in parts[:2]))
                 return cls.monomial(t)
             raise DomainError(f"unknown function shorthand {spec!r}")
         if not isinstance(spec, dict) or "terms" not in spec:
             raise DomainError("function spec must be a shorthand string or a {'terms': [...]} object")
         terms = []
-        for item in spec["terms"]:
+        for item in list_field(spec["terms"], "function terms"):
             if not isinstance(item, dict):
                 raise DomainError(f"function term must be an object, got {item!r}")
             c = complex_field(item.get("coeff", 1.0), "term coeff")
             t = complex_field(item.get("t", 0.0), "term exponent t")
-            terms.append((c, as_exponent(t), float(item.get("a", 0.0))))
+            terms.append((c, as_exponent(t), real_field(item.get("a", 0.0), "term cutoff a")))
         return cls(tuple(terms))
 
     @property

@@ -36,6 +36,7 @@ from .errors import (
 HALF_PLANE_EDGE = -0.5
 EXTENDED_THRESHOLD = 1e12
 _EXTENDED_DPS_LADDER = (34, 50, 80, 120, 160)
+_GRAM_N_MAX = 64
 
 ExponentLike = Union["Exponent", complex, float, int]
 
@@ -120,13 +121,14 @@ class MonomialSet:
 
     @classmethod
     def from_json(cls, payload: dict) -> "MonomialSet":
-        try:
-            raw = payload["exponents"]
-        except (TypeError, KeyError):
-            raise DomainError('monomial set JSON must be {"exponents": [...]}') from None
+        raw = required_field(payload, "exponents", "monomial set JSON")
         entries = tuple(
-            Exponent(float(e.get("re", 0.0)), float(e.get("im", 0.0)), int(e.get("logpow", 0)))
-            for e in raw
+            Exponent(
+                real_field(e.get("re", 0.0), "exponent re"),
+                real_field(e.get("im", 0.0), "exponent im"),
+                int_field(e.get("logpow", 0), "exponent logpow"),
+            )
+            for e in list_field(raw, "monomial set exponents")
         )
         return cls(entries)
 
@@ -188,13 +190,13 @@ def monomial_inner(a: ExponentLike, b: ExponentLike) -> complex:
     return cauchy_moment(ea.s, eb.s, ea.logpow + eb.logpow)
 
 
-def gram_build(S, max_size: int = 64) -> GramSystem:
-    """Assemble the Hermitian Gram matrix of a monomial set."""
+def gram_build(S) -> GramSystem:
+    """Assemble the Hermitian Gram matrix of a monomial set of at most 64 entries."""
     S = as_monomial_set(S)
     if len(S) == 0:
         raise DomainError("cannot build the Gram system of an empty set")
-    if len(S) > max_size:
-        raise SizeLimitError(f"monomial set has {len(S)} entries, limit is {max_size}")
+    if len(S) > _GRAM_N_MAX:
+        raise SizeLimitError(f"monomial set has {len(S)} entries, limit is {_GRAM_N_MAX}")
     n = len(S)
     G = np.empty((n, n), dtype=complex)
     for i, mi in enumerate(S):
@@ -265,7 +267,6 @@ def distance_to_span(
     S,
     *,
     precision: str = "double",
-    max_size: int = 64,
 ) -> DistanceResult:
     """Distance from f to the span of a monomial set via Gram normal equations.
 
@@ -281,7 +282,7 @@ def distance_to_span(
     if f_norm_sq < 0:
         raise DomainError("f_norm_sq must be nonnegative")
     S = as_monomial_set(S)
-    gram = gram_build(S, max_size=max_size)
+    gram = gram_build(S)
     cond = gram.condition_estimate
     use_extended = precision == "extended" or cond > EXTENDED_THRESHOLD
     if precision == "double" and cond > EXTENDED_THRESHOLD:
@@ -387,6 +388,30 @@ def complex_field(value, what: str) -> complex:
     raise DomainError(f"{what} must be a number or an [re, im] pair, got {value!r}")
 
 
+def real_field(value, what: str) -> float:
+    """A real number from a JSON field, on float()'s terms, or a DomainError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{what} must be a real number, got {value!r}") from None
+
+
+def int_field(value, what: str) -> int:
+    """An integer from a JSON field, on int()'s terms, or a DomainError."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+
+
+def list_field(value, what: str, length: int | None = None) -> list:
+    """A JSON array field (of exactly `length` items when given), or a DomainError."""
+    if isinstance(value, (list, tuple)) and length in (None, len(value)):
+        return list(value)
+    size = "an array" if length is None else f"an array of {length}"
+    raise DomainError(f"{what} must be {size}, got {value!r}")
+
+
 def required_field(spec, key: str, what: str):
     """spec[key] from a JSON object, or a DomainError naming the missing field."""
     try:
@@ -409,11 +434,11 @@ def sequence_from_spec(spec) -> SequenceLike:
         if kind == "geometric":
             return GeometricSequence(
                 complex_field(spec.get("base", 1.0), "geometric base"),
-                float(required_field(spec, "ratio", "geometric sequence")),
+                real_field(required_field(spec, "ratio", "geometric sequence"), "geometric ratio"),
             )
         if kind == "explicit":
             values = required_field(spec, "values", "explicit sequence")
-            return [complex_field(v, "sequence entry") for v in values]
+            return [complex_field(v, "sequence entry") for v in list_field(values, "explicit values")]
         raise DomainError(f"unknown sequence kind {kind!r}")
     return list(spec)
 
@@ -455,6 +480,11 @@ class DensityVerdict:
 
 
 _CRITERIA = ("classical", "real", "complex")
+_TAIL_WINDOW = 64
+_MAX_TERMS = 10000
+_SUM_BOUND = 50.0
+_HARMONIC_FLOOR = 1e-2
+_RATIO_CEILING = 0.98
 
 
 def _criterion_terms(values: list[complex], criterion: str) -> np.ndarray:
@@ -500,39 +530,28 @@ def _symbolic_certificate(seq: SequenceLike, criterion: str) -> tuple[str, str] 
     return None
 
 
-def muntz_verdict(
-    seq: SequenceLike,
-    criterion: str = "complex",
-    tail_window: int = 64,
-    *,
-    max_terms: int = 10000,
-    sum_bound: float = 50.0,
-    harmonic_floor: float = 1e-2,
-    ratio_ceiling: float = 0.98,
-) -> DensityVerdict:
+def muntz_verdict(seq: SequenceLike, criterion: str = "complex") -> DensityVerdict:
     """Three-valued Muntz-Szasz density verdict for the span of {x^(s_k)}.
 
     criterion selects the series: "classical" sums 1/s_k over strictly
     increasing nonnegative integers, "real" sums (2s+1)/((2s+1)^2+1) over
     real exponents, "complex" sums (2 Re s + 1)/|s+1|^2.  The verdict is
     "dense" when a divergence certificate matches (symbolic pattern for
-    generator specs, partial sums passing `sum_bound`, or a harmonic-type
-    lower bound k*t_k >= harmonic_floor holding flat over the tail window),
-    "not-dense" when a convergent majorant matches (geometric ratio under
-    `ratio_ceiling`, or a p-series log-log slope <= -1.1 over the window),
+    generator specs, partial sums of the first 10000 terms passing 50, or a
+    harmonic-type lower bound k*t_k >= 0.01 holding flat over the last 64
+    terms), "not-dense" when a convergent majorant matches (consecutive term
+    ratios <= 0.98, or a p-series log-log slope <= -1.1 over those 64 terms),
     and "undetermined" otherwise.  A finite machine cannot decide series
     divergence; these are heuristic certificates and the third value is the
     honest fallback.
     """
     if criterion not in _CRITERIA:
         raise DomainError(f"unknown criterion {criterion!r}; expected one of {_CRITERIA}")
-    if tail_window < 2:
-        raise DomainError("tail_window must be at least 2")
     seq = sequence_from_spec(seq) if isinstance(seq, dict) else seq
     symbolic = _symbolic_certificate(seq, criterion)
     # a symbolic certificate decides the verdict from the generator alone;
     # keep the supporting partial sums short so fast growth cannot overflow
-    count = max_terms if symbolic is None else min(max_terms, 256)
+    count = _MAX_TERMS if symbolic is None else min(_MAX_TERMS, 256)
     values = materialize_sequence(seq, count)
     if not values:
         raise DomainError("empty exponent sequence")
@@ -550,25 +569,25 @@ def muntz_verdict(
         verdict, reason = symbolic
         return DensityVerdict(verdict, partial, criterion, reason)
 
-    if partial[-1] >= sum_bound:
+    if partial[-1] >= _SUM_BOUND:
         return DensityVerdict(
             "dense", partial, criterion,
-            f"partial sums exceeded the configured bound {sum_bound:g} with positive terms",
+            f"partial sums exceeded the configured bound {_SUM_BOUND:g} with positive terms",
         )
-    window = terms[-min(tail_window, len(terms)):]
+    window = terms[-min(_TAIL_WINDOW, len(terms)):]
     k_idx = np.arange(len(terms) - len(window), len(terms)) + 1.0
     if len(window) >= 2 and np.all(window > 0):
         kt = k_idx * window
         log_k = np.log(k_idx)
         # slope of log(k t_k) against log k: ~0 for harmonic-type tails
         kt_slope = np.polyfit(log_k, np.log(kt), 1)[0]
-        if np.min(kt) >= harmonic_floor and kt_slope >= -0.05:
+        if np.min(kt) >= _HARMONIC_FLOOR and kt_slope >= -0.05:
             return DensityVerdict(
                 "dense", partial, criterion,
                 f"harmonic-type lower bound: k*t_k >= {np.min(kt):.3g} over the tail window",
             )
         ratios = window[1:] / window[:-1]
-        if np.max(ratios) <= ratio_ceiling:
+        if np.max(ratios) <= _RATIO_CEILING:
             return DensityVerdict(
                 "not-dense", partial, criterion,
                 f"geometric majorant: consecutive term ratios <= {np.max(ratios):.3g}",

@@ -67,15 +67,14 @@ def _gamma_taylor_columns(N: int) -> np.ndarray:
     """g[m, n] = m-th Taylor coefficient of gamma(z)^n, gamma(z) = 1/(2-z).
 
     Built by the ratio recurrence g[m, n] = g[m-1, n] (n+m-1)/(2m) from
-    g[0, n] = 2^-n; every entry lies in (0, 1] and peaks like (pi n)^(-1/2),
-    so nothing overflows at any admissible size.
+    g[0, n] = 2^-n, one row at a time, multiplying before dividing as the scalar
+    loop did.  Entries peak like (pi n)^(-1/2); 2^-n underflows past n = 1074.
     """
-    g = np.zeros((N, N))
-    g[0, 0] = 1.0
-    for n in range(1, N):
-        g[0, n] = 0.5 * g[0, n - 1]
-        for m in range(1, N):
-            g[m, n] = g[m - 1, n] * (n + m - 1) / (2 * m)
+    n = np.arange(N)
+    g = np.empty((N, N))
+    g[0] = 0.5**n
+    for m in range(1, N):
+        g[m] = g[m - 1] * (n + m - 1) / (2 * m)
     return g
 
 
@@ -83,11 +82,12 @@ def hat_matrix(op: str, N: int) -> np.ndarray:
     """N x N matrix of the transformed operator on coefficient vectors.
 
     Coefficient vectors are Laguerre coordinates (column index n pairs with
-    e_n), with the backward shift acting as (S* f)_m = f_{m+1}, so
-    H-hat is upper bidiagonal with rows (1, -1).  Entries are exact closed
-    forms; the matrix is the compression to the first N coordinates, and
-    applying it to coordinates of a function with mass beyond index N-1
-    only sees the truncated head.
+    e_n), with the backward shift acting as (S* f)_m = f_{m+1}, so H-hat is
+    upper bidiagonal with rows (1, -1).  S* acts on a matrix as a row shift,
+    not a product: X-hat = S* C* is C* moved up one row, and V-hat is C*
+    minus that shift.  Entries are exact closed forms; the matrix is the
+    compression to the first N coordinates, and applying it to coordinates
+    of a function with mass beyond index N-1 only sees the truncated head.
     """
     if op not in _OPS:
         raise DomainError(f"unknown operator {op!r}; expected one of {_OPS}")
@@ -95,16 +95,17 @@ def hat_matrix(op: str, N: int) -> np.ndarray:
         raise DomainError("matrix size must be positive")
     if N > _HAT_N_MAX:
         raise SizeLimitError(f"matrix size {N} exceeds the limit {_HAT_N_MAX}")
-    eye = np.eye(N)
-    sstar = np.zeros((N, N))
-    for m in range(N - 1):
-        sstar[m, m + 1] = 1.0
     if op == "H":
-        return eye - sstar
+        return np.eye(N) - np.eye(N, k=1)
     comp_star = _gamma_taylor_columns(N).T
     if op == "X":
-        return sstar @ comp_star
-    return (eye - sstar) @ comp_star
+        out = np.zeros((N, N))
+        out[:-1] = comp_star[1:]
+    else:
+        # in place, so only two N x N arrays are ever alive (32 MB each at N = 2048)
+        out = comp_star.copy()
+        out[:-1] -= comp_star[1:]
+    return out
 
 
 def _apply_hat_to_expansion(op: str, e: LaguerreExpansion) -> LaguerreExpansion:

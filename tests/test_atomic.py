@@ -276,6 +276,19 @@ def test_model_space_distance_limits():
         at.model_space_distance(f, mu, 8193)
 
 
+@pytest.mark.parametrize("N", [1, 2, 7, 300])
+def test_toeplitz_coanalytic_apply_equals_explicit_sum(N):
+    """The correlation matches (T f)_m = sum_j conj(phi_j) f_{m+j} written out as a loop."""
+    rng = np.random.default_rng(N)
+    phi = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    f = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    expected = np.empty(N, dtype=complex)
+    pc = np.conj(phi)
+    for m in range(N):
+        expected[m] = np.dot(pc[: N - m], f[m:])
+    assert np.array_equal(at._toeplitz_coanalytic_apply(phi, f), expected)
+
+
 def test_toeplitz_projection_near_idempotent():
     """The truncated projection residual shrinks as the truncation doubles.
 

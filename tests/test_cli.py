@@ -273,6 +273,8 @@ def test_usage_errors_exit_2(capsys):
         ["muntz", "--seq", '{"kind":"affine","a":1}', "--format", "csv"],  # csv unsupported here
         ["converge", "--f", "chi:0.5", "--nmax", "3"],  # missing --family
         ["nonsense"],
+        ["sarason", "eval", "--f", '{"kind":"table","x":[0.5],"y":[1,2]}', "--z", "0.2"],
+        ["op", "apply", "--op", "H", "--input", '{"kind":"coefficients","values":[]}'],
     ]
     for argv in cases:
         code, _, _ = run(capsys, argv)
@@ -308,6 +310,25 @@ def test_domain_errors_exit_3(capsys):
         ["dist", "--f", '{"terms":[{"t":[1]}]}', "--set", X0_SET],
         ["atomic", "dist", "--s", "0.5", "--measure", '{"atoms":[{"tau":"a","w":1}]}'],
         ["atomic", "dist", "--s", "0.5", "--measure", '{"atoms":[{"tau":[1,0]}]}'],
+        ["atomic", "dist", "--s", "0.5", "--measure", '{"atoms":[{"tau":[1,0],"w":"x"}]}'],
+        ["dist", "--t", "1", "--set", '{"exponents":[{"re":"x"}]}'],
+        ["dist", "--t", "1", "--set", '{"exponents":[{"re":0,"logpow":"x"}]}'],
+        ["dist", "--t", "1", "--set", '{"exponents":5}'],
+        ["dist", "--f", '{"terms":[{"t":1,"a":"x"}]}', "--set", X0_SET],
+        ["muntz", "--seq", '{"kind":"geometric","ratio":"x"}'],
+        ["muntz", "--seq", '{"kind":"explicit","values":5}'],
+        ["sarason", "eval", "--f", '{"kind":"indicator","s":"x"}', "--z", "0.2"],
+        ["sarason", "eval", "--f", '{"kind":"monomial","s":1,"logpow":"x"}', "--z", "0.2"],
+        ["sarason", "eval", "--f", '{"kind":"table","y":[1,2]}', "--z", "0.2"],
+        ["sarason", "eval", "--f", '{"kind":"linear-combination","terms":[{"coeff":1}]}',
+         "--z", "0.2"],
+        ["op", "pick", "--phi", '{"kind":"identity"}', "--M", "2", "--grid", "5"],
+        ["op", "pick", "--phi", '{"kind":"table","entries":[[1]]}', "--M", "2", "--grid", "[0]"],
+        ["op", "apply", "--op", "H", "--input", '{"kind":"coefficients","values":5}'],
+        ["dist", "--f", "chi:x", "--set", X0_SET],
+        ["dist", "--f", "monomial:x", "--set", X0_SET],
+        ["converge", "--family", "interval", "--rho", "0.25", "--f", "chi:x", "--nmax", "3"],
+        ["converge", "--family", "interval", "--rho", "0.25", "--f", "monomial:x", "--nmax", "3"],
     ],
 )
 def test_malformed_json_fields_exit_3(capsys, argv):

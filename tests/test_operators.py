@@ -3,6 +3,7 @@
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,6 +78,57 @@ def test_hat_matrix_structure():
     assert np.max(np.abs(op.hat_matrix("V", 5) - H5 @ comp_star)) < 1e-15
     # the n = 1 column of g is the Taylor series of 1/(2-z): 2^-(m+1)
     assert np.max(np.abs(g[:, 1] - 0.5 ** (np.arange(5) + 1))) < 1e-15
+
+
+def _gamma_taylor_columns_loop(N):
+    """Reference for _gamma_taylor_columns: the same recurrence, one scalar entry at a time."""
+    g = np.zeros((N, N))
+    g[0, 0] = 1.0
+    for n in range(1, N):
+        g[0, n] = 0.5 * g[0, n - 1]
+        for m in range(1, N):
+            g[m, n] = g[m - 1, n] * (n + m - 1) / (2 * m)
+    return g
+
+
+def _hat_matrix_dense(name, N):
+    """hat_matrix by its definition: a dense S* and the products I - S*, S* C*, (I - S*) C*."""
+    eye = np.eye(N)
+    sstar = np.zeros((N, N))
+    for m in range(N - 1):
+        sstar[m, m + 1] = 1.0
+    if name == "H":
+        return eye - sstar
+    comp_star = _gamma_taylor_columns_loop(N).T
+    return sstar @ comp_star if name == "X" else (eye - sstar) @ comp_star
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 17, 256])
+@pytest.mark.parametrize("name", ["H", "X", "V"])
+def test_hat_matrix_equals_dense_definition(name, N):
+    assert np.array_equal(op.hat_matrix(name, N), _hat_matrix_dense(name, N))
+
+
+@pytest.mark.parametrize("N", [1, 2, 64])
+def test_gamma_taylor_columns_equals_scalar_loop(N):
+    assert np.array_equal(op._gamma_taylor_columns(N), _gamma_taylor_columns_loop(N))
+
+
+def test_gamma_taylor_columns_closed_form():
+    """g[m, n] = 2^-(n+m) C(n+m-1, m), with C(-1, 0) = 1 for the n = 0 column.
+
+    Row m is reached from the exact row 2^-n by m steps of one multiply and
+    one divide, so its relative error is at most 2m roundings of 2^-53.
+    """
+    N = 64
+    g = op._gamma_taylor_columns(N)
+    for m in range(N):
+        for n in range(N):
+            exact = Fraction(math.comb(n + m - 1, m) if n + m > 0 else 1, 2 ** (n + m))
+            if exact == 0:
+                assert g[m, n] == 0.0, (m, n)
+            else:
+                assert abs(Fraction(g[m, n]) / exact - 1) <= Fraction(2 * m, 2**53), (m, n)
 
 
 def test_hat_matrix_limits():

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import warnings
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -305,7 +306,8 @@ def _run_sarason(params: dict, precision: str, seed) -> tuple[dict, int]:
 
 def _run_laguerre(params: dict, precision: str, seed) -> tuple[dict, int]:
     s = complex_field(params["s"], "--s")
-    exp = expand_monomial(s, params["n"])
+    n = params["n"]
+    exp = expand_monomial(s, None if n is None else int_field(n, "--n"))
     payload = {
         "s": _pair(s),
         "n": len(exp.coeffs) - 1,
@@ -343,11 +345,12 @@ def _run_op(params: dict, precision: str, seed) -> tuple[dict, int]:
     if params["verb"] == "pick":
         phi = _phi_from_spec(params["phi"])
         grid = _complex_list(params["grid"], "grid point")
-        passes, smallest = pick_positivity_check(phi, float(params["M"]), grid)
+        M = real_field(params["M"], "--M")
+        passes, smallest = pick_positivity_check(phi, M, grid)
         payload = {
             "passes": bool(passes),
             "min_eigenvalue": float(smallest),
-            "M": float(params["M"]),
+            "M": M,
             "grid_size": len(grid),
         }
         return payload, 0
@@ -383,10 +386,11 @@ def _run_atomic(params: dict, precision: str, seed) -> tuple[dict, int]:
     s = complex_field(params["s"], "--s")
     if params["verb"] == "proj":
         tau = complex_field(params["tau"], "--tau")
-        p = AtomicSpaceParams(tau, float(params["w"]))
+        w = real_field(params["w"], "--w")
+        p = AtomicSpaceParams(tau, w)
         payload = {
             "tau": _pair(tau),
-            "w": float(params["w"]),
+            "w": w,
             "s": _pair(s),
             "proj_norm_sq": float(proj_norm_sq(p, s)),
             "c": None if p.c is None else float(p.c),
@@ -394,7 +398,7 @@ def _run_atomic(params: dict, precision: str, seed) -> tuple[dict, int]:
         }
         return payload, 0
     mu = AtomicMeasure.from_json(params["measure"])
-    N = int(params["n"])
+    N = int_field(params["n"], "--n")
     d = model_space_distance(expand_monomial(s), mu, N)
     payload = {
         "distance": float(d),
@@ -408,7 +412,7 @@ def _run_atomic(params: dict, precision: str, seed) -> tuple[dict, int]:
 def _run_converge(params: dict, precision: str, seed) -> tuple[dict, int]:
     family = params["family"]
     if family == "interval":
-        fam = interval_family(float(params["rho"]))
+        fam = interval_family(real_field(params["rho"], "--rho"))
     elif family == "muntz":
         seq = _normalize_seq(params["seq"])
     elif family == "constant":
@@ -416,7 +420,7 @@ def _run_converge(params: dict, precision: str, seed) -> tuple[dict, int]:
     else:
         raise UsageError(f"unknown family {family!r}")
     f = PiecewiseMonomial.from_spec(params["f"])
-    nmax = int(params["nmax"])
+    nmax = int_field(params["nmax"], "--nmax")
     if family == "muntz":
         report = muntz_limit_experiment(seq, f, nmax, precision=precision)
     else:
@@ -527,7 +531,9 @@ def _read_manifest(path: str) -> dict:
 # --- parser and dispatch --------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The `mono` argument parser, built once per process; parse_args leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision", choices=["double", "extended"], default="double",
                         help="float64 with an extended-precision fallback, or forced extended")

@@ -227,8 +227,10 @@ def distance_curve(
     """dist(f, M(S_n)) for n = 1..n_max.
 
     Monomial f uses the closed-form product; anything else goes through
-    Gram solves on the exact pairings.  A point where the solve fails
-    numerically becomes NaN, leaving a gap instead of aborting the curve.
+    Gram solves on the exact pairings.  A point whose set equals the
+    previous one repeats that point instead of solving again.  A point
+    where the solve fails numerically becomes NaN, leaving a gap instead
+    of aborting the curve.
     With with_conditions=True, returns (distances, condition_estimates).
     """
     f = PiecewiseMonomial.from_spec(f)
@@ -236,14 +238,17 @@ def distance_curve(
         raise DomainError("n_max must be at least 1")
     dists = np.empty(n_max)
     conds = np.empty(n_max)
+    prev_S = None
     for n in range(1, n_max + 1):
         S = seq.set_at(n)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                d, c, _ = _distance_point(f, S, precision)
-        except NumericalError:
-            d, c = math.nan, math.inf
+        if S != prev_S:  # a repeated set (the constant family) reuses its point
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    d, c, _ = _distance_point(f, S, precision)
+            except NumericalError:
+                d, c = math.nan, math.inf
+            prev_S = S
         dists[n - 1] = d
         conds[n - 1] = c
     if with_conditions:

@@ -12,6 +12,16 @@ the (j+k)-fold derivative of the Cauchy kernel 1/(1 + a + conj(b)).  Gram
 matrices of monomial sets are therefore Cauchy-structured, Hermitian positive
 definite, and exponentially ill-conditioned; solves fall back to extended
 precision (mpmath) when the condition estimate passes EXTENDED_THRESHOLD.
+
+The extended solve is a ladder of mpmath precisions (34 to 160 digits) that
+stops when two consecutive rungs agree on the distance; a rung whose
+d^2 = ||f||^2 - q is not positive is clamped and does not count toward that
+agreement.  For sets without log powers each rung is the O(n^2) Schur
+(Nevanlinna-Pick) recursion: x^s is the half-plane Szego kernel at
+w = conj(s) + 1/2, so the Gram matrix 1/(conj w_i + w_j) is a Cauchy matrix
+and each step divides by one Blaschke factor (z - w_k)/(z + conj w_k), the
+factors of monomial_distance_closed_form.  Confluent sets (logpow > 0) keep
+the O(n^3) LU solve of the Gram matrix.
 """
 
 from __future__ import annotations
@@ -122,15 +132,16 @@ class MonomialSet:
     @classmethod
     def from_json(cls, payload: dict) -> "MonomialSet":
         raw = required_field(payload, "exponents", "monomial set JSON")
-        entries = tuple(
-            Exponent(
+        entries = []
+        for e in list_field(raw, "monomial set exponents"):
+            if not isinstance(e, dict):
+                raise DomainError(f"monomial set exponent must be an object, got {e!r}")
+            entries.append(Exponent(
                 real_field(e.get("re", 0.0), "exponent re"),
                 real_field(e.get("im", 0.0), "exponent im"),
                 int_field(e.get("logpow", 0), "exponent logpow"),
-            )
-            for e in list_field(raw, "monomial set exponents")
-        )
-        return cls(entries)
+            ))
+        return cls(tuple(entries))
 
     def to_json(self) -> dict:
         return {"exponents": [e.to_json() for e in self.entries]}
@@ -222,42 +233,107 @@ class DistanceResult:
     precision: str
 
 
+def _lu_rung(S: MonomialSet, f_moments: Callable[[Exponent], complex], f_norm_sq):
+    """One ladder rung by Gram normal equations and an mpmath LU solve, O(n^3).
+
+    Returns d^2 = ||f||^2 - q and a callable giving the coefficients.
+    """
+    n = len(S)
+    G = mp.matrix(n, n)
+    for i, mi in enumerate(S):
+        for j, mj in enumerate(S):
+            # normal-equation matrix: row i pairs against m_i in the
+            # second slot, i.e. A[i,j] = <m_j, m_i>
+            G[i, j] = monomial_inner(mj, mi)
+    r = mp.matrix([mp.mpc(f_moments(m)) for m in S])
+    try:
+        c = mp.lu_solve(G, r)
+    except (ZeroDivisionError, ValueError) as exc:
+        raise NumericalError(f"extended-precision Gram solve failed: {exc}") from exc
+    q = mp.re(sum(mp.conj(c[i]) * r[i] for i in range(n)))
+    return mp.mpf(f_norm_sq) - q, lambda: np.array([complex(c[i]) for i in range(n)])
+
+
+def _schur_rung(S: MonomialSet, f_moments: Callable[[Exponent], complex], f_norm_sq):
+    """One ladder rung by the Schur recursion on a logpow-0 set, O(n^2).
+
+    Under the transform x^s is the Szego kernel 1/(z + conj w) of the
+    right half-plane at w = conj(s) + 1/2, and v_j = <f, x^(s_j)> is the
+    value F(w_j) of f's image.  Step k projects out the kernel at w_k, which
+    adds 2 Re(w_k) |v_k|^2 to the projected mass q, and divides the rest by
+    the Blaschke factor (z - w_k)/(z + conj w_k):
+
+        v_j <- (v_j (w_j + conj w_k) - 2 Re(w_k) v_k) / (w_j - w_k),  j > k.
+
+    The nodes are built in mpmath; rounded to double first, nearby nodes
+    lose the digits the divisions need.  Returns d^2 = ||f||^2 - q and a
+    callable giving the coefficients of the projection
+    sum_k alpha_k B_(k-1)(z)/(z + conj w_k), alpha_k = 2 Re(w_k) v_k, on the
+    kernels 1/(z + conj w_m), expanded by partial-fraction residues.
+    """
+    w = [mp.mpc(mp.mpf(e.re) + mp.mpf(1) / 2, -mp.mpf(e.im)) for e in S]
+    wb = [mp.conj(wk) for wk in w]
+    v = [mp.mpc(f_moments(m)) for m in S]
+    n = len(w)
+    alpha = []
+    q = mp.mpf(0)
+    try:
+        for k in range(n):
+            two_re = 2 * w[k].real
+            alpha.append(two_re * v[k])
+            q += two_re * (v[k].real ** 2 + v[k].imag ** 2)
+            for j in range(k + 1, n):
+                v[j] = (v[j] * (w[j] + wb[k]) - alpha[k]) / (w[j] - w[k])
+    except ZeroDivisionError as exc:
+        raise NumericalError(
+            f"Schur recursion failed: nodes coincide at {mp.mp.dps} digits"
+        ) from exc
+
+    def coefficients() -> np.ndarray:
+        # R[m] is the residue of B_(k-1)(z)/(z + conj w_k) at z = -conj w_m
+        c = [mp.mpc(0)] * n
+        R: list = []
+        for k in range(n):
+            if k:
+                R = [R[m] * (-wb[m] - w[k - 1]) / (wb[k] - wb[m]) for m in range(k)]
+            rkk = mp.mpc(1)
+            for j in range(k):
+                rkk *= (-wb[k] - w[j]) / (wb[j] - wb[k])
+            R.append(rkk)
+            for m in range(k + 1):
+                c[m] += alpha[k] * R[m]
+        return np.array([complex(x) for x in c])
+
+    return mp.mpf(f_norm_sq) - q, coefficients
+
+
 def _solve_extended(
     S: MonomialSet, f_moments: Callable[[Exponent], complex], f_norm_sq
 ) -> tuple[float, np.ndarray, int]:
     """Gram solve with an escalating-precision ladder.
 
-    The Gram entries are rebuilt from the closed form at each precision and
-    the pairing oracle is re-evaluated inside the precision context, so an
-    mpmath-aware oracle contributes full-precision values.  A plain float
-    oracle caps accuracy at double, which is the best its data supports.
-    Escalation stops when two consecutive precisions agree on the distance.
+    Each rung re-evaluates the pairing oracle inside its precision context,
+    so an mpmath-aware oracle contributes full-precision values; a plain
+    float oracle caps accuracy at double, which is the best its data
+    supports.  Sets without log powers take the O(n^2) Schur recursion
+    (`_schur_rung`); confluent sets (logpow > 0) rebuild the Gram matrix
+    from the closed form and take an O(n^3) LU solve (`_lu_rung`).
+    Escalation stops when two consecutive rungs agree on the distance; a
+    rung whose d^2 is not positive (clamped) does not count toward that
+    agreement.  The coefficients are computed once, at the accepted rung.
     """
-    n = len(S)
+    rung = _schur_rung if all(e.logpow == 0 for e in S) else _lu_rung
     prev = None
     for dps in _EXTENDED_DPS_LADDER:
         with mp.workdps(dps):
-            G = mp.matrix(n, n)
-            for i, mi in enumerate(S):
-                for j, mj in enumerate(S):
-                    # normal-equation matrix: row i pairs against m_i in the
-                    # second slot, i.e. A[i,j] = <m_j, m_i>
-                    G[i, j] = monomial_inner(mj, mi)
-            r = mp.matrix([mp.mpc(f_moments(m)) for m in S])
-            try:
-                c = mp.lu_solve(G, r)
-            except (ZeroDivisionError, ValueError) as exc:
-                raise NumericalError(f"extended-precision Gram solve failed: {exc}") from exc
-            q = mp.re(sum(mp.conj(c[i]) * r[i] for i in range(n)))
-            d2 = mp.mpf(f_norm_sq) - q
-            dist = float(mp.sqrt(d2)) if d2 > 0 else 0.0
-        if prev is not None and abs(dist - prev) <= 1e-13 * (1.0 + dist):
-            coeffs = np.array([complex(c[i]) for i in range(n)])
-            return dist, coeffs, dps
+            d2, coefficients = rung(S, f_moments, f_norm_sq)
+            dist = float(mp.sqrt(d2)) if d2 > 0 else None
+            if dist is not None and prev is not None and abs(dist - prev) <= 1e-13 * (1.0 + dist):
+                return dist, coefficients(), dps
         prev = dist
+    last = "d^2 <= 0" if prev is None else f"distance {prev}"
     raise NumericalError(
-        "Gram solve did not stabilize on the extended-precision ladder "
-        f"(last distance {prev})"
+        f"Gram solve did not stabilize on the extended-precision ladder (last rung: {last})"
     )
 
 

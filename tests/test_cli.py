@@ -6,7 +6,10 @@ import math
 import jsonschema
 import pytest
 
+import monospan.convergence as cv
 from monospan.cli import dispatch, schema_for
+from monospan.convergence import PiecewiseMonomial
+from monospan.core import MonomialSet
 
 X0_SET = '{"exponents":[{"re":0,"im":0,"logpow":0}]}'
 X2_SET = '{"exponents":[{"re":2}]}'
@@ -22,6 +25,11 @@ def run_json(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def _manifest(command, **parameters):
+    return {"command": command, "parameters": {"format": "json", **parameters},
+            "precision": "double", "seed": None, "tool_version": "0.1.0"}
 
 
 def validate(name, payload):
@@ -329,9 +337,27 @@ def test_domain_errors_exit_3(capsys):
         ["dist", "--f", "monomial:x", "--set", X0_SET],
         ["converge", "--family", "interval", "--rho", "0.25", "--f", "chi:x", "--nmax", "3"],
         ["converge", "--family", "interval", "--rho", "0.25", "--f", "monomial:x", "--nmax", "3"],
+        ["dist", "--t", "1", "--set", '{"exponents":[5]}'],
+        # a dict in place of a path is a manifest body, written to a file first
+        ["atomic", "dist", "--from-manifest",
+         _manifest("atomic", verb="dist", s=[0.5, 0], measure={"atoms": [{"tau": [1, 0], "w": 1}]},
+                   n="x")],
+        ["atomic", "proj", "--from-manifest",
+         _manifest("atomic", verb="proj", s=[0.5, 0], tau=[1, 0], w="x")],
+        ["op", "pick", "--from-manifest",
+         _manifest("op", verb="pick", phi={"kind": "identity"}, M="x", grid=[0])],
+        ["laguerre", "expand", "--from-manifest", _manifest("laguerre", verb="expand", s=[1, 0], n="x")],
+        ["converge", "--from-manifest",
+         _manifest("converge", family="interval", f="chi:0.5", nmax=3, rho="x")],
+        ["converge", "--from-manifest",
+         _manifest("converge", family="interval", f="chi:0.5", nmax="x", rho=0.25)],
     ],
 )
-def test_malformed_json_fields_exit_3(capsys, argv):
+def test_malformed_json_fields_exit_3(capsys, tmp_path, argv):
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(path)]
     code, _, err = run(capsys, argv)
     assert code == 3
     assert err.startswith("mono: domain error:")
@@ -350,6 +376,21 @@ def test_numerical_error_exit_4(capsys):
     )
     assert code == 4
     assert "note" in err  # the conditioning escalation is reported
+
+
+def test_constant_family_curve_solves_once(capsys, monkeypatch):
+    set_json = '{"exponents":[{"re":1},{"re":2.5},{"re":4}]}'
+    point = cv._distance_point(
+        PiecewiseMonomial.indicator(0.5), MonomialSet.from_json(json.loads(set_json)), "double"
+    )
+    calls = []
+    solve = cv._distance_point
+    monkeypatch.setattr(cv, "_distance_point", lambda *a: calls.append(a) or solve(*a))
+    payload = run_json(capsys, ["converge", "--family", "constant", "--set", set_json,
+                                "--f", "chi:0.5", "--nmax", "6"])
+    assert len(calls) == 1
+    assert payload["distance"] == [point.distance] * 6
+    assert payload["condition_estimate"] == [point.condition_estimate] * 6
 
 
 def test_version_flag(capsys):

@@ -1,10 +1,12 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
 
+import monospan.core as core
 from monospan import (
     AffineSequence,
     DomainError,
@@ -12,6 +14,8 @@ from monospan import (
     GeometricSequence,
     IllConditioningWarning,
     MonomialSet,
+    NumericalError,
+    PiecewiseMonomial,
     SizeLimitError,
     WrongCriterionError,
     as_exponent,
@@ -249,6 +253,71 @@ def test_extended_precision_recovers_ill_conditioned_gap():
         r = distance_to_span(monomial_pairing_oracle(0), 1.0, S)
     assert r.precision.startswith("extended")
     assert abs(r.distance - 31 / 61) < 1e-10
+
+
+def _schur_test_sets(rng):
+    """Seeded logpow-0 sets of at most 24 exponents: spread, clustered, near Re s = -1/2."""
+    for i in range(51):
+        n = int(rng.integers(2, 25))
+        if i % 3 == 0:
+            z = rng.uniform(-0.45, 3.0, n) + 1j * rng.uniform(-3.0, 3.0, n)
+        elif i % 3 == 1:
+            c = complex(rng.uniform(0.0, 2.0), rng.uniform(-1.0, 1.0))
+            z = c + rng.uniform(0.0, 0.05, n) + 1j * rng.uniform(-0.05, 0.05, n)
+        else:
+            z = -0.5 + 10 ** rng.uniform(-6.0, -1.0, n) + 1j * rng.uniform(-0.3, 0.3, n)
+        yield MonomialSet.from_exponents(z)
+
+
+def test_schur_recursion_matches_lu_solve():
+    # the extended route on logpow-0 sets is the Schur recursion; the LU rung
+    # at the precision it accepted is the independent oracle
+    rng = np.random.default_rng(7)
+    for S in _schur_test_sets(rng):
+        f = PiecewiseMonomial.indicator(rng.uniform(0.2, 0.8))
+        r = distance_to_span(f.pairing_oracle(), f.norm_sq, S, precision="extended")
+        dps = int(r.precision[len("extended(dps="):-1])
+        with mp.workdps(dps):
+            d2, coefficients = core._lu_rung(S, f.pairing_oracle(), f.norm_sq)
+            d_lu, c_lu = float(mp.sqrt(d2)), coefficients()
+        assert abs(r.distance - d_lu) <= 1e-12 * d_lu + 1e-15
+        assert np.all(np.abs(r.coefficients - c_lu) <= 1e-12 * np.abs(c_lu) + 1e-15)
+
+
+def test_schur_recursion_clustered_set_distance():
+    # the LU ladder raised NumericalError here, and a clamped-rung ladder
+    # returned 0.0; dps 80..320 all give this value
+    f = PiecewiseMonomial.indicator(0.5)
+    S = [1 + 0.05 * k for k in range(60)]
+    r = distance_to_span(f.pairing_oracle(), f.norm_sq, S, precision="extended")
+    assert r.distance == pytest.approx(0.08354365814623856, rel=1e-12)
+
+
+def test_logpow0_extended_solve_builds_no_matrix(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the logpow-0 route must not build a Gram matrix")
+
+    monkeypatch.setattr(mp, "matrix", forbidden)
+    monkeypatch.setattr(mp, "lu_solve", forbidden)
+    r = distance_to_span(monomial_pairing_oracle(0), 1.0, range(31, 61), precision="extended")
+    assert abs(r.distance - 31 / 61) < 1e-10
+
+
+def test_clamped_rungs_do_not_agree(monkeypatch):
+    def rung_from(d2_by_dps):
+        return lambda S, f_moments, f_norm_sq: (
+            mp.mpf(d2_by_dps[mp.mp.dps]), lambda: np.zeros(len(S), dtype=complex)
+        )
+
+    # every rung clamps: no distance is supported, so no 0.0 is returned
+    clamped = dict.fromkeys((34, 50, 80, 120, 160), -1e-40)
+    monkeypatch.setattr(core, "_schur_rung", rung_from(clamped))
+    with pytest.raises(NumericalError):
+        distance_to_span(monomial_pairing_oracle(0), 1.0, [1, 2], precision="extended")
+    # a clamped rung does not pair with the next one; two positive rungs do
+    monkeypatch.setattr(core, "_schur_rung", rung_from({34: 0.25, 50: 0.0, 80: 0.25, 120: 0.25}))
+    r = distance_to_span(monomial_pairing_oracle(0), 1.0, [1, 2], precision="extended")
+    assert (r.distance, r.precision) == (0.5, "extended(dps=120)")
 
 
 def test_closed_form_input_validation():

@@ -37,7 +37,7 @@ from .laguerre import (
     apply_J_expansion,
     apply_J_monomial,
     default_truncation,
-    eval_e,
+    eval_basis,
     expand_monomial,
 )
 from .operators import AutomorphismParams, hat_matrix, monomial_operator, unitary_from_automorphism
@@ -110,10 +110,19 @@ def criterion_3() -> CriterionResult:
     """Basis orthonormality by quadrature, and the J operator's two routes."""
     t0 = time.perf_counter()
     n_basis = 11
+    # the 66 integrals bisect alike and meet the same node arrays again
+    rows: dict[bytes, np.ndarray] = {}
+
+    def basis(x: np.ndarray) -> np.ndarray:
+        key = x.tobytes()
+        if key not in rows:
+            rows[key] = eval_basis(n_basis - 1, x)
+        return rows[key]
+
     dev_orth = 0.0
     for i in range(n_basis):
         for j in range(i, n_basis):
-            val = integrate(lambda x: eval_e(i, x) * eval_e(j, x), 0.0, 1.0, tol=1e-10).value
+            val = integrate(lambda x: basis(x)[i] * basis(x)[j], 0.0, 1.0, tol=1e-10).value
             dev_orth = max(dev_orth, abs(val - (1.0 if i == j else 0.0)))
     dev_j = 0.0
     for s in (1.0 + 0.0j, 1.0j, 0.3 + 0.7j):

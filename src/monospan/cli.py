@@ -217,6 +217,10 @@ _PARAM_BUILDERS = {
 
 # --- handlers (canonical params -> payload dict, exit code) -------------------
 
+# a --from-manifest body may lack any parameter, so handlers read each one
+# through required_field: a missing key is a domain error, not a KeyError
+_PARAMS = "the parameter object"
+
 
 def _normalize_seq(seq):
     if isinstance(seq, list):
@@ -227,12 +231,13 @@ def _normalize_seq(seq):
 
 
 def _run_dist(params: dict, precision: str, seed) -> tuple[dict, int]:
-    S = MonomialSet.from_json(params["set"])
-    if params["t"] is not None:
-        t = complex_field(params["t"], "--t")
+    S = MonomialSet.from_json(required_field(params, "set", _PARAMS))
+    t = required_field(params, "t", _PARAMS)
+    if t is not None:
+        t = complex_field(t, "--t")
         f = PiecewiseMonomial.monomial(Exponent(t.real, t.imag, params.get("logpow", 0)))
     else:
-        f = PiecewiseMonomial.from_spec(params["f"])
+        f = PiecewiseMonomial.from_spec(required_field(params, "f", _PARAMS))
     point = _distance_point(f, S, precision)
     payload = {
         "distance": float(point.distance),
@@ -243,7 +248,8 @@ def _run_dist(params: dict, precision: str, seed) -> tuple[dict, int]:
 
 
 def _run_muntz(params: dict, precision: str, seed) -> tuple[dict, int]:
-    verdict = muntz_verdict(_normalize_seq(params["seq"]), params["criterion"])
+    seq = _normalize_seq(required_field(params, "seq", _PARAMS))
+    verdict = muntz_verdict(seq, required_field(params, "criterion", _PARAMS))
     return verdict.to_json(), 0
 
 
@@ -293,8 +299,8 @@ def _sarason_eval(spec: dict, z: complex) -> tuple[complex, float | None, str]:
 
 
 def _run_sarason(params: dict, precision: str, seed) -> tuple[dict, int]:
-    z = complex_field(params["z"], "--z")
-    value, err, method = _sarason_eval(params["f"], z)
+    z = complex_field(required_field(params, "z", _PARAMS), "--z")
+    value, err, method = _sarason_eval(required_field(params, "f", _PARAMS), z)
     payload = {
         "z": _pair(z),
         "value": _pair(value),
@@ -305,8 +311,8 @@ def _run_sarason(params: dict, precision: str, seed) -> tuple[dict, int]:
 
 
 def _run_laguerre(params: dict, precision: str, seed) -> tuple[dict, int]:
-    s = complex_field(params["s"], "--s")
-    n = params["n"]
+    s = complex_field(required_field(params, "s", _PARAMS), "--s")
+    n = required_field(params, "n", _PARAMS)
     exp = expand_monomial(s, None if n is None else int_field(n, "--n"))
     payload = {
         "s": _pair(s),
@@ -342,10 +348,10 @@ def _phi_from_spec(spec: dict) -> PhiSpec:
 
 
 def _run_op(params: dict, precision: str, seed) -> tuple[dict, int]:
-    if params["verb"] == "pick":
-        phi = _phi_from_spec(params["phi"])
-        grid = _complex_list(params["grid"], "grid point")
-        M = real_field(params["M"], "--M")
+    if required_field(params, "verb", _PARAMS) == "pick":
+        phi = _phi_from_spec(required_field(params, "phi", _PARAMS))
+        grid = _complex_list(required_field(params, "grid", _PARAMS), "grid point")
+        M = real_field(required_field(params, "M", _PARAMS), "--M")
         passes, smallest = pick_positivity_check(phi, M, grid)
         payload = {
             "passes": bool(passes),
@@ -355,8 +361,8 @@ def _run_op(params: dict, precision: str, seed) -> tuple[dict, int]:
         }
         return payload, 0
 
-    op = params["op"]
-    spec = params["input"]
+    op = required_field(params, "op", _PARAMS)
+    spec = required_field(params, "input", _PARAMS)
     if not isinstance(spec, dict) or "kind" not in spec:
         raise UsageError("--input must be an object with a 'kind' field")
     if spec["kind"] == "monomial":
@@ -383,10 +389,10 @@ def _run_op(params: dict, precision: str, seed) -> tuple[dict, int]:
 
 
 def _run_atomic(params: dict, precision: str, seed) -> tuple[dict, int]:
-    s = complex_field(params["s"], "--s")
-    if params["verb"] == "proj":
-        tau = complex_field(params["tau"], "--tau")
-        w = real_field(params["w"], "--w")
+    s = complex_field(required_field(params, "s", _PARAMS), "--s")
+    if required_field(params, "verb", _PARAMS) == "proj":
+        tau = complex_field(required_field(params, "tau", _PARAMS), "--tau")
+        w = real_field(required_field(params, "w", _PARAMS), "--w")
         p = AtomicSpaceParams(tau, w)
         payload = {
             "tau": _pair(tau),
@@ -397,8 +403,8 @@ def _run_atomic(params: dict, precision: str, seed) -> tuple[dict, int]:
             "wp": float(p.wp),
         }
         return payload, 0
-    mu = AtomicMeasure.from_json(params["measure"])
-    N = int_field(params["n"], "--n")
+    mu = AtomicMeasure.from_json(required_field(params, "measure", _PARAMS))
+    N = int_field(required_field(params, "n", _PARAMS), "--n")
     d = model_space_distance(expand_monomial(s), mu, N)
     payload = {
         "distance": float(d),
@@ -410,17 +416,17 @@ def _run_atomic(params: dict, precision: str, seed) -> tuple[dict, int]:
 
 
 def _run_converge(params: dict, precision: str, seed) -> tuple[dict, int]:
-    family = params["family"]
+    family = required_field(params, "family", _PARAMS)
     if family == "interval":
-        fam = interval_family(real_field(params["rho"], "--rho"))
+        fam = interval_family(real_field(required_field(params, "rho", _PARAMS), "--rho"))
     elif family == "muntz":
-        seq = _normalize_seq(params["seq"])
+        seq = _normalize_seq(required_field(params, "seq", _PARAMS))
     elif family == "constant":
-        fam = constant_family(MonomialSet.from_json(params["set"]))
+        fam = constant_family(MonomialSet.from_json(required_field(params, "set", _PARAMS)))
     else:
         raise UsageError(f"unknown family {family!r}")
-    f = PiecewiseMonomial.from_spec(params["f"])
-    nmax = int_field(params["nmax"], "--nmax")
+    f = PiecewiseMonomial.from_spec(required_field(params, "f", _PARAMS))
+    nmax = int_field(required_field(params, "nmax", _PARAMS), "--nmax")
     if family == "muntz":
         report = muntz_limit_experiment(seq, f, nmax, precision=precision)
     else:
@@ -441,11 +447,12 @@ def _run_converge(params: dict, precision: str, seed) -> tuple[dict, int]:
 def _run_accept(params: dict, precision: str, seed) -> tuple[dict, int]:
     from .acceptance import run_suite
 
-    if params["suite"] != "primary":
-        raise UsageError(f"unknown suite {params['suite']!r}")
+    suite = required_field(params, "suite", _PARAMS)
+    if suite != "primary":
+        raise UsageError(f"unknown suite {suite!r}")
     results = run_suite(seed=seed if seed is not None else DEFAULT_SEED)
     payload = {
-        "suite": params["suite"],
+        "suite": suite,
         "seed": seed if seed is not None else DEFAULT_SEED,
         "all_passed": all(r.passed for r in results),
         "criteria": [

@@ -178,7 +178,7 @@ def interval_family(rho: float) -> SubspaceSequence:
             raise DomainError("sequence index starts at 1")
         N = max(1, round(ratio * n))
         # exponents are frozen, so the integer cache can share them across sets
-        return MonomialSet(tuple(_int_exponent(k) for k in range(n + 1, n + N + 1)))
+        return MonomialSet(tuple(map(_int_exponent, range(n + 1, n + N + 1))))
 
     return SubspaceSequence(gen, f"interval(rho={rho})")
 
@@ -210,7 +210,7 @@ class DistancePoint(NamedTuple):
 def _distance_point(f: PiecewiseMonomial, S: MonomialSet, precision: str) -> DistancePoint:
     """One distance sample and the route that produced it; exact product when possible."""
     c, t, _, k = f.terms[0]
-    if f.is_single_monomial and k == 0 and all(e.logpow == 0 for e in S):
+    if f.is_single_monomial and k == 0 and not S.confluent:
         return DistancePoint(abs(c) * monomial_distance_closed_form(t, S), 1.0, "closed-form")
     res = distance_to_span(f.pairing_oracle(), f.norm_sq, S, precision=precision)
     return DistancePoint(res.distance, res.condition_estimate, f"gram-{res.precision}")

@@ -30,6 +30,8 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence, Union
 
 import mpmath as mp
@@ -93,10 +95,13 @@ class MonomialSet:
     """Ordered finite multiset of exponents generating a span M(S).
 
     Repeated (re, im) pairs must carry logpow values 0..m-1 exactly once
-    each: a log power k > 0 is only admitted together with k-1.
+    each: a log power k > 0 is only admitted together with k-1.  confluent
+    tells whether any entry carries a log power; values holds the exponents
+    s as a complex array, built on first use.
     """
 
     entries: tuple[Exponent, ...]
+    confluent: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         keys = [(e.re, e.im, e.logpow) for e in self.entries]
@@ -109,7 +114,8 @@ class MonomialSet:
                         f"duplicate exponent entry (s={e.s}, logpow={e.logpow})"
                     )
                 seen.add(key)
-        if any(e.logpow for e in self.entries):
+        object.__setattr__(self, "confluent", any(map(itemgetter(2), keys)))
+        if self.confluent:
             powers: dict[tuple[float, float], set[int]] = {}
             for e in self.entries:
                 powers.setdefault((e.re, e.im), set()).add(e.logpow)
@@ -124,6 +130,17 @@ class MonomialSet:
 
     def __iter__(self):
         return iter(self.entries)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The exponents s as a read-only complex array, equal to each e.s."""
+        # the parts are set apart, as complex(re, im) does: re + 1j*im would
+        # turn a -0.0 real part into +0.0
+        v = np.empty(len(self.entries), dtype=complex)
+        v.real = [e.re for e in self.entries]
+        v.imag = [e.im for e in self.entries]
+        v.flags.writeable = False
+        return v
 
     @classmethod
     def from_exponents(cls, values: Iterable[ExponentLike]) -> "MonomialSet":
@@ -227,10 +244,20 @@ def gram_build(S) -> GramSystem:
 
 @dataclass(frozen=True)
 class DistanceResult:
+    """A distance, its condition estimate and route, and the projection's coefficients.
+
+    The coefficients are computed on first access: on the extended route
+    they cost an O(n^2) mpmath expansion that most callers never read.
+    """
+
     distance: float
-    coefficients: np.ndarray
+    compute_coefficients: Callable[[], np.ndarray] = field(repr=False, compare=False)
     condition_estimate: float
     precision: str
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        return self.compute_coefficients()
 
 
 def _lu_rung(S: MonomialSet, f_moments: Callable[[Exponent], complex], f_norm_sq):
@@ -309,7 +336,7 @@ def _schur_rung(S: MonomialSet, f_moments: Callable[[Exponent], complex], f_norm
 
 def _solve_extended(
     S: MonomialSet, f_moments: Callable[[Exponent], complex], f_norm_sq
-) -> tuple[float, np.ndarray, int]:
+) -> tuple[float, Callable[[], np.ndarray], int]:
     """Gram solve with an escalating-precision ladder.
 
     Each rung re-evaluates the pairing oracle inside its precision context,
@@ -320,16 +347,22 @@ def _solve_extended(
     from the closed form and take an O(n^3) LU solve (`_lu_rung`).
     Escalation stops when two consecutive rungs agree on the distance; a
     rung whose d^2 is not positive (clamped) does not count toward that
-    agreement.  The coefficients are computed once, at the accepted rung.
+    agreement.  The returned callable computes the coefficients at the
+    accepted rung's precision, when it is called.
     """
-    rung = _schur_rung if all(e.logpow == 0 for e in S) else _lu_rung
+    rung = _lu_rung if S.confluent else _schur_rung
     prev = None
     for dps in _EXTENDED_DPS_LADDER:
         with mp.workdps(dps):
             d2, coefficients = rung(S, f_moments, f_norm_sq)
             dist = float(mp.sqrt(d2)) if d2 > 0 else None
             if dist is not None and prev is not None and abs(dist - prev) <= 1e-13 * (1.0 + dist):
-                return dist, coefficients(), dps
+
+                def at_rung() -> np.ndarray:
+                    with mp.workdps(dps):
+                        return coefficients()
+
+                return dist, at_rung, dps
         prev = dist
     last = "d^2 <= 0" if prev is None else f"distance {prev}"
     raise NumericalError(
@@ -377,7 +410,7 @@ def distance_to_span(
     q = float(np.real(np.vdot(c, r)))  # vdot conjugates its first argument
     d2 = f_norm_sq - q
     dist = math.sqrt(d2) if d2 > 0 else 0.0
-    return DistanceResult(dist, c, cond, "double")
+    return DistanceResult(dist, lambda: c, cond, "double")
 
 
 def monomial_pairing_oracle(t: ExponentLike) -> Callable[[Exponent], complex]:
@@ -400,10 +433,10 @@ def monomial_distance_closed_form(t: ExponentLike, S) -> float:
     """
     et = as_exponent(t)
     S = as_monomial_set(S)
-    if et.logpow != 0 or any(e.logpow != 0 for e in S):
+    if et.logpow != 0 or S.confluent:
         raise DomainError("closed-form distance requires logpow = 0 throughout")
     # set validation already guarantees distinct exponents once logpows are 0
-    s_vals = np.fromiter((e.s for e in S), dtype=complex, count=len(S))
+    s_vals = S.values
     t_val = et.s
     num = np.abs(t_val - s_vals)
     if np.any(num == 0.0):

@@ -9,6 +9,11 @@ which is also the Taylor sequence of the transformed function on the disk,
 so Laguerre coordinates and Hardy-space Taylor coordinates agree.  J is the
 unitary involution acting as (-1)^n on e_n; on monomials it sends x^s to
 (1/(1+2s)) x^(-s/(1+2s)).
+
+One three-term recurrence in t = -ln x produces e_0, e_1, ..., e_n in turn;
+eval_e keeps its last row, eval_basis keeps every row, and
+LaguerreExpansion.evaluate accumulates c_n e_n row by row, so all three
+give the same bits for the same n and x.
 """
 
 from __future__ import annotations
@@ -26,28 +31,56 @@ _N_MIN = 8
 _N_MAX = 4096
 
 
-def eval_e(n: int, x) -> np.ndarray | float:
-    """Evaluate e_n(x) = L_n(-ln x) for x in (0, 1].
+def _rows(n: int, t):
+    """Yield e_0, ..., e_n at t = -ln x by the Laguerre three-term recurrence.
 
-    Uses the Laguerre three-term recurrence in t = -ln x, which is stable
-    where the naive alternating binomial sum is not.  Accepts scalars or
-    arrays; raises on overflow (reachable for extreme n * |ln x|).
+    The recurrence is stable where the naive alternating binomial sum is not.
     """
+    prev = np.ones_like(t)
+    yield prev
+    if n == 0:
+        return
+    cur = 1.0 - t
+    yield cur
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 - t) * cur - k * prev) / (k + 1)
+        yield cur
+
+
+def _log_coordinate(n: int, x) -> np.ndarray:
+    """t = -ln x, after checking the index and that x lies in (0, 1]."""
     if n < 0:
         raise DomainError(f"basis index must be nonnegative, got {n}")
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0) or np.any(x_arr > 1):
         raise DomainError("basis functions are defined on (0, 1]")
-    t = -np.log(x_arr)
-    prev = np.ones_like(t)
-    if n == 0:
-        return float(prev) if np.isscalar(x) else prev
-    cur = 1.0 - t
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - t) * cur - k * prev) / (k + 1)
+    return -np.log(x_arr)
+
+
+def eval_e(n: int, x) -> np.ndarray | float:
+    """Evaluate e_n(x) = L_n(-ln x) for x in (0, 1].
+
+    The last row of the shared recurrence.  Accepts scalars or arrays;
+    raises on overflow (reachable for extreme n * |ln x|).
+    """
+    for cur in _rows(n, _log_coordinate(n, x)):
+        pass
     if not np.all(np.isfinite(cur)):
         raise NumericalError(f"e_{n} overflowed during recurrence (|ln x| too large)")
     return float(cur) if np.isscalar(x) else cur
+
+
+def eval_basis(n: int, x) -> np.ndarray:
+    """e_0(x), ..., e_n(x) as the rows of one array of shape (n + 1,) + shape(x).
+
+    Every row of the shared recurrence, so row k equals eval_e(k, x) bit for
+    bit at the cost of a single eval_e(n, x).  Raises like eval_e when any
+    row overflows.
+    """
+    rows = np.array(list(_rows(n, _log_coordinate(n, x))))
+    if not np.all(np.isfinite(rows)):
+        raise NumericalError(f"e_0..e_{n} overflowed during recurrence (|ln x| too large)")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -80,15 +113,8 @@ class LaguerreExpansion:
         """Pointwise sum of c_n e_n(x); the tail is not evaluable and ignored."""
         x_arr = np.asarray(x, dtype=float)
         acc = np.zeros_like(x_arr, dtype=complex)
-        t = -np.log(x_arr)
-        prev = np.ones_like(t)
-        acc += self.coeffs[0] * prev
-        if len(self.coeffs) > 1:
-            cur = 1.0 - t
-            acc += self.coeffs[1] * cur
-            for k in range(1, len(self.coeffs) - 1):
-                prev, cur = cur, ((2 * k + 1 - t) * cur - k * prev) / (k + 1)
-                acc += self.coeffs[k + 1] * cur
+        for c, row in zip(self.coeffs, _rows(len(self.coeffs) - 1, -np.log(x_arr))):
+            acc += c * row
         return complex(acc) if np.isscalar(x) else acc
 
 

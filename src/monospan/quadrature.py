@@ -4,9 +4,15 @@ A 7/15 Gauss-Kronrod pair is applied on an adaptively bisected mesh.  All
 nodes are interior, so integrable endpoint singularities (|f(x)| ~ x^p with
 p > -1 near 0) are handled by the bisection drilling a geometric mesh toward
 the endpoint; no endpoint evaluation ever happens.  The per-cell error is the
-conservative |K15 - G7| difference.  Cell contributions are summed in
-ascending order of the left endpoint, so results are reproducible bit for
-bit.
+conservative |K15 - G7| difference.
+
+The integrand is called once per list of cells, not once per cell: once on
+the nodes of every initial cell, then once on both halves of each bisected
+cell, as one flat array of 15 nodes per cell.  It must therefore act
+elementwise; each cell's K15 and G7 sums are still taken over its own 15
+values, so the result does not depend on how cells are grouped.  Cell
+contributions are summed in ascending order of the left endpoint, so
+results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +45,9 @@ _G7_WEIGHTS = np.array([
     0.41795918367346936, 0.3818300505051189, 0.27970539148927664,
     0.12948496616886969,
 ])
-_G7_INDEX = np.array([1, 3, 5, 7, 9, 11, 13])
+# A slice, not an index array: y[:, [1, 3, ...]] is laid out column-major,
+# and np.sum would then add each row's values in another order.
+_G7_NODES = slice(1, None, 2)
 
 
 class QuadResult(NamedTuple):
@@ -47,15 +55,23 @@ class QuadResult(NamedTuple):
     error: float
 
 
-def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[complex, float]:
-    h = 0.5 * (b - a)
-    x = 0.5 * (a + b) + h * _K15_NODES
-    y = np.asarray(f(x), dtype=complex)
-    if not np.all(np.isfinite(y.view(float))):
+def _gk15(
+    f: Callable[[np.ndarray], np.ndarray], cells: list[tuple[float, float]]
+) -> list[tuple[complex, float]]:
+    """K15 values and |K15 - G7| errors of the cells, from one call of f on all their nodes."""
+    lo, hi = np.array(cells).T
+    h = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + h[:, None] * _K15_NODES
+    y = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
+    finite = np.isfinite(y.view(float))
+    if not finite.all():
+        a, b = cells[int(np.argmin(finite.all(axis=1)))]
         raise NumericalError(f"integrand not finite on [{a}, {b}]")
-    k = h * np.sum(_K15_WEIGHTS * y)
-    g = h * np.sum(_G7_WEIGHTS * y[_G7_INDEX])
-    return complex(k), abs(k - g)
+    # one cell per row: each row sums in the order np.sum gives 15 values alone
+    k = h * (_K15_WEIGHTS * y).sum(axis=1)
+    d = k - h * (_G7_WEIGHTS * y[:, _G7_NODES]).sum(axis=1)
+    # np.abs on a complex array rounds differently from the scalar abs; hypot does not
+    return list(zip(k.tolist(), np.hypot(d.real, d.imag).tolist()))
 
 
 def integrate(
@@ -80,8 +96,8 @@ def integrate(
     heap: list[tuple[float, int, float, float, complex]] = []
     count = 0
     total_err = 0.0
-    for lo, hi in zip(points[:-1], points[1:]):
-        val, err = _gk15(f, lo, hi)
+    initial = list(zip(points[:-1], points[1:]))
+    for (lo, hi), (val, err) in zip(initial, _gk15(f, initial)):
         heapq.heappush(heap, (-err, count, lo, hi, val))
         total_err += err
         count += 1
@@ -99,8 +115,8 @@ def integrate(
                 f"quadrature cell [{lo}, {hi}] cannot be bisected further "
                 f"(error estimate {-neg_err:.3e})"
             )
-        for l2, h2 in ((lo, mid), (mid, hi)):
-            val, err = _gk15(f, l2, h2)
+        halves = [(lo, mid), (mid, hi)]
+        for (l2, h2), (val, err) in zip(halves, _gk15(f, halves)):
             heapq.heappush(heap, (-err, count, l2, h2, val))
             total_err += err
             count += 1

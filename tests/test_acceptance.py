@@ -51,3 +51,20 @@ def test_criterion_09_bessel_inverse():
 
 def test_criterion_10_randomized_properties():
     _report(acceptance.criterion_10(acceptance.DEFAULT_SEED))
+
+
+def test_criterion_03_evaluates_each_node_array_once(monkeypatch):
+    # the 66 integrals share node arrays; the basis rows are computed once per array
+    seen = []
+    eval_basis = acceptance.eval_basis
+
+    def counting(n, x):
+        seen.append(x.tobytes())
+        return eval_basis(n, x)
+
+    monkeypatch.setattr(acceptance, "eval_basis", counting)
+    result = acceptance.criterion_3()
+    assert seen and len(seen) == len(set(seen))
+    assert result.detail == (
+        "max orthonormality defect 2.704e-11 (tol 1e-8); max J route deviation 2.001e-16 (tol 1e-10)"
+    )

@@ -351,6 +351,15 @@ def test_domain_errors_exit_3(capsys):
          _manifest("converge", family="interval", f="chi:0.5", nmax=3, rho="x")],
         ["converge", "--from-manifest",
          _manifest("converge", family="interval", f="chi:0.5", nmax="x", rho=0.25)],
+        # a manifest whose parameters lack a key the handler reads
+        ["converge", "--from-manifest", _manifest("converge", family="interval", f="chi:0.5", rho=0.25)],
+        ["dist", "--from-manifest", _manifest("dist", f=None, set={"exponents": [{"re": 0}]})],
+        ["muntz", "--from-manifest", _manifest("muntz", criterion="complex")],
+        ["sarason", "eval", "--from-manifest", _manifest("sarason", verb="eval", f={"kind": "indicator"})],
+        ["laguerre", "expand", "--from-manifest", _manifest("laguerre", verb="expand", s=[1, 0])],
+        ["op", "pick", "--from-manifest", _manifest("op", phi={"kind": "identity"}, M=2, grid=[0])],
+        ["atomic", "proj", "--from-manifest", _manifest("atomic", verb="proj", tau=[1, 0], w=1)],
+        ["accept", "--from-manifest", _manifest("accept")],
     ],
 )
 def test_malformed_json_fields_exit_3(capsys, tmp_path, argv):

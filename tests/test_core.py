@@ -99,6 +99,28 @@ def quad_inner(a, b):
     return complex(re, im)
 
 
+def test_monomial_set_values_and_confluent_equal_entry_scans():
+    zeros = [Exponent(-0.0, 1.0), Exponent(0.5, -0.0), Exponent(-0.0, -2.0), Exponent(1.0, 2.0)]
+    sets = [MonomialSet(()), MonomialSet(tuple(zeros))]
+    rng = np.random.default_rng(3)
+    for n in (1, 5, 40):
+        sets.append(MonomialSet.from_exponents(random_exponents(rng, n)))
+    sets.append(MonomialSet((Exponent(0.5), Exponent(0.5, 0.0, 1), Exponent(-0.0, 1.0))))
+    for S in sets:
+        assert S.confluent == any(e.logpow != 0 for e in S)
+        ref = np.fromiter((e.s for e in S), dtype=complex, count=len(S))
+        # array_equal treats -0.0 as 0.0, so compare the signs of the parts too
+        assert np.array_equal(S.values, ref)
+        assert np.array_equal(np.signbit(S.values.real), np.signbit(ref.real))
+        assert np.array_equal(np.signbit(S.values.imag), np.signbit(ref.imag))
+        assert not S.values.flags.writeable
+    assert list(np.signbit(sets[1].values.real)) == [True, False, True, False]
+    assert list(np.signbit(sets[1].values.imag)) == [False, True, True, False]
+    assert sets[-1].confluent and not sets[-2].confluent
+    # equality and hashing still see the entries only
+    assert MonomialSet(tuple(zeros)) == sets[1] and hash(MonomialSet(tuple(zeros))) == hash(sets[1])
+
+
 def test_inner_product_basics():
     assert monomial_inner(0, 0) == 1.0
     assert abs(monomial_inner(1, 0) - 0.5) < 1e-15
@@ -282,6 +304,28 @@ def test_schur_recursion_matches_lu_solve():
             d_lu, c_lu = float(mp.sqrt(d2)), coefficients()
         assert abs(r.distance - d_lu) <= 1e-12 * d_lu + 1e-15
         assert np.all(np.abs(r.coefficients - c_lu) <= 1e-12 * np.abs(c_lu) + 1e-15)
+
+
+def test_schur_coefficients_computed_on_first_access(monkeypatch):
+    # the expansion runs only when read, and at the accepted rung's precision
+    f = PiecewiseMonomial.indicator(0.5)
+    S = MonomialSet.from_exponents([1 + 0.05 * k for k in range(20)])
+    eager = distance_to_span(f.pairing_oracle(), f.norm_sq, S, precision="extended").coefficients
+    calls = []
+    rung = core._schur_rung
+
+    def counting(*args):
+        d2, coefficients = rung(*args)
+        return d2, lambda: calls.append(mp.mp.dps) or coefficients()
+
+    monkeypatch.setattr(core, "_schur_rung", counting)
+    r = distance_to_span(f.pairing_oracle(), f.norm_sq, S, precision="extended")
+    assert calls == []
+    with mp.workdps(15):
+        c = r.coefficients
+    assert calls == [int(r.precision[len("extended(dps="):-1])]
+    assert np.array_equal(c, eager)
+    assert r.coefficients is c and len(calls) == 1
 
 
 def test_schur_recursion_clustered_set_distance():

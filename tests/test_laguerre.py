@@ -179,3 +179,45 @@ def test_apply_J_expansion_is_involution():
     back = lg.apply_J_expansion(lg.apply_J_expansion(e))
     assert np.array_equal(back.coeffs, e.coeffs)
     assert back.tail_norm_sq == e.tail_norm_sq
+
+
+def test_eval_basis_rows_equal_eval_e():
+    x = np.concatenate([[1.0, 1e-300, 0.5], np.random.default_rng(5).uniform(1e-9, 1.0, 30)])
+    for n in range(13):
+        rows = lg.eval_basis(n, x)
+        assert rows.shape == (n + 1, len(x))
+        for k in range(n + 1):
+            assert np.array_equal(rows[k], lg.eval_e(k, x))
+        scalar = lg.eval_basis(n, 0.37)
+        assert scalar.shape == (n + 1,)
+        assert all(scalar[k] == lg.eval_e(k, 0.37) for k in range(n + 1))
+
+
+def test_eval_basis_domain_errors():
+    with pytest.raises(DomainError):
+        lg.eval_basis(3, 0.0)
+    with pytest.raises(DomainError):
+        lg.eval_basis(-1, 0.5)
+
+
+def test_expansion_evaluate_equals_recurrence_loop():
+    # the loop that LaguerreExpansion.evaluate ran before it shared the recurrence
+    def reference(coeffs, x):
+        x_arr = np.asarray(x, dtype=float)
+        acc = np.zeros_like(x_arr, dtype=complex)
+        t = -np.log(x_arr)
+        prev = np.ones_like(t)
+        acc += coeffs[0] * prev
+        if len(coeffs) > 1:
+            cur = 1.0 - t
+            acc += coeffs[1] * cur
+            for k in range(1, len(coeffs) - 1):
+                prev, cur = cur, ((2 * k + 1 - t) * cur - k * prev) / (k + 1)
+                acc += coeffs[k + 1] * cur
+        return complex(acc) if np.isscalar(x) else acc
+
+    x = np.linspace(1e-6, 1.0, 41)
+    for s, N in ((0.0, 0), (1.0, 1), (0.3 + 0.7j, 12), (2.0 - 1.0j, 64)):
+        e = lg.expand_monomial(s, N)
+        assert np.array_equal(e.evaluate(x), reference(e.coeffs, x))
+        assert e.evaluate(0.42) == reference(e.coeffs, 0.42)

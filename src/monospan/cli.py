@@ -39,7 +39,7 @@ from .core import (
 )
 from .errors import DomainError, MonomialError, NumericalError
 from .laguerre import LaguerreExpansion, apply_J_expansion, apply_J_monomial, expand_monomial
-from .operators import PhiSpec, hat_matrix, monomial_operator, pick_positivity_check
+from .operators import PhiSpec, apply_hat, monomial_operator, pick_positivity_check
 from .sarason import (
     SampledFunction,
     forward_indicator,
@@ -382,7 +382,7 @@ def _run_op(params: dict, precision: str, seed) -> tuple[dict, int]:
         if op == "J":
             out = apply_J_expansion(LaguerreExpansion(vec)).coeffs
         else:
-            out = hat_matrix(op, len(vec)) @ vec
+            out = apply_hat(op, vec)
         payload = {"kind": "coefficients", "values": [_pair(v) for v in out]}
         return payload, 0
     raise DomainError(f"unknown input kind {spec['kind']!r}")

@@ -26,6 +26,7 @@ the O(n^3) LU solve of the Gram matrix.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import warnings
@@ -486,23 +487,34 @@ SequenceLike = Union[AffineSequence, GeometricSequence, Sequence]
 
 
 def complex_field(value, what: str) -> complex:
-    """A complex number from a JSON field: a number or an [re, im] pair."""
+    """A finite complex number from a JSON field: a number or an [re, im] pair."""
+    z = None
     try:
         if isinstance(value, numbers.Number) and not isinstance(value, bool):
-            return complex(value)
-        if isinstance(value, (list, tuple)) and len(value) == 2:
-            return complex(float(value[0]), float(value[1]))
+            z = complex(value)
+        elif isinstance(value, (list, tuple)) and len(value) == 2:
+            z = complex(float(value[0]), float(value[1]))
     except (TypeError, ValueError, OverflowError):
         pass
-    raise DomainError(f"{what} must be a number or an [re, im] pair, got {value!r}")
+    if z is None:
+        raise DomainError(f"{what} must be a number or an [re, im] pair, got {value!r}")
+    return _finite(z, what, value)
 
 
 def real_field(value, what: str) -> float:
-    """A real number from a JSON field, on float()'s terms, or a DomainError."""
+    """A finite real number from a JSON field, on float()'s terms, or a DomainError."""
     try:
-        return float(value)
+        x = float(value)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{what} must be a real number, got {value!r}") from None
+    return _finite(x, what, value)
+
+
+def _finite(x, what: str, value):
+    """x itself, or a DomainError naming the field when x is NaN or infinite."""
+    if not cmath.isfinite(x):
+        raise DomainError(f"{what} must be finite, got {value!r}")
+    return x
 
 
 def int_field(value, what: str) -> int:

@@ -110,10 +110,11 @@ class LaguerreExpansion:
         return float(np.sum(np.abs(self.coeffs) ** 2) + self.tail_norm_sq)
 
     def evaluate(self, x) -> np.ndarray | complex:
-        """Pointwise sum of c_n e_n(x); the tail is not evaluable and ignored."""
-        x_arr = np.asarray(x, dtype=float)
-        acc = np.zeros_like(x_arr, dtype=complex)
-        for c, row in zip(self.coeffs, _rows(len(self.coeffs) - 1, -np.log(x_arr))):
+        """Pointwise sum of c_n e_n(x) for x in (0, 1]; the tail is not evaluable and ignored."""
+        n = len(self.coeffs) - 1
+        t = _log_coordinate(n, x)
+        acc = np.zeros_like(t, dtype=complex)
+        for c, row in zip(self.coeffs, _rows(n, t)):
             acc += c * row
         return complex(acc) if np.isscalar(x) else acc
 

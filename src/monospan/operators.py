@@ -8,8 +8,12 @@ the disk side) they become
     H-hat = I - S*,   X-hat = S* C*,   V-hat = (I - S*) C*,
 
 where S* is the backward coefficient shift and C is composition with
-gamma(z) = 1/(2-z).  Monomial operators T x^s = c(s) x^tau(s) built from
-half-plane automorphisms are unitary exactly when c follows the rigid form
+gamma(z) = 1/(2-z).  hat_matrix builds these as N x N matrices; apply_hat
+applies them to a coefficient vector in O(N) memory, streaming the Taylor
+coefficients of the powers of gamma in blocks of rows.
+
+Monomial operators T x^s = c(s) x^tau(s) built from half-plane
+automorphisms are unitary exactly when c follows the rigid form
 c(s) = c_0 (1 + conj(tau(0)) + tau(s))/(1+s) with |c_0|^2 (1+2 Re tau(0)) = 1;
 the free phase of c_0 is a genuine parameter and is exposed as one.
 """
@@ -38,6 +42,7 @@ from .quadrature import integrate
 from .sarason import SampledFunction
 
 _HAT_N_MAX = 2048
+_ROW_BLOCK = 64  # rows of the C* recurrence generated at once
 _OPS = ("H", "X", "V")
 
 
@@ -63,19 +68,59 @@ def _monomial_action(op: str, coeff: complex, e: Exponent) -> tuple[complex, Exp
 # --- coefficient-space (hat) matrices -----------------------------------------
 
 
-def _gamma_taylor_columns(N: int) -> np.ndarray:
-    """g[m, n] = m-th Taylor coefficient of gamma(z)^n, gamma(z) = 1/(2-z).
+def _gamma_row_blocks(N: int):
+    """Rows of g[m, n] = m-th Taylor coefficient of gamma(z)^n, gamma(z) = 1/(2-z).
 
-    Built by the ratio recurrence g[m, n] = g[m-1, n] (n+m-1)/(2m) from
-    g[0, n] = 2^-n, one row at a time, multiplying before dividing as the scalar
-    loop did.  Entries peak like (pi n)^(-1/2); 2^-n underflows past n = 1074.
+    Yields (m0, rows, exps) for m0 = 0, _ROW_BLOCK, ..., where
+    rows[k, n] * 2^exps[n] = g[m0 + k, n]; `rows` is overwritten by the next
+    block.  The ratio recurrence g[m, n] = g[m-1, n] (n+m-1)/(2m) runs from
+    g[0, n] = 2^-n, one row at a time, multiplying before dividing as the
+    scalar loop did, on rows that carry a power-of-two scale per column; at
+    each block boundary frexp moves every column back into [1/2, 1).  Scaling
+    by powers of two is exact, so the entries agree bit for bit with the
+    unscaled recurrence wherever it stays normal, and none underflows: within
+    a block a column shrinks by at most 2^-63 and grows by at most
+    C(n+63, 64) 2^-64, far inside the double range for every N used here.
     """
-    n = np.arange(N)
+    exps = -np.arange(N)
+    factor = -1.0 - exps  # n + m - 1 at m = 0
+    buf = np.empty((min(_ROW_BLOCK, N), N))
+    prev = np.ones(N)
+    for m0 in range(0, N, _ROW_BLOCK):
+        rows = buf[: min(_ROW_BLOCK, N - m0)]
+        for k, row in enumerate(rows):
+            m = m0 + k
+            if m == 0:
+                row[:] = prev
+            else:
+                factor += 1.0
+                np.multiply(prev, factor, out=row)
+                row /= 2 * m
+            prev = row
+        yield m0, rows, exps
+        prev, shift = np.frexp(prev)
+        exps = exps + shift
+
+
+def _gamma_taylor_columns(N: int) -> np.ndarray:
+    """g[m, n] = m-th Taylor coefficient of gamma(z)^n, the rows of _gamma_row_blocks.
+
+    Entries peak like (pi n)^(-1/2); those below the smallest double round
+    to zero when the scale is applied, and no others do.
+    """
     g = np.empty((N, N))
-    g[0] = 0.5**n
-    for m in range(1, N):
-        g[m] = g[m - 1] * (n + m - 1) / (2 * m)
+    for m0, rows, exps in _gamma_row_blocks(N):
+        np.ldexp(rows, exps, out=g[m0 : m0 + len(rows)])
     return g
+
+
+def _check_hat(op: str, N: int) -> None:
+    if op not in _OPS:
+        raise DomainError(f"unknown operator {op!r}; expected one of {_OPS}")
+    if N < 1:
+        raise DomainError("matrix size must be positive")
+    if N > _HAT_N_MAX:
+        raise SizeLimitError(f"matrix size {N} exceeds the limit {_HAT_N_MAX}")
 
 
 def hat_matrix(op: str, N: int) -> np.ndarray:
@@ -88,13 +133,9 @@ def hat_matrix(op: str, N: int) -> np.ndarray:
     minus that shift.  Entries are exact closed forms; the matrix is the
     compression to the first N coordinates, and applying it to coordinates
     of a function with mass beyond index N-1 only sees the truncated head.
+    apply_hat gives the product with a vector without forming the matrix.
     """
-    if op not in _OPS:
-        raise DomainError(f"unknown operator {op!r}; expected one of {_OPS}")
-    if N < 1:
-        raise DomainError("matrix size must be positive")
-    if N > _HAT_N_MAX:
-        raise SizeLimitError(f"matrix size {N} exceeds the limit {_HAT_N_MAX}")
+    _check_hat(op, N)
     if op == "H":
         return np.eye(N) - np.eye(N, k=1)
     comp_star = _gamma_taylor_columns(N).T
@@ -108,8 +149,38 @@ def hat_matrix(op: str, N: int) -> np.ndarray:
     return out
 
 
+def apply_hat(op: str, coeffs) -> np.ndarray:
+    """hat_matrix(op, N) @ coeffs for a complex vector, in O(N) memory.
+
+    H-hat = I - S* is a difference of neighbours.  For X-hat and V-hat the
+    rows of g (the columns of C*) stream in blocks: each block is put in
+    true units, shifted (X) or differenced entrywise as g[:, n] - g[:, n+1]
+    (V), and only then multiplied by the real and the imaginary part of its
+    slice of the vector.
+    """
+    v = np.asarray(coeffs, dtype=complex)
+    N = len(v)
+    _check_hat(op, N)
+    if op == "H":
+        out = v.copy()
+        out[:-1] -= v[1:]
+        # a zero difference prints as +0.0, as the matrix product's sum over its zeros gives
+        out += 0.0
+        return out
+    out = np.zeros(N, dtype=complex)
+    for m0, rows, exps in _gamma_row_blocks(N):
+        t = np.ldexp(rows, exps)
+        if op == "X":
+            t = t[:, 1:]
+        else:
+            t[:, :-1] -= t[:, 1:]
+        blk = slice(m0, m0 + len(rows))
+        out.real[: t.shape[1]] += v.real[blk] @ t
+        out.imag[: t.shape[1]] += v.imag[blk] @ t
+    return out
+
+
 def _apply_hat_to_expansion(op: str, e: LaguerreExpansion) -> LaguerreExpansion:
-    n = len(e.coeffs)
     if e.tail_norm_sq > 1e-20:
         warnings.warn(
             f"applying {op} to a truncated expansion ignores tail mass "
@@ -117,8 +188,7 @@ def _apply_hat_to_expansion(op: str, e: LaguerreExpansion) -> LaguerreExpansion:
             TruncationWarning,
             stacklevel=3,
         )
-    out = hat_matrix(op, n) @ e.coeffs
-    return LaguerreExpansion(out, e.tail_norm_sq)
+    return LaguerreExpansion(apply_hat(op, e.coeffs), e.tail_norm_sq)
 
 
 # --- sampled-function actions -------------------------------------------------

@@ -360,6 +360,11 @@ def test_domain_errors_exit_3(capsys):
         ["op", "pick", "--from-manifest", _manifest("op", phi={"kind": "identity"}, M=2, grid=[0])],
         ["atomic", "proj", "--from-manifest", _manifest("atomic", verb="proj", tau=[1, 0], w=1)],
         ["accept", "--from-manifest", _manifest("accept")],
+        # NaN and infinity parse as JSON numbers but are no input values
+        ["op", "apply", "--op", "H", "--input",
+         '{"kind":"coefficients","values":[[NaN,0],[1,0],[2,0]]}'],
+        ["op", "pick", "--phi", '{"kind":"identity"}', "--M", "nan", "--grid", "[0]"],
+        ["muntz", "--seq", "[1,2,NaN]"],
     ],
 )
 def test_malformed_json_fields_exit_3(capsys, tmp_path, argv):
@@ -370,6 +375,20 @@ def test_malformed_json_fields_exit_3(capsys, tmp_path, argv):
     code, _, err = run(capsys, argv)
     assert code == 3
     assert err.startswith("mono: domain error:")
+
+
+def test_op_apply_X_at_index_2000_matches_closed_form(capsys):
+    """Column n of C* starts at 2^-n, below the smallest double past n = 1074.
+
+    X-hat e_2000 has entry g[2000, 2001] = 2^-4001 C(4000, 2000) at row 2000.
+    """
+    N, k = 2048, 2000
+    values = [[1.0 if j == k else 0.0, 0.0] for j in range(N)]
+    payload = run_json(capsys, ["op", "apply", "--op", "X", "--input",
+                                json.dumps({"kind": "coefficients", "values": values})])
+    exact = math.comb(2 * k, k) / 2 ** (2 * k + 1)
+    got = payload["values"][k]
+    assert abs(got[0] - exact) <= 1e-12 * exact and got[1] == 0.0
 
 
 def test_malformed_flag_text_exit_2(capsys):

@@ -200,6 +200,16 @@ def test_eval_basis_domain_errors():
         lg.eval_basis(-1, 0.5)
 
 
+def test_expansion_evaluate_domain_errors():
+    e = lg.expand_monomial(1.0, 8)
+    with pytest.raises(DomainError):
+        e.evaluate(0.0)
+    with pytest.raises(DomainError):
+        e.evaluate(1.5)
+    with pytest.raises(DomainError):
+        e.evaluate(np.array([0.5, 1.5]))
+
+
 def test_expansion_evaluate_equals_recurrence_loop():
     # the loop that LaguerreExpansion.evaluate ran before it shared the recurrence
     def reference(coeffs, x):

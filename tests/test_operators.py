@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -114,21 +115,44 @@ def test_gamma_taylor_columns_equals_scalar_loop(N):
     assert np.array_equal(op._gamma_taylor_columns(N), _gamma_taylor_columns_loop(N))
 
 
-def test_gamma_taylor_columns_closed_form():
-    """g[m, n] = 2^-(n+m) C(n+m-1, m), with C(-1, 0) = 1 for the n = 0 column.
+def _assert_closed_form(g_col, n, m0=0):
+    """g_col[k] against g[m, n] = 2^-(n+m) C(n+m-1, m) for m = m0 + k, C(-1, 0) = 1.
 
     Row m is reached from the exact row 2^-n by m steps of one multiply and
-    one divide, so its relative error is at most 2m roundings of 2^-53.
+    one divide, so in the normal range its relative error is at most 2m
+    roundings of 2^-53; below it the exact value must be below the range too.
+    Compared in integers: value = p / 2^q, exact = c / 2^(n+m).
     """
-    N = 64
-    g = op._gamma_taylor_columns(N)
-    for m in range(N):
-        for n in range(N):
-            exact = Fraction(math.comb(n + m - 1, m) if n + m > 0 else 1, 2 ** (n + m))
-            if exact == 0:
-                assert g[m, n] == 0.0, (m, n)
-            else:
-                assert abs(Fraction(g[m, n]) / exact - 1) <= Fraction(2 * m, 2**53), (m, n)
+    c = math.comb(n + m0 - 1, m0) if n + m0 > 0 else 1
+    for k, value in enumerate(g_col):
+        m = m0 + k
+        if k:
+            c = c * (n + m - 1) // m
+        p, q = float(value).as_integer_ratio()
+        q = q.bit_length() - 1
+        if c == 0:
+            assert value == 0.0, (m, n)
+        elif value >= 2.0**-1022:
+            # |value / exact - 1| <= 2m / 2^53
+            assert abs((p << (n + m)) - (c << q)) << 53 <= (2 * m * c) << q, (m, n)
+        else:
+            # exact < 2^-1022 (1 + 2m / 2^53)
+            assert c << 1075 < (2**53 + 2 * m) << (n + m), (m, n)
+
+
+def test_gamma_taylor_columns_closed_form():
+    g = op._gamma_taylor_columns(64)
+    for n in range(64):
+        _assert_closed_form(g[:, n], n)
+    # past n = 1074 the seed 2^-n is below the smallest double
+    g = op._gamma_taylor_columns(2048)
+    for n in (0, 1, 63, 64, 1022, 1023, 1074, 1075, 1100, 2047):
+        _assert_closed_form(g[:, n], n)
+    cols = np.array([2048, 3001, 4095])
+    for m0, rows, exps in op._gamma_row_blocks(4096):
+        g = np.ldexp(rows[:, cols], exps[cols])
+        for j, n in enumerate(cols):
+            _assert_closed_form(g[:, j], int(n), m0)
 
 
 def test_hat_matrix_limits():
@@ -153,6 +177,71 @@ def test_route_equivalence_monomial_vs_hat():
             c_img, e_img = fn((1.0, s))
             target = c_img * expand_monomial(e_img, N - 1).coeffs
             assert np.max(np.abs(out[:64] - target[:64])) < 1e-8
+
+
+def _apply_inputs(N, count=3):
+    """`count` seeded random complex vectors and the geometric coordinates of x^s."""
+    rng = np.random.default_rng(N)
+    vecs = [rng.standard_normal(N) + 1j * rng.standard_normal(N) for _ in range(count)]
+    for s in (0.0, 1.0, 1j, 2.6 - 0.8j, -0.25 + 0.15j):
+        vecs.append(expand_monomial(s, N - 1).coeffs)
+    return vecs
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 17, 256, 1024])
+@pytest.mark.parametrize("name", ["H", "X", "V"])
+def test_apply_hat_equals_hat_matrix(name, N):
+    mat = op.hat_matrix(name, N)
+    for v in _apply_inputs(N):
+        got, want = op.apply_hat(name, v), mat @ v
+        if name == "H":
+            assert np.array_equal(got, want)
+            # zeros too: past the underflow of (s/(s+1))^n both print 0.0, not -0.0
+            assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+        else:
+            assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("N", [256, 1024])
+@pytest.mark.parametrize("name", ["X", "V"])
+def test_apply_hat_error_against_longdouble(name, N):
+    """The stream's products are no less exact than the matrix-vector product.
+
+    Both routes multiply the same double entries, so the reference takes those
+    entries and each vector to longdouble (a 64-bit mantissa on x86) and
+    multiplies there.  Compared: the root mean square of the relative 2-norm
+    errors over the inputs, since single vectors go either way.
+    """
+    mat = op.hat_matrix(name, N)
+    ld = mat.astype(np.longdouble)
+    streamed, matrix = [], []
+    for v in _apply_inputs(N, count=16):
+        ref = ld @ v.real.astype(np.longdouble), ld @ v.imag.astype(np.longdouble)
+        norm_sq = float(np.sum(ref[0] ** 2 + ref[1] ** 2))
+        for out, errs in ((op.apply_hat(name, v), streamed), (mat @ v, matrix)):
+            d = (out.real - ref[0]) ** 2 + (out.imag - ref[1]) ** 2
+            errs.append(float(np.sum(d)) / norm_sq)
+    assert np.mean(streamed) <= np.mean(matrix)
+
+
+@pytest.mark.parametrize("name", ["H", "X", "V"])
+def test_apply_hat_memory_is_linear(name):
+    """At N = 2048 the matrix alone is 32 MB; the streamed apply holds a few blocks of rows."""
+    v = np.random.default_rng(5).standard_normal(2048) + 0j
+    tracemalloc.start()
+    try:
+        op.apply_hat(name, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_apply_hat_limits():
+    with pytest.raises(SizeLimitError):
+        op.apply_hat("X", np.zeros(2049, dtype=complex))
+    with pytest.raises(DomainError):
+        op.apply_hat("Q", np.ones(4, dtype=complex))
 
 
 def test_apply_dispatch_on_expansion_warns_about_tail():

@@ -6,6 +6,13 @@ the tool version; re-running through --from-manifest reproduces the output
 byte for byte in the same precision mode.  Complex numbers are serialized
 as [re, im] pairs everywhere.  Exit codes: 0 success, 1 failed acceptance
 criteria, 2 usage error, 3 domain error, 4 numerical failure.
+
+One table, `_TABLE`, declares each command's handler, help line and flags.  A
+flag's name is both its `--name` and its manifest field.  The parser is built
+from the table; `_params_from_argv` turns argv into the manifest's parameter
+object (usage errors), and `_read_params` turns a parameter object, from argv
+or from a manifest, into the typed values the handler reads (domain errors),
+so both paths check every field with the same codec.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import sys
 import warnings
 from functools import lru_cache
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,8 +55,6 @@ from .sarason import (
     forward_quadrature,
     monomial_function,
 )
-
-_COMMANDS = ("muntz", "dist", "sarason", "laguerre", "op", "atomic", "converge", "accept")
 
 
 class UsageError(Exception):
@@ -104,122 +110,101 @@ def _sanitize(obj):
 
 def schema_for(name: str) -> dict:
     """The published JSON schema for a subcommand's output (or 'manifest')."""
-    if name not in _COMMANDS + ("manifest",):
+    if name != "manifest" and name not in _TABLE:
         raise DomainError(f"no schema named {name!r}")
     path = resources.files("monospan").joinpath(f"schemas/{name}.schema.json")
     return json.loads(path.read_text())
 
 
-# --- parameter builders (argv -> canonical JSON-typed dicts) ------------------
+# --- flags (argv -> parameter object -> typed values) ---------------------------
+
+_REQUIRED = object()  # the default of a flag that must be given
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise UsageError(f"missing required flag {flag}")
+class _Flag(NamedTuple):
+    """One per-command flag: `--name` on the command line, `name` in the manifest."""
+
+    name: str
+    kind: str  # a key of _KINDS
+    help: str | None = None
+    default: object = _REQUIRED  # None: optional, null in the manifest when not given
+    choices: tuple = ()
+    when: tuple = ()  # the values of the command's first flag (verb or family) that take it
+
+
+def _same(value, what: str):
     return value
 
 
-def _params_dist(args) -> dict:
-    if (args.t is None) == (args.f is None):
-        raise UsageError("dist needs exactly one of --t or --f")
-    spec = None
-    if args.f is not None:
-        spec = _load_json(args.f, "--f") if args.f.lstrip().startswith("{") else args.f
-    return {
-        "t": _pair(_parse_complex(args.t, "--t")) if args.t is not None else None,
-        "logpow": int(args.logpow),
-        "f": spec,
-        "set": _load_json(_require(args.set, "--set"), "--set"),
-        "format": args.format,
-    }
+def _spec_from_argv(text: str, what: str):
+    """A piecewise-monomial target: a JSON object, or a shorthand such as chi:0.5."""
+    return _load_json(text, what) if text.lstrip().startswith("{") else text
 
 
-def _params_muntz(args) -> dict:
-    seq = _load_json(_require(args.seq, "--seq"), "--seq")
-    return {"criterion": args.criterion, "seq": seq, "format": args.format}
+class _Kind(NamedTuple):
+    """How a flag's value is read: argv text -> manifest value -> handler value."""
+
+    argparse_type: Callable | None
+    from_argv: Callable  # (argparse value, "--name") -> JSON value; raises UsageError
+    from_json: Callable  # (JSON value, "--name") -> handler value; raises DomainError
 
 
-def _params_sarason(args) -> dict:
-    return {
-        "verb": args.verb,
-        "f": _load_json(_require(args.f, "--f"), "--f"),
-        "z": _pair(_parse_complex(_require(args.z, "--z"), "--z")),
-        "format": args.format,
-    }
-
-
-def _params_laguerre(args) -> dict:
-    return {
-        "verb": args.verb,
-        "s": _pair(_parse_complex(_require(args.s, "--s"), "--s")),
-        "n": int(args.n) if args.n is not None else None,
-        "format": args.format,
-    }
-
-
-def _params_op(args) -> dict:
-    params: dict = {"verb": args.verb, "format": args.format}
-    if args.verb == "apply":
-        params["op"] = _require(args.op, "--op")
-        params["input"] = _load_json(_require(args.input, "--input"), "--input")
-    else:
-        params["phi"] = _load_json(_require(args.phi, "--phi"), "--phi")
-        params["M"] = float(_require(args.M, "--M"))
-        params["grid"] = _load_json(_require(args.grid, "--grid"), "--grid")
-    return params
-
-
-def _params_atomic(args) -> dict:
-    params: dict = {"verb": args.verb, "format": args.format}
-    params["s"] = _pair(_parse_complex(_require(args.s, "--s"), "--s"))
-    if args.verb == "proj":
-        params["tau"] = _pair(_parse_complex(_require(args.tau, "--tau"), "--tau"))
-        params["w"] = float(_require(args.w, "--w"))
-    else:
-        params["measure"] = _load_json(_require(args.measure, "--measure"), "--measure")
-        params["n"] = int(args.n) if args.n is not None else 4096
-    return params
-
-
-def _params_converge(args) -> dict:
-    fspec = _require(args.f, "--f")
-    fval = _load_json(fspec, "--f") if fspec.lstrip().startswith("{") else fspec
-    params: dict = {
-        "family": args.family,
-        "f": fval,
-        "nmax": int(_require(args.nmax, "--nmax")),
-        "format": args.format,
-    }
-    if args.family == "interval":
-        params["rho"] = float(_require(args.rho, "--rho"))
-    elif args.family == "muntz":
-        params["seq"] = _load_json(_require(args.seq, "--seq"), "--seq")
-    else:
-        params["set"] = _load_json(_require(args.set, "--set"), "--set")
-    return params
-
-
-def _params_accept(args) -> dict:
-    return {"suite": args.suite, "format": args.format}
-
-
-_PARAM_BUILDERS = {
-    "dist": _params_dist,
-    "muntz": _params_muntz,
-    "sarason": _params_sarason,
-    "laguerre": _params_laguerre,
-    "op": _params_op,
-    "atomic": _params_atomic,
-    "converge": _params_converge,
-    "accept": _params_accept,
+# json and spec values go on unchanged to the domain parsers (MonomialSet.from_json,
+# PiecewiseMonomial.from_spec, ...), which check them
+_KINDS = {
+    "text": _Kind(None, _same, _same),
+    "int": _Kind(int, _same, int_field),
+    "real": _Kind(float, _same, real_field),
+    "complex": _Kind(None, lambda text, what: _pair(_parse_complex(text, what)), complex_field),
+    "json": _Kind(None, _load_json, _same),
+    "spec": _Kind(None, _spec_from_argv, _same),
 }
 
 
-# --- handlers (canonical params -> payload dict, exit code) -------------------
+def _flags_taken(command: str, values: dict):
+    """The command's flags that apply, then --format.
 
-# a --from-manifest body may lack any parameter, so handlers read each one
-# through required_field: a missing key is a domain error, not a KeyError
-_PARAMS = "the parameter object"
+    The first flag (a verb or a family) picks the others, so the caller stores
+    its value in `values` before it takes the next flag.
+    """
+    flags = _TABLE[command].flags
+    for flag in (*flags, _FORMAT):
+        if not flag.when or values[flags[0].name] in flag.when:
+            yield flag
+
+
+def _params_from_argv(command: str, args) -> dict:
+    """The manifest's parameter object from parsed argv; a missing flag is a usage error."""
+    if command == "dist" and (args.t is None) == (args.f is None):
+        raise UsageError("dist needs exactly one of --t or --f")
+    params: dict = {}
+    for flag in _flags_taken(command, params):
+        value = getattr(args, flag.name)
+        if value is None:
+            if flag.default is _REQUIRED:
+                raise UsageError(f"missing required flag --{flag.name}")
+            params[flag.name] = flag.default
+        else:
+            params[flag.name] = _KINDS[flag.kind].from_argv(value, f"--{flag.name}")
+    return params
+
+
+def _read_params(command: str, params: dict) -> dict:
+    """The handler's typed values from a parameter object; a bad field is a domain error."""
+    values: dict = {}
+    for flag in _flags_taken(command, values):
+        what = f"--{flag.name}"
+        # a --from-manifest body may lack any parameter: a domain error, not a KeyError
+        value = required_field(params, flag.name, "the parameter object")
+        if flag.choices and value not in flag.choices:
+            raise DomainError(f"{what} must be one of {', '.join(flag.choices)}, got {value!r}")
+        if value is not None or flag.default is not None:  # an optional flag may be null
+            value = _KINDS[flag.kind].from_json(value, what)
+        values[flag.name] = value
+    return values
+
+
+# --- handlers (typed values -> payload dict, exit code) -------------------------
 
 
 def _normalize_seq(seq):
@@ -230,14 +215,13 @@ def _normalize_seq(seq):
     raise UsageError("sequence must be a JSON array or a generator object")
 
 
-def _run_dist(params: dict, precision: str, seed) -> tuple[dict, int]:
-    S = MonomialSet.from_json(required_field(params, "set", _PARAMS))
-    t = required_field(params, "t", _PARAMS)
+def _run_dist(v: dict, precision: str, seed) -> tuple[dict, int]:
+    S = MonomialSet.from_json(v["set"])
+    t = v["t"]
     if t is not None:
-        t = complex_field(t, "--t")
-        f = PiecewiseMonomial.monomial(Exponent(t.real, t.imag, params.get("logpow", 0)))
+        f = PiecewiseMonomial.monomial(Exponent(t.real, t.imag, v["logpow"]))
     else:
-        f = PiecewiseMonomial.from_spec(required_field(params, "f", _PARAMS))
+        f = PiecewiseMonomial.from_spec(v["f"])
     point = _distance_point(f, S, precision)
     payload = {
         "distance": float(point.distance),
@@ -247,9 +231,8 @@ def _run_dist(params: dict, precision: str, seed) -> tuple[dict, int]:
     return payload, 0
 
 
-def _run_muntz(params: dict, precision: str, seed) -> tuple[dict, int]:
-    seq = _normalize_seq(required_field(params, "seq", _PARAMS))
-    verdict = muntz_verdict(seq, required_field(params, "criterion", _PARAMS))
+def _run_muntz(v: dict, precision: str, seed) -> tuple[dict, int]:
+    verdict = muntz_verdict(_normalize_seq(v["seq"]), v["criterion"])
     return verdict.to_json(), 0
 
 
@@ -298,11 +281,10 @@ def _sarason_eval(spec: dict, z: complex) -> tuple[complex, float | None, str]:
     raise DomainError(f"unknown function spec kind {kind!r}")
 
 
-def _run_sarason(params: dict, precision: str, seed) -> tuple[dict, int]:
-    z = complex_field(required_field(params, "z", _PARAMS), "--z")
-    value, err, method = _sarason_eval(required_field(params, "f", _PARAMS), z)
+def _run_sarason(v: dict, precision: str, seed) -> tuple[dict, int]:
+    value, err, method = _sarason_eval(v["f"], v["z"])
     payload = {
-        "z": _pair(z),
+        "z": _pair(v["z"]),
         "value": _pair(value),
         "error_estimate": None if err is None else float(err),
         "method": method,
@@ -310,12 +292,10 @@ def _run_sarason(params: dict, precision: str, seed) -> tuple[dict, int]:
     return payload, 0
 
 
-def _run_laguerre(params: dict, precision: str, seed) -> tuple[dict, int]:
-    s = complex_field(required_field(params, "s", _PARAMS), "--s")
-    n = required_field(params, "n", _PARAMS)
-    exp = expand_monomial(s, None if n is None else int_field(n, "--n"))
+def _run_laguerre(v: dict, precision: str, seed) -> tuple[dict, int]:
+    exp = expand_monomial(v["s"], v["n"])
     payload = {
-        "s": _pair(s),
+        "s": _pair(v["s"]),
         "n": len(exp.coeffs) - 1,
         "coefficients": [_pair(c) for c in exp.coeffs],
         "tail_norm_sq": float(exp.tail_norm_sq),
@@ -347,22 +327,21 @@ def _phi_from_spec(spec: dict) -> PhiSpec:
     raise DomainError(f"unknown phi kind {kind!r}")
 
 
-def _run_op(params: dict, precision: str, seed) -> tuple[dict, int]:
-    if required_field(params, "verb", _PARAMS) == "pick":
-        phi = _phi_from_spec(required_field(params, "phi", _PARAMS))
-        grid = _complex_list(required_field(params, "grid", _PARAMS), "grid point")
-        M = real_field(required_field(params, "M", _PARAMS), "--M")
-        passes, smallest = pick_positivity_check(phi, M, grid)
+def _run_op(v: dict, precision: str, seed) -> tuple[dict, int]:
+    if v["verb"] == "pick":
+        phi = _phi_from_spec(v["phi"])
+        grid = _complex_list(v["grid"], "grid point")
+        passes, smallest = pick_positivity_check(phi, v["M"], grid)
         payload = {
             "passes": bool(passes),
             "min_eigenvalue": float(smallest),
-            "M": M,
+            "M": v["M"],
             "grid_size": len(grid),
         }
         return payload, 0
 
-    op = required_field(params, "op", _PARAMS)
-    spec = required_field(params, "input", _PARAMS)
+    op = v["op"]
+    spec = v["input"]
     if not isinstance(spec, dict) or "kind" not in spec:
         raise UsageError("--input must be an object with a 'kind' field")
     if spec["kind"] == "monomial":
@@ -388,11 +367,10 @@ def _run_op(params: dict, precision: str, seed) -> tuple[dict, int]:
     raise DomainError(f"unknown input kind {spec['kind']!r}")
 
 
-def _run_atomic(params: dict, precision: str, seed) -> tuple[dict, int]:
-    s = complex_field(required_field(params, "s", _PARAMS), "--s")
-    if required_field(params, "verb", _PARAMS) == "proj":
-        tau = complex_field(required_field(params, "tau", _PARAMS), "--tau")
-        w = real_field(required_field(params, "w", _PARAMS), "--w")
+def _run_atomic(v: dict, precision: str, seed) -> tuple[dict, int]:
+    s = v["s"]
+    if v["verb"] == "proj":
+        tau, w = v["tau"], v["w"]
         p = AtomicSpaceParams(tau, w)
         payload = {
             "tau": _pair(tau),
@@ -403,30 +381,27 @@ def _run_atomic(params: dict, precision: str, seed) -> tuple[dict, int]:
             "wp": float(p.wp),
         }
         return payload, 0
-    mu = AtomicMeasure.from_json(required_field(params, "measure", _PARAMS))
-    N = int_field(required_field(params, "n", _PARAMS), "--n")
-    d = model_space_distance(expand_monomial(s), mu, N)
+    mu = AtomicMeasure.from_json(v["measure"])
+    d = model_space_distance(expand_monomial(s), mu, v["n"])
     payload = {
         "distance": float(d),
-        "N": N,
+        "N": v["n"],
         "s": _pair(s),
         "total_mass": float(mu.total_mass),
     }
     return payload, 0
 
 
-def _run_converge(params: dict, precision: str, seed) -> tuple[dict, int]:
-    family = required_field(params, "family", _PARAMS)
+def _run_converge(v: dict, precision: str, seed) -> tuple[dict, int]:
+    family = v["family"]
     if family == "interval":
-        fam = interval_family(real_field(required_field(params, "rho", _PARAMS), "--rho"))
+        fam = interval_family(v["rho"])
     elif family == "muntz":
-        seq = _normalize_seq(required_field(params, "seq", _PARAMS))
-    elif family == "constant":
-        fam = constant_family(MonomialSet.from_json(required_field(params, "set", _PARAMS)))
+        seq = _normalize_seq(v["seq"])
     else:
-        raise UsageError(f"unknown family {family!r}")
-    f = PiecewiseMonomial.from_spec(required_field(params, "f", _PARAMS))
-    nmax = int_field(required_field(params, "nmax", _PARAMS), "--nmax")
+        fam = constant_family(MonomialSet.from_json(v["set"]))
+    f = PiecewiseMonomial.from_spec(v["f"])
+    nmax = v["nmax"]
     if family == "muntz":
         report = muntz_limit_experiment(seq, f, nmax, precision=precision)
     else:
@@ -444,16 +419,14 @@ def _run_converge(params: dict, precision: str, seed) -> tuple[dict, int]:
     return payload, 0
 
 
-def _run_accept(params: dict, precision: str, seed) -> tuple[dict, int]:
+def _run_accept(v: dict, precision: str, seed) -> tuple[dict, int]:
     from .acceptance import run_suite
 
-    suite = required_field(params, "suite", _PARAMS)
-    if suite != "primary":
-        raise UsageError(f"unknown suite {suite!r}")
-    results = run_suite(seed=seed if seed is not None else DEFAULT_SEED)
+    seed = DEFAULT_SEED if seed is None else int_field(seed, "seed")
+    results = run_suite(seed=seed)
     payload = {
-        "suite": suite,
-        "seed": seed if seed is not None else DEFAULT_SEED,
+        "suite": v["suite"],
+        "seed": seed,
         "all_passed": all(r.passed for r in results),
         "criteria": [
             {"index": r.index, "name": r.name, "passed": r.passed, "detail": r.detail}
@@ -463,15 +436,71 @@ def _run_accept(params: dict, precision: str, seed) -> tuple[dict, int]:
     return payload, 0 if payload["all_passed"] else 1
 
 
-_HANDLERS = {
-    "dist": _run_dist,
-    "muntz": _run_muntz,
-    "sarason": _run_sarason,
-    "laguerre": _run_laguerre,
-    "op": _run_op,
-    "atomic": _run_atomic,
-    "converge": _run_converge,
-    "accept": _run_accept,
+# --- the command table ------------------------------------------------------------
+
+
+class _Command(NamedTuple):
+    """A subcommand: its handler, its help line, and its flags in the order they are read."""
+
+    handler: Callable[[dict, str, object], tuple[dict, int]]
+    help: str
+    flags: tuple[_Flag, ...]
+
+
+# every command takes --format
+_FORMAT = _Flag("format", "text", default="json", choices=("json", "csv"))
+
+_TABLE = {
+    "dist": _Command(_run_dist, "distance from a function to the span of a monomial set", (
+        _Flag("t", "complex", "monomial exponent 're[,im]' for f = x^t", default=None),
+        _Flag("logpow", "int", "log power k for f = x^t (ln x)^k", default=0),
+        _Flag("f", "spec", "piecewise-monomial spec (shorthand or JSON) instead of --t",
+              default=None),
+        _Flag("set", "json", 'monomial set JSON {"exponents": [...]}'),
+    )),
+    "muntz": _Command(_run_muntz, "density verdict for an exponent sequence", (
+        _Flag("criterion", "text", default="complex", choices=("classical", "real", "complex")),
+        _Flag("seq", "json", "sequence JSON: array or generator spec"),
+    )),
+    "sarason": _Command(_run_sarason, "transform to the Hardy space of the disk", (
+        _Flag("verb", "text", choices=("eval",)),
+        _Flag("f", "json", "function spec JSON"),
+        _Flag("z", "complex", "disk point 're[,im]'"),
+    )),
+    "laguerre": _Command(_run_laguerre, "Laguerre-basis coordinates", (
+        _Flag("verb", "text", choices=("expand",)),
+        _Flag("s", "complex", "monomial exponent 're[,im]'"),
+        _Flag("n", "int", "truncation order (defaults to a tail below 1e-16)", default=None),
+    )),
+    "op": _Command(_run_op, "monomial operators and the Pick test", (
+        _Flag("verb", "text", choices=("apply", "pick")),
+        _Flag("op", "text", "operator for apply", choices=("H", "X", "V", "J"), when=("apply",)),
+        _Flag("input", "json", "input JSON: monomial or coefficient vector", when=("apply",)),
+        _Flag("phi", "json", "phi spec JSON for pick", when=("pick",)),
+        _Flag("M", "real", "norm bound for pick", when=("pick",)),
+        _Flag("grid", "json", "JSON array of exponent grid points for pick", when=("pick",)),
+    )),
+    "atomic": _Command(_run_atomic, "atomic spaces and model-space distances", (
+        _Flag("verb", "text", choices=("proj", "dist")),
+        _Flag("s", "complex", "probe exponent 're[,im]'"),
+        _Flag("tau", "complex", "unimodular atom 're[,im]' for proj", when=("proj",)),
+        _Flag("w", "real", "atom mass for proj", when=("proj",)),
+        _Flag("measure", "json", 'measure JSON {"atoms": [{"tau": [re,im], "w": ...}]}',
+              when=("dist",)),
+        _Flag("n", "int", "Toeplitz truncation order (default 4096)", default=4096,
+              when=("dist",)),
+    )),
+    "converge": _Command(_run_converge, "distance curves along subspace families", (
+        _Flag("family", "text", choices=("interval", "muntz", "constant")),
+        _Flag("f", "spec", "target function spec (shorthand or JSON)"),
+        _Flag("nmax", "int", "curve length"),
+        _Flag("rho", "real", "density parameter for the interval family", when=("interval",)),
+        _Flag("seq", "json", "sequence JSON for the muntz family", when=("muntz",)),
+        _Flag("set", "json", "monomial set JSON for the constant family", when=("constant",)),
+    )),
+    "accept": _Command(_run_accept, "run the acceptance suite", (
+        _Flag("suite", "text", choices=("primary",)),
+    )),
 }
 
 
@@ -525,10 +554,12 @@ def _read_manifest(path: str) -> dict:
         raise UsageError(f"cannot read manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(man, dict):
+        raise UsageError(f"manifest {path} must hold a JSON object, got {man!r}")
     for key in ("command", "parameters", "precision", "tool_version"):
         if key not in man:
             raise UsageError(f"manifest {path} is missing the {key!r} field")
-    if man["command"] not in _COMMANDS:
+    if man["command"] not in _TABLE:
         raise UsageError(f"manifest names unknown command {man['command']!r}")
     if man["precision"] not in ("double", "extended"):
         raise UsageError(f"manifest names unknown precision {man['precision']!r}")
@@ -538,6 +569,14 @@ def _read_manifest(path: str) -> dict:
 # --- parser and dispatch --------------------------------------------------------
 
 
+def _add_flag(parser: argparse.ArgumentParser, flag: _Flag) -> None:
+    if flag.name == "verb":  # positional: `mono op pick ...`
+        parser.add_argument("verb", choices=flag.choices)
+    else:
+        parser.add_argument(f"--{flag.name}", type=_KINDS[flag.kind].argparse_type,
+                            choices=flag.choices or None, help=flag.help)
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The `mono` argument parser, built once per process; parse_args leaves it unchanged."""
@@ -545,7 +584,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--precision", choices=["double", "extended"], default="double",
                         help="float64 with an extended-precision fallback, or forced extended")
     common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    common.add_argument("--format", choices=["json", "csv"], default="json")
+    _add_flag(common, _FORMAT)
     common.add_argument("--manifest", metavar="PATH",
                         help="record a reproducible run manifest at PATH")
     common.add_argument("--from-manifest", metavar="PATH", dest="from_manifest",
@@ -557,57 +596,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mono {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("dist", parents=[common],
-                       help="distance from a function to the span of a monomial set")
-    p.add_argument("--t", help="monomial exponent 're[,im]' for f = x^t")
-    p.add_argument("--logpow", type=int, default=0, help="log power k for f = x^t (ln x)^k")
-    p.add_argument("--f", help="piecewise-monomial spec (shorthand or JSON) instead of --t")
-    p.add_argument("--set", help='monomial set JSON {"exponents": [...]}')
-
-    p = sub.add_parser("muntz", parents=[common], help="density verdict for an exponent sequence")
-    p.add_argument("--criterion", choices=["classical", "real", "complex"], default="complex")
-    p.add_argument("--seq", help="sequence JSON: array or generator spec")
-
-    p = sub.add_parser("sarason", parents=[common], help="transform to the Hardy space of the disk")
-    p.add_argument("verb", choices=["eval"])
-    p.add_argument("--f", help="function spec JSON")
-    p.add_argument("--z", help="disk point 're[,im]'")
-
-    p = sub.add_parser("laguerre", parents=[common], help="Laguerre-basis coordinates")
-    p.add_argument("verb", choices=["expand"])
-    p.add_argument("--s", help="monomial exponent 're[,im]'")
-    p.add_argument("--n", type=int, help="truncation order (defaults to a tail below 1e-16)")
-
-    p = sub.add_parser("op", parents=[common], help="monomial operators and the Pick test")
-    p.add_argument("verb", choices=["apply", "pick"])
-    p.add_argument("--op", choices=["H", "X", "V", "J"], help="operator for apply")
-    p.add_argument("--input", help="input JSON: monomial or coefficient vector")
-    p.add_argument("--phi", help="phi spec JSON for pick")
-    p.add_argument("--M", type=float, help="norm bound for pick")
-    p.add_argument("--grid", help="JSON array of exponent grid points for pick")
-
-    p = sub.add_parser("atomic", parents=[common], help="atomic spaces and model-space distances")
-    p.add_argument("verb", choices=["proj", "dist"])
-    p.add_argument("--tau", help="unimodular atom 're[,im]' for proj")
-    p.add_argument("--w", type=float, help="atom mass for proj")
-    p.add_argument("--s", help="probe exponent 're[,im]'")
-    p.add_argument("--measure", help='measure JSON {"atoms": [{"tau": [re,im], "w": ...}]}')
-    p.add_argument("--n", type=int, help="Toeplitz truncation order (default 4096)")
-
-    p = sub.add_parser("converge", parents=[common], help="distance curves along subspace families")
-    p.add_argument("--family", choices=["interval", "muntz", "constant"], required=False)
-    p.add_argument("--rho", type=float, help="density parameter for the interval family")
-    p.add_argument("--seq", help="sequence JSON for the muntz family")
-    p.add_argument("--set", help="monomial set JSON for the constant family")
-    p.add_argument("--f", help="target function spec (shorthand or JSON)")
-    p.add_argument("--nmax", type=int, help="curve length")
-
-    p = sub.add_parser("accept", parents=[common], help="run the acceptance suite")
-    p.add_argument("--suite", choices=["primary"], required=False)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="seed for the randomized property suites")
-
+    for command, spec in _TABLE.items():
+        p = sub.add_parser(command, parents=[common], help=spec.help)
+        for flag in spec.flags:
+            _add_flag(p, flag)
+    # the seed is the manifest's top-level field, not one of accept's parameters
+    sub.choices["accept"].add_argument("--seed", type=int, default=DEFAULT_SEED,
+                                       help="seed for the randomized property suites")
     return parser
 
 
@@ -634,21 +629,21 @@ def dispatch(argv=None) -> int:
             if not isinstance(params, dict) or "format" not in params:
                 raise UsageError("manifest parameters must be an object with a 'format' field")
         else:
-            if command == "converge" and args.family is None:
-                raise UsageError("missing required flag --family")
-            if command == "accept" and args.suite is None:
-                raise UsageError("missing required flag --suite")
-            params = _PARAM_BUILDERS[command](args)
+            params = _params_from_argv(command, args)
             precision = args.precision
             seed = args.seed if command == "accept" else None
+        values = _read_params(command, params)
+        # argv's verb always matches; only a manifest can record another one
+        if values.get("verb") != getattr(args, "verb", None):
+            raise UsageError(f"manifest records verb {values['verb']!r}; invoke that verb")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                payload, code = _HANDLERS[command](params, precision, seed)
+                payload, code = _TABLE[command].handler(values, precision, seed)
             finally:
                 for note in caught:
                     print(f"mono: note: {note.message}", file=sys.stderr)
-        _write_text(_render(command, params["format"], payload), args.out)
+        _write_text(_render(command, values["format"], payload), args.out)
         if args.manifest:
             manifest = _manifest_dict(command, params, precision, seed)
             _write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", args.manifest)

@@ -518,11 +518,18 @@ def _finite(x, what: str, value):
 
 
 def int_field(value, what: str) -> int:
-    """An integer from a JSON field, on int()'s terms, or a DomainError."""
+    """An integer from a JSON field, on int()'s terms, or a DomainError.
+
+    A boolean or a number with a fractional part is no integer, although int()
+    reads true as 1 and 1.5 as 1; an integral number such as 2.0 is.
+    """
     try:
-        return int(value)
+        n = int(value)
     except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+        n = None
+    if n is None or isinstance(value, bool) or (isinstance(value, numbers.Number) and n != value):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return n
 
 
 def list_field(value, what: str, length: int | None = None) -> list:

@@ -273,6 +273,70 @@ def test_manifest_replay_byte_identical(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# every command and verb or family: the README examples, then the other two families
+ROUND_TRIP = {
+    "dist-t": (["dist", "--t", "1", "--set", X0_SET], {"t", "logpow", "f", "set"}),
+    "dist-f": (["dist", "--f", "chi:0.5", "--set", X2_SET], {"t", "logpow", "f", "set"}),
+    "muntz": (
+        ["muntz", "--criterion", "classical", "--seq", '{"kind":"affine","a":1,"b":0}'],
+        {"criterion", "seq"},
+    ),
+    "sarason-eval": (
+        ["sarason", "eval", "--f", '{"kind":"monomial","s":[1,0]}', "--z", "0.3,0.2"],
+        {"verb", "f", "z"},
+    ),
+    "laguerre-expand": (["laguerre", "expand", "--s", "1", "--n", "5"], {"verb", "s", "n"}),
+    "op-apply-H": (
+        ["op", "apply", "--op", "H", "--input", '{"kind":"monomial","coeff":[1,0],"s":[2,0]}'],
+        {"verb", "op", "input"},
+    ),
+    "op-apply-X": (
+        ["op", "apply", "--op", "X", "--input",
+         '{"kind":"coefficients","values":[[1,0],[0,0],[0,0]]}'],
+        {"verb", "op", "input"},
+    ),
+    "op-pick": (
+        ["op", "pick", "--phi", '{"kind":"identity"}', "--M", "2.1", "--grid", "[[0,0],[1,0],[2,0]]"],
+        {"verb", "phi", "M", "grid"},
+    ),
+    "atomic-proj": (
+        ["atomic", "proj", "--tau", "1", "--w", "0.5", "--s", "0"], {"verb", "s", "tau", "w"},
+    ),
+    "atomic-dist": (
+        ["atomic", "dist", "--measure", '{"atoms":[{"tau":[1,0],"w":0.5}]}', "--s", "0",
+         "--n", "2048"],
+        {"verb", "s", "measure", "n"},
+    ),
+    "converge-interval": (
+        ["converge", "--family", "interval", "--rho", "0.25", "--f", "chi:0.5", "--nmax", "10",
+         "--format", "csv"],
+        {"family", "f", "nmax", "rho"},
+    ),
+    "accept": (["accept", "--suite", "primary"], {"suite"}),
+    "converge-muntz": (
+        ["converge", "--family", "muntz", "--seq", '{"kind":"affine","a":1}', "--f", "chi:0.5",
+         "--nmax", "4"],
+        {"family", "f", "nmax", "seq"},
+    ),
+    "converge-constant": (
+        ["converge", "--family", "constant", "--set", X2_SET, "--f", "chi:0.5", "--nmax", "4"],
+        {"family", "f", "nmax", "set"},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, keys", ROUND_TRIP.values(), ids=ROUND_TRIP)
+def test_manifest_round_trip(tmp_path, capsys, argv, keys):
+    man = tmp_path / "m.json"
+    code, out, _ = run(capsys, argv + ["--manifest", str(man)])
+    assert code == 0
+    manifest = json.loads(man.read_text())
+    validate("manifest", manifest)
+    assert set(manifest["parameters"]) == keys | {"format"}
+    replay = argv[:2] if argv[0] in ("sarason", "laguerre", "op", "atomic") else argv[:1]
+    assert run(capsys, replay + ["--from-manifest", str(man)]) == (0, out, "")
+
+
 def test_usage_errors_exit_2(capsys):
     cases = [
         ["dist", "--set", X0_SET],  # neither --t nor --f
@@ -295,6 +359,17 @@ def test_from_manifest_command_mismatch_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, ["muntz", "--from-manifest", str(man)])
     assert code == 2
     assert "dist" in err
+    # the positional verb must match the manifest's, as the command must
+    assert dispatch(["atomic", "proj", "--tau", "1", "--w", "0.5", "--s", "0",
+                     "--manifest", str(man), "--out", str(tmp_path / "o.json")]) == 0
+    code, _, err = run(capsys, ["atomic", "dist", "--from-manifest", str(man)])
+    assert code == 2
+    assert "'proj'" in err
+    # a manifest body that is not a JSON object
+    man.write_text("5")
+    code, _, err = run(capsys, ["dist", "--from-manifest", str(man)])
+    assert code == 2
+    assert err.startswith("mono: usage error:")
 
 
 def test_domain_errors_exit_3(capsys):
@@ -365,6 +440,27 @@ def test_domain_errors_exit_3(capsys):
          '{"kind":"coefficients","values":[[NaN,0],[1,0],[2,0]]}'],
         ["op", "pick", "--phi", '{"kind":"identity"}', "--M", "nan", "--grid", "[0]"],
         ["muntz", "--seq", "[1,2,NaN]"],
+        # an integer field holding a boolean or a number with a fractional part
+        ["dist", "--t", "1", "--set", '{"exponents":[{"re":0},{"re":0,"logpow":1.5}]}'],
+        ["dist", "--t", "1", "--set", '{"exponents":[{"re":0},{"re":0,"logpow":true}]}'],
+        ["sarason", "eval", "--f", '{"kind":"monomial","s":1,"logpow":0.9}', "--z", "0.2"],
+        ["converge", "--from-manifest",
+         _manifest("converge", family="interval", f="chi:0.5", nmax=3.7, rho=0.25)],
+        ["accept", "--from-manifest", dict(_manifest("accept", suite="primary"), seed="x")],
+        ["accept", "--from-manifest", dict(_manifest("accept", suite="primary"), seed=2.5)],
+        # a manifest value outside the flag's choices
+        ["op", "pick", "--from-manifest",
+         _manifest("op", verb="frob", op="H", input={"kind": "monomial", "s": [1, 0]})],
+        ["converge", "--from-manifest",
+         dict(_manifest("converge", family="interval", f="chi:0.5", nmax=3, rho=0.25),
+              parameters={"format": "xml", "family": "interval", "f": "chi:0.5", "nmax": 3,
+                          "rho": 0.25})],
+        ["converge", "--from-manifest",
+         _manifest("converge", family="bogus", f="chi:0.5", nmax=3, rho=0.25)],
+        ["accept", "--from-manifest", _manifest("accept", suite="bogus")],
+        # a manifest lacking a parameter that has a default on the command line
+        ["dist", "--from-manifest",
+         _manifest("dist", t=[1, 0], f=None, set={"exponents": [{"re": 0}]})],
     ],
 )
 def test_malformed_json_fields_exit_3(capsys, tmp_path, argv):

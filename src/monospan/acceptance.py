@@ -21,15 +21,15 @@ import numpy as np
 from scipy import special
 
 from .atomic import AtomicMeasure, AtomicSpaceParams, conjugation_identity_check, model_space_distance, proj_norm_sq
-from .convergence import PiecewiseMonomial, distance_curve, interval_family, muntz_family
+from .convergence import distance_curve, interval_family, muntz_family
 from .core import (
     AffineSequence,
     GeometricSequence,
     MonomialSet,
+    PiecewiseMonomial,
     distance_to_span,
     gram_build,
     monomial_distance_closed_form,
-    monomial_pairing_oracle,
     muntz_verdict,
 )
 from .errors import IllConditioningWarning, NumericalError, TruncationWarning
@@ -151,13 +151,13 @@ def criterion_4() -> CriterionResult:
         if n == 100:
             d100 = d
     dev_gram = 0.0
-    oracle = monomial_pairing_oracle(0.0)
+    one = PiecewiseMonomial.monomial(0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditioningWarning)
         for n in range(1, 9):
             S = fam.set_at(n)
             d_closed = monomial_distance_closed_form(0.0, S)
-            d_gram = distance_to_span(oracle, 1.0, S).distance
+            d_gram = distance_to_span(one, S).distance
             dev_gram = max(dev_gram, abs(d_closed - d_gram))
     checks = [
         (dev_exact < 1e-12, f"max deviation from (n+1)/(2n+1) is {dev_exact:.3e} (tol 1e-12, n <= 1000)"),
@@ -320,9 +320,7 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
             t = complex(_random_exponents(rng, 1)[0])
             d_closed = monomial_distance_closed_form(t, S)
             try:
-                d_gram = distance_to_span(
-                    monomial_pairing_oracle(t), 1.0 / (2 * t.real + 1), S
-                ).distance
+                d_gram = distance_to_span(PiecewiseMonomial.monomial(t), S).distance
             except NumericalError:
                 continue
             if abs(d_closed - d_gram) < 1e-8:

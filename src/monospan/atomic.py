@@ -34,7 +34,7 @@ from .errors import (
     TruncationWarning,
 )
 from .laguerre import LaguerreExpansion
-from .sarason import _as_disk
+from .sarason import as_disk
 
 _MODEL_N_MAX = 8192
 _ATOM_COLLISION = 1e-14
@@ -188,7 +188,7 @@ class InnerFunction:
     measure: AtomicMeasure
 
     def evaluate(self, z) -> complex:
-        zv = _as_disk(z)
+        zv = as_disk(z)
         for tau, _ in self.measure.atoms:
             if abs(zv - tau) < _ATOM_COLLISION:
                 raise NumericalError(f"evaluation point {zv} collides with the atom {tau}")
@@ -199,7 +199,7 @@ class InnerFunction:
 
     def modulus(self, z) -> float:
         """|S(z)| = exp(-sum w_k Re((tau_k+z)/(tau_k-z))), without the phase."""
-        zv = _as_disk(z)
+        zv = as_disk(z)
         expo = 0.0
         for tau, w in self.measure.atoms:
             expo -= w * ((tau + zv) / (tau - zv)).real
@@ -247,7 +247,7 @@ def conjugation_identity_check(c: float, wp: float, z_grid) -> tuple[float, comp
     lhs = []
     rhs = []
     for z in z_grid:
-        zv = _as_disk(z)
+        zv = as_disk(z)
         psi_z = ((1 - 1j * c) * zv + 1j * c) / (1 + 1j * c - 1j * c * zv)
         lhs.append(S_minus1.evaluate(psi_z))
         rhs.append(S_tau.evaluate(zv))

@@ -34,16 +34,11 @@ from . import __version__
 from .acceptance import DEFAULT_SEED
 from .atomic import AtomicMeasure, AtomicSpaceParams, model_space_distance, proj_norm_sq
 from .convergence import (
-    PiecewiseMonomial,
-    _distance_point,
-    constant_family,
-    interval_family,
-    limit_membership_test,
-    muntz_limit_experiment,
+    constant_family, interval_family, limit_membership_test, muntz_limit_experiment,
 )
 from .core import (
-    Exponent, MonomialSet, complex_field, int_field, list_field, muntz_verdict, real_field,
-    required_field,
+    Exponent, MonomialSet, PiecewiseMonomial, complex_field, distance, int_field, list_field,
+    muntz_verdict, real_field, required_field,
 )
 from .errors import DomainError, MonomialError, NumericalError
 from .laguerre import LaguerreExpansion, apply_J_expansion, apply_J_monomial, expand_monomial
@@ -222,11 +217,11 @@ def _run_dist(v: dict, precision: str, seed) -> tuple[dict, int]:
         f = PiecewiseMonomial.monomial(Exponent(t.real, t.imag, v["logpow"]))
     else:
         f = PiecewiseMonomial.from_spec(v["f"])
-    point = _distance_point(f, S, precision)
+    res = distance(f, S, precision=precision)
     payload = {
-        "distance": float(point.distance),
-        "method": point.method,
-        "condition_estimate": float(point.condition_estimate),
+        "distance": float(res.distance),
+        "method": res.precision if res.precision == "closed-form" else f"gram-{res.precision}",
+        "condition_estimate": float(res.condition_estimate),
     }
     return payload, 0
 

@@ -1,18 +1,19 @@
 """Distance curves along subspace sequences and limit-membership verdicts.
 
 A sequence of monomial sets S_n spans a sequence of subspaces; a function
-f belongs to the limit exactly when dist(f, M(S_n)) -> 0.  The curves are
-computed exactly where possible: for monomial f the distance is a stable
-closed-form product, and for piecewise monomials (combinations of
-indicator-times-monomial terms, each with an optional log power) every
-pairing and norm is a sum of the closed moments
+f belongs to the limit exactly when dist(f, M(S_n)) -> 0.  Each point of a
+curve is core.distance of a core.PiecewiseMonomial f (a combination of
+indicator-times-monomial terms, each with an optional log power): for
+monomial f the stable closed-form product, otherwise a Gram solve in which
+every pairing and the norm are sums of the closed moments
 
     <chi_[a,1] x^t (ln x)^j, x^s (ln x)^k> = integral_a^1 x^(p-1) (ln x)^m dx,
         p = 1 + t + conj(s),  m = j + k,
 
 which equal (-1)^m m! / p^(m+1) at a = 0 and (1 - a^p)/p at m = 0, with
 the recurrence I_m = -(a^p (ln a)^m + m I_(m-1))/p in between (see
-core.cauchy_moment), so Gram solves never touch quadrature.  Limits are
+core.cauchy_moment), so Gram solves never touch quadrature; on the
+extended ladder both are evaluated at each rung's precision.  Limits are
 never decided by a finite curve; the fitted verdict is three-valued, with
 explicit thresholds and an undetermined fallback.
 """
@@ -23,127 +24,23 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .core import (
     Exponent,
-    ExponentLike,
     MonomialSet,
-    as_exponent,
+    PiecewiseMonomial,
     as_monomial_set,
-    cauchy_moment,
-    complex_field,
-    distance_to_span,
-    list_field,
+    distance,
     materialize_sequence,
-    monomial_distance_closed_form,
     muntz_verdict,
-    real_field,
     sequence_from_spec,
 )
 from .errors import ConvergenceWarning, DomainError, NumericalError
 
 DEFAULT_TOL = 1e-3
-
-
-@dataclass(frozen=True)
-class PiecewiseMonomial:
-    """A combination sum c_i chi_[a_i, 1] x^(t_i) (ln x)^(k_i); a_i = 0 means no cutoff.
-
-    Terms are (coeff, exponent, cutoff, logpow) tuples; a three-field term
-    has logpow 0.  The log power lives only in the fourth field, so a term
-    whose exponent carries one is rejected rather than read two ways.
-    """
-
-    terms: tuple[tuple[complex, Exponent, float, int], ...]
-
-    def __post_init__(self) -> None:
-        if not self.terms:
-            raise DomainError("need at least one term")
-        clean = []
-        for term in self.terms:
-            c, t, a, k = term if len(term) == 4 else (*term, 0)
-            t = as_exponent(t)
-            if t.logpow != 0:
-                raise DomainError("a term's log power goes in its fourth field, not its exponent")
-            if not (isinstance(k, (int, np.integer)) and k >= 0):
-                raise DomainError(f"logpow must be a nonnegative integer, got {k!r}")
-            a = float(a)
-            if not 0 <= a < 1:
-                raise DomainError(f"cutoff must lie in [0, 1), got {a}")
-            clean.append((complex(c), t, a, int(k)))
-        object.__setattr__(self, "terms", tuple(clean))
-
-    @classmethod
-    def constant(cls) -> "PiecewiseMonomial":
-        return cls(((1.0, Exponent(0.0), 0.0),))
-
-    @classmethod
-    def monomial(cls, t: ExponentLike) -> "PiecewiseMonomial":
-        """x^t (ln x)^k, with k taken from the exponent's logpow."""
-        et = as_exponent(t)
-        return cls(((1.0, Exponent(et.re, et.im), 0.0, et.logpow),))
-
-    @classmethod
-    def indicator(cls, a: float, t: ExponentLike = 0.0) -> "PiecewiseMonomial":
-        """chi_[a,1] times x^t."""
-        return cls(((1.0, as_exponent(t), float(a)),))
-
-    @classmethod
-    def from_spec(cls, spec) -> "PiecewiseMonomial":
-        if isinstance(spec, PiecewiseMonomial):
-            return spec
-        if isinstance(spec, str):
-            if spec == "const":
-                return cls.constant()
-            if spec.startswith("chi:"):
-                return cls.indicator(real_field(spec[4:], "indicator cutoff"))
-            if spec.startswith("monomial:"):
-                parts = spec[len("monomial:"):].split(",")
-                t = complex(*(real_field(p, "monomial exponent") for p in parts[:2]))
-                return cls.monomial(t)
-            raise DomainError(f"unknown function shorthand {spec!r}")
-        if not isinstance(spec, dict) or "terms" not in spec:
-            raise DomainError("function spec must be a shorthand string or a {'terms': [...]} object")
-        terms = []
-        for item in list_field(spec["terms"], "function terms"):
-            if not isinstance(item, dict):
-                raise DomainError(f"function term must be an object, got {item!r}")
-            c = complex_field(item.get("coeff", 1.0), "term coeff")
-            t = complex_field(item.get("t", 0.0), "term exponent t")
-            terms.append((c, as_exponent(t), real_field(item.get("a", 0.0), "term cutoff a")))
-        return cls(tuple(terms))
-
-    @property
-    def is_single_monomial(self) -> bool:
-        return len(self.terms) == 1 and self.terms[0][2] == 0.0
-
-    def pairing_oracle(self) -> Callable[[Exponent], complex]:
-        """<f, x^s (ln x)^j> as a function of s, exact in either precision regime."""
-        return lambda s: sum(
-            cauchy_moment(t.s, s.s, k + s.logpow, a, c) for c, t, a, k in self.terms
-        )
-
-    @property
-    def norm_sq(self) -> float:
-        acc = sum(
-            cauchy_moment(ti.s, tj.s, ki + kj, max(ai, aj), ci * cj.conjugate())
-            for ci, ti, ai, ki in self.terms
-            for cj, tj, aj, kj in self.terms
-        )
-        return float(acc.real)
-
-    def evaluate(self, x) -> np.ndarray:
-        x_arr = np.asarray(x, dtype=float)
-        out = np.zeros_like(x_arr, dtype=complex)
-        for c, t, a, k in self.terms:
-            v = x_arr.astype(complex) ** t.s
-            if k:
-                v = v * np.log(x_arr) ** k
-            out += c * np.where(x_arr >= a, v, 0j)
-        return out
 
 
 @dataclass(frozen=True)
@@ -201,21 +98,6 @@ def constant_family(S) -> SubspaceSequence:
     return SubspaceSequence(lambda n: S, "constant")
 
 
-class DistancePoint(NamedTuple):
-    distance: float
-    condition_estimate: float
-    method: str  # "closed-form" | "gram-double" | "gram-extended(dps=N)"
-
-
-def _distance_point(f: PiecewiseMonomial, S: MonomialSet, precision: str) -> DistancePoint:
-    """One distance sample and the route that produced it; exact product when possible."""
-    c, t, _, k = f.terms[0]
-    if f.is_single_monomial and k == 0 and not S.confluent:
-        return DistancePoint(abs(c) * monomial_distance_closed_form(t, S), 1.0, "closed-form")
-    res = distance_to_span(f.pairing_oracle(), f.norm_sq, S, precision=precision)
-    return DistancePoint(res.distance, res.condition_estimate, f"gram-{res.precision}")
-
-
 def distance_curve(
     f,
     seq: SubspaceSequence,
@@ -245,7 +127,8 @@ def distance_curve(
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    d, c, _ = _distance_point(f, S, precision)
+                    res = distance(f, S, precision=precision)
+                d, c = res.distance, res.condition_estimate
             except NumericalError:
                 d, c = math.nan, math.inf
             prev_S = S

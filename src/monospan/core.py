@@ -13,15 +13,21 @@ matrices of monomial sets are therefore Cauchy-structured, Hermitian positive
 definite, and exponentially ill-conditioned; solves fall back to extended
 precision (mpmath) when the condition estimate passes EXTENDED_THRESHOLD.
 
-The extended solve is a ladder of mpmath precisions (34 to 160 digits) that
-stops when two consecutive rungs agree on the distance; a rung whose
-d^2 = ||f||^2 - q is not positive is clamped and does not count toward that
-agreement.  For sets without log powers each rung is the O(n^2) Schur
-(Nevanlinna-Pick) recursion: x^s is the half-plane Szego kernel at
-w = conj(s) + 1/2, so the Gram matrix 1/(conj w_i + w_j) is a Cauchy matrix
-and each step divides by one Blaschke factor (z - w_k)/(z + conj w_k), the
-factors of monomial_distance_closed_form.  Confluent sets (logpow > 0) keep
-the O(n^3) LU solve of the Gram matrix.
+A target f is a PiecewiseMonomial, a sum of c x^t (ln x)^k chi_[a,1]
+terms whose pairings and norm are sums of cauchy_moment values.  The
+extended solve is a ladder of mpmath precisions (34 to 160 digits) that
+stops when two consecutive rungs agree on the distance.  Each rung
+evaluates f's pairings and its norm at the rung's own precision, so
+d^2 = ||f||^2 - q keeps its digits; a rung whose d^2 is not positive is
+clamped and does not count toward that agreement.  For sets without log
+powers each rung is the O(n^2) Schur (Nevanlinna-Pick) recursion: x^s is
+the half-plane Szego kernel at w = conj(s) + 1/2, so the Gram matrix
+1/(conj w_i + w_j) is a Cauchy matrix and each step divides by one Blaschke
+factor (z - w_k)/(z + conj w_k), the factors of
+monomial_distance_closed_form.  Confluent sets (logpow > 0) keep the O(n^3)
+LU solve of the Gram matrix.  distance() takes that closed-form product
+when f is a single uncut monomial and distance_to_span otherwise; both
+return a DistanceResult.
 """
 
 from __future__ import annotations
@@ -244,28 +250,124 @@ def gram_build(S) -> GramSystem:
 
 
 @dataclass(frozen=True)
-class DistanceResult:
-    """A distance, its condition estimate and route, and the projection's coefficients.
+class PiecewiseMonomial:
+    """A combination sum c_i chi_[a_i, 1] x^(t_i) (ln x)^(k_i); a_i = 0 means no cutoff.
 
-    The coefficients are computed on first access: on the extended route
-    they cost an O(n^2) mpmath expansion that most callers never read.
+    Terms are (coeff, exponent, cutoff, logpow) tuples; a three-field term
+    has logpow 0.  The log power lives only in the fourth field, so a term
+    whose exponent carries one is rejected rather than read two ways.  Its
+    pairings and norm are sums of cauchy_moment values, so they follow the
+    working precision: floats in double, full-precision mpmath numbers on
+    the extended ladder.
+    """
+
+    terms: tuple[tuple[complex, Exponent, float, int], ...]
+
+    def __post_init__(self) -> None:
+        if not self.terms:
+            raise DomainError("need at least one term")
+        clean = []
+        for term in self.terms:
+            c, t, a, k = term if len(term) == 4 else (*term, 0)
+            t = as_exponent(t)
+            if t.logpow != 0:
+                raise DomainError("a term's log power goes in its fourth field, not its exponent")
+            if not (isinstance(k, (int, np.integer)) and k >= 0):
+                raise DomainError(f"logpow must be a nonnegative integer, got {k!r}")
+            a = float(a)
+            if not 0 <= a < 1:
+                raise DomainError(f"cutoff must lie in [0, 1), got {a}")
+            clean.append((complex(c), t, a, int(k)))
+        object.__setattr__(self, "terms", tuple(clean))
+
+    @classmethod
+    def constant(cls) -> "PiecewiseMonomial":
+        return cls(((1.0, Exponent(0.0), 0.0),))
+
+    @classmethod
+    def monomial(cls, t: ExponentLike) -> "PiecewiseMonomial":
+        """x^t (ln x)^k, with k taken from the exponent's logpow."""
+        et = as_exponent(t)
+        return cls(((1.0, Exponent(et.re, et.im), 0.0, et.logpow),))
+
+    @classmethod
+    def indicator(cls, a: float, t: ExponentLike = 0.0) -> "PiecewiseMonomial":
+        """chi_[a,1] times x^t."""
+        return cls(((1.0, as_exponent(t), float(a)),))
+
+    @classmethod
+    def from_spec(cls, spec) -> "PiecewiseMonomial":
+        if isinstance(spec, PiecewiseMonomial):
+            return spec
+        if isinstance(spec, str):
+            if spec == "const":
+                return cls.constant()
+            if spec.startswith("chi:"):
+                return cls.indicator(real_field(spec[4:], "indicator cutoff"))
+            if spec.startswith("monomial:"):
+                parts = spec[len("monomial:"):].split(",")
+                if len(parts) > 2:
+                    raise DomainError(f"monomial shorthand takes re[,im], got {spec!r}")
+                t = complex(*(real_field(p, "monomial exponent") for p in parts))
+                return cls.monomial(t)
+            raise DomainError(f"unknown function shorthand {spec!r}")
+        if not isinstance(spec, dict) or "terms" not in spec:
+            raise DomainError("function spec must be a shorthand string or a {'terms': [...]} object")
+        terms = []
+        for item in list_field(spec["terms"], "function terms"):
+            if not isinstance(item, dict):
+                raise DomainError(f"function term must be an object, got {item!r}")
+            c = complex_field(item.get("coeff", 1.0), "term coeff")
+            t = complex_field(item.get("t", 0.0), "term exponent t")
+            terms.append((c, as_exponent(t), real_field(item.get("a", 0.0), "term cutoff a")))
+        return cls(tuple(terms))
+
+    @property
+    def is_single_monomial(self) -> bool:
+        return len(self.terms) == 1 and self.terms[0][2] == 0.0
+
+    def pairing_oracle(self) -> Callable[[Exponent], complex]:
+        """<f, x^s (ln x)^j> as a function of s, exact in either precision regime."""
+        return lambda s: sum(
+            cauchy_moment(t.s, s.s, k + s.logpow, a, c) for c, t, a, k in self.terms
+        )
+
+    @property
+    def norm_sq(self):
+        """||f||^2, exact in either precision regime: a float, or an mpf on the ladder."""
+        acc = sum(
+            cauchy_moment(ti.s, tj.s, ki + kj, max(ai, aj), ci * cj.conjugate())
+            for ci, ti, ai, ki in self.terms
+            for cj, tj, aj, kj in self.terms
+        )
+        return acc.real
+
+    def evaluate(self, x) -> np.ndarray:
+        x_arr = np.asarray(x, dtype=float)
+        out = np.zeros_like(x_arr, dtype=complex)
+        for c, t, a, k in self.terms:
+            v = x_arr.astype(complex) ** t.s
+            if k:
+                v = v * np.log(x_arr) ** k
+            out += c * np.where(x_arr >= a, v, 0j)
+        return out
+
+
+@dataclass(frozen=True)
+class DistanceResult:
+    """A distance, its condition estimate, and the route that produced it.
+
+    precision is "double" or "extended(dps=N)" for a Gram solve, and
+    "closed-form" for the exact product of monomial_distance_closed_form.
     """
 
     distance: float
-    compute_coefficients: Callable[[], np.ndarray] = field(repr=False, compare=False)
     condition_estimate: float
     precision: str
 
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        return self.compute_coefficients()
 
-
-def _lu_rung(S: MonomialSet, f_moments: Callable[[Exponent], complex], f_norm_sq):
-    """One ladder rung by Gram normal equations and an mpmath LU solve, O(n^3).
-
-    Returns d^2 = ||f||^2 - q and a callable giving the coefficients.
-    """
+def _lu_rung(S: MonomialSet, f: PiecewiseMonomial):
+    """d^2 = ||f||^2 - q for one ladder rung, by an mpmath LU solve of the Gram system, O(n^3)."""
     n = len(S)
     G = mp.matrix(n, n)
     for i, mi in enumerate(S):
@@ -273,17 +375,18 @@ def _lu_rung(S: MonomialSet, f_moments: Callable[[Exponent], complex], f_norm_sq
             # normal-equation matrix: row i pairs against m_i in the
             # second slot, i.e. A[i,j] = <m_j, m_i>
             G[i, j] = monomial_inner(mj, mi)
-    r = mp.matrix([mp.mpc(f_moments(m)) for m in S])
+    pair = f.pairing_oracle()
+    r = mp.matrix([mp.mpc(pair(m)) for m in S])
     try:
         c = mp.lu_solve(G, r)
     except (ZeroDivisionError, ValueError) as exc:
         raise NumericalError(f"extended-precision Gram solve failed: {exc}") from exc
     q = mp.re(sum(mp.conj(c[i]) * r[i] for i in range(n)))
-    return mp.mpf(f_norm_sq) - q, lambda: np.array([complex(c[i]) for i in range(n)])
+    return f.norm_sq - q
 
 
-def _schur_rung(S: MonomialSet, f_moments: Callable[[Exponent], complex], f_norm_sq):
-    """One ladder rung by the Schur recursion on a logpow-0 set, O(n^2).
+def _schur_rung(S: MonomialSet, f: PiecewiseMonomial):
+    """d^2 = ||f||^2 - q for one ladder rung, by the Schur recursion on a logpow-0 set, O(n^2).
 
     Under the transform x^s is the Szego kernel 1/(z + conj w) of the
     right half-plane at w = conj(s) + 1/2, and v_j = <f, x^(s_j)> is the
@@ -294,76 +397,47 @@ def _schur_rung(S: MonomialSet, f_moments: Callable[[Exponent], complex], f_norm
         v_j <- (v_j (w_j + conj w_k) - 2 Re(w_k) v_k) / (w_j - w_k),  j > k.
 
     The nodes are built in mpmath; rounded to double first, nearby nodes
-    lose the digits the divisions need.  Returns d^2 = ||f||^2 - q and a
-    callable giving the coefficients of the projection
-    sum_k alpha_k B_(k-1)(z)/(z + conj w_k), alpha_k = 2 Re(w_k) v_k, on the
-    kernels 1/(z + conj w_m), expanded by partial-fraction residues.
+    lose the digits the divisions need.
     """
     w = [mp.mpc(mp.mpf(e.re) + mp.mpf(1) / 2, -mp.mpf(e.im)) for e in S]
-    wb = [mp.conj(wk) for wk in w]
-    v = [mp.mpc(f_moments(m)) for m in S]
+    pair = f.pairing_oracle()
+    v = [mp.mpc(pair(m)) for m in S]
     n = len(w)
-    alpha = []
     q = mp.mpf(0)
     try:
         for k in range(n):
             two_re = 2 * w[k].real
-            alpha.append(two_re * v[k])
+            alpha = two_re * v[k]
             q += two_re * (v[k].real ** 2 + v[k].imag ** 2)
+            wbk = mp.conj(w[k])
             for j in range(k + 1, n):
-                v[j] = (v[j] * (w[j] + wb[k]) - alpha[k]) / (w[j] - w[k])
+                v[j] = (v[j] * (w[j] + wbk) - alpha) / (w[j] - w[k])
     except ZeroDivisionError as exc:
         raise NumericalError(
             f"Schur recursion failed: nodes coincide at {mp.mp.dps} digits"
         ) from exc
-
-    def coefficients() -> np.ndarray:
-        # R[m] is the residue of B_(k-1)(z)/(z + conj w_k) at z = -conj w_m
-        c = [mp.mpc(0)] * n
-        R: list = []
-        for k in range(n):
-            if k:
-                R = [R[m] * (-wb[m] - w[k - 1]) / (wb[k] - wb[m]) for m in range(k)]
-            rkk = mp.mpc(1)
-            for j in range(k):
-                rkk *= (-wb[k] - w[j]) / (wb[j] - wb[k])
-            R.append(rkk)
-            for m in range(k + 1):
-                c[m] += alpha[k] * R[m]
-        return np.array([complex(x) for x in c])
-
-    return mp.mpf(f_norm_sq) - q, coefficients
+    return f.norm_sq - q
 
 
-def _solve_extended(
-    S: MonomialSet, f_moments: Callable[[Exponent], complex], f_norm_sq
-) -> tuple[float, Callable[[], np.ndarray], int]:
-    """Gram solve with an escalating-precision ladder.
+def _solve_extended(S: MonomialSet, f: PiecewiseMonomial) -> tuple[float, int]:
+    """The distance and the dps it was accepted at, from an escalating-precision ladder.
 
-    Each rung re-evaluates the pairing oracle inside its precision context,
-    so an mpmath-aware oracle contributes full-precision values; a plain
-    float oracle caps accuracy at double, which is the best its data
-    supports.  Sets without log powers take the O(n^2) Schur recursion
-    (`_schur_rung`); confluent sets (logpow > 0) rebuild the Gram matrix
-    from the closed form and take an O(n^3) LU solve (`_lu_rung`).
-    Escalation stops when two consecutive rungs agree on the distance; a
-    rung whose d^2 is not positive (clamped) does not count toward that
-    agreement.  The returned callable computes the coefficients at the
-    accepted rung's precision, when it is called.
+    Each rung evaluates f's pairings and its norm inside its own precision
+    context, so d^2 = ||f||^2 - q keeps the digits the rung works with.
+    Sets without log powers take the O(n^2) Schur recursion (`_schur_rung`);
+    confluent sets (logpow > 0) rebuild the Gram matrix from the closed
+    form and take an O(n^3) LU solve (`_lu_rung`).  Escalation stops when
+    two consecutive rungs agree on the distance; a rung whose d^2 is not
+    positive (clamped) does not count toward that agreement.
     """
     rung = _lu_rung if S.confluent else _schur_rung
     prev = None
     for dps in _EXTENDED_DPS_LADDER:
         with mp.workdps(dps):
-            d2, coefficients = rung(S, f_moments, f_norm_sq)
+            d2 = rung(S, f)
             dist = float(mp.sqrt(d2)) if d2 > 0 else None
             if dist is not None and prev is not None and abs(dist - prev) <= 1e-13 * (1.0 + dist):
-
-                def at_rung() -> np.ndarray:
-                    with mp.workdps(dps):
-                        return coefficients()
-
-                return dist, at_rung, dps
+                return dist, dps
         prev = dist
     last = "d^2 <= 0" if prev is None else f"distance {prev}"
     raise NumericalError(
@@ -371,26 +445,17 @@ def _solve_extended(
     )
 
 
-def distance_to_span(
-    f_moments: Callable[[Exponent], complex],
-    f_norm_sq: float,
-    S,
-    *,
-    precision: str = "double",
-) -> DistanceResult:
+def distance_to_span(f: PiecewiseMonomial, S, *, precision: str = "double") -> DistanceResult:
     """Distance from f to the span of a monomial set via Gram normal equations.
 
-    `f_moments` must return <f, m> for each m in S (conjugation on m).  The
-    returned distance is sqrt(max(0, f_norm_sq - quadratic form)).  With
+    The returned distance is sqrt(max(0, ||f||^2 - quadratic form)).  With
     precision="double" the solve runs in float64 and falls back to mpmath
     once the condition estimate passes EXTENDED_THRESHOLD (a warning is
-    issued); precision="extended" forces the mpmath path.  Pairing values
-    may be mpmath numbers, which the extended path uses at full precision.
+    issued); precision="extended" forces the mpmath path, where each rung
+    evaluates f's pairings and norm at its own precision.
     """
     if precision not in ("double", "extended"):
         raise DomainError(f"unknown precision mode {precision!r}")
-    if f_norm_sq < 0:
-        raise DomainError("f_norm_sq must be nonnegative")
     S = as_monomial_set(S)
     gram = gram_build(S)
     cond = gram.condition_estimate
@@ -403,26 +468,29 @@ def distance_to_span(
             stacklevel=2,
         )
     if use_extended:
-        dist, coeffs, dps = _solve_extended(S, f_moments, f_norm_sq)
-        return DistanceResult(dist, coeffs, cond, f"extended(dps={dps})")
-    r = np.array([complex(f_moments(m)) for m in S])
+        dist, dps = _solve_extended(S, f)
+        return DistanceResult(dist, cond, f"extended(dps={dps})")
+    pair = f.pairing_oracle()
+    r = np.array([complex(pair(m)) for m in S])
     # <f - sum c_j m_j, m_i> = 0 gives conj(G) c = r with G[i,j] = <m_i, m_j>
     c = np.conj(np.linalg.solve(gram.matrix, np.conj(r)))
     q = float(np.real(np.vdot(c, r)))  # vdot conjugates its first argument
-    d2 = f_norm_sq - q
+    d2 = f.norm_sq - q
     dist = math.sqrt(d2) if d2 > 0 else 0.0
-    return DistanceResult(dist, lambda: c, cond, "double")
+    return DistanceResult(dist, cond, "double")
 
 
-def monomial_pairing_oracle(t: ExponentLike) -> Callable[[Exponent], complex]:
-    """Pairing oracle for a single monomial f = x^t (ln x)^k.
+def distance(f: PiecewiseMonomial, S, *, precision: str = "double") -> DistanceResult:
+    """dist(f, M(S)) by the exact product when f is c x^t and S has no log powers.
 
-    Precision-aware: under an mpmath working precision above double (as set
-    by the extended solve ladder) it returns full-precision mpc values, so
-    ill-conditioned Gram solves are not capped by double-rounded pairings.
+    Every other f and S go through distance_to_span at `precision`.  The
+    closed form reports condition estimate 1.0 and precision "closed-form".
     """
-    et = as_exponent(t)
-    return lambda m: monomial_inner(et, m)
+    S = as_monomial_set(S)
+    c, t, _, k = f.terms[0]
+    if f.is_single_monomial and k == 0 and not S.confluent:
+        return DistanceResult(abs(c) * monomial_distance_closed_form(t, S), 1.0, "closed-form")
+    return distance_to_span(f, S, precision=precision)
 
 
 def monomial_distance_closed_form(t: ExponentLike, S) -> float:
@@ -502,11 +570,16 @@ def complex_field(value, what: str) -> complex:
 
 
 def real_field(value, what: str) -> float:
-    """A finite real number from a JSON field, on float()'s terms, or a DomainError."""
+    """A finite real number from a JSON field, on float()'s terms, or a DomainError.
+
+    A boolean is no number, although float() reads true as 1.0.
+    """
     try:
         x = float(value)
     except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{what} must be a real number, got {value!r}") from None
+        x = None
+    if x is None or isinstance(value, bool):
+        raise DomainError(f"{what} must be a real number, got {value!r}")
     return _finite(x, what, value)
 
 

@@ -42,7 +42,8 @@ class DiskPoint:
             raise DomainError(f"|z| = {abs(self.z)} is not inside the open disk")
 
 
-def _as_disk(z) -> complex:
+def as_disk(z) -> complex:
+    """z as a complex number in the open unit disk, checked as DiskPoint checks it."""
     return z.z if isinstance(z, DiskPoint) else DiskPoint(z).z
 
 
@@ -89,7 +90,7 @@ class DiskFunction:
             raise DomainError(f"unknown representation kind {self.kind!r}")
 
     def evaluate(self, z) -> complex:
-        zv = _as_disk(z)
+        zv = as_disk(z)
         if self.kind == "kernel":
             return sum(c / (1 - a.conjugate() * zv) for c, a in self.terms)
         if self.kind == "taylor":
@@ -203,7 +204,7 @@ def forward_quadrature(f: SampledFunction, z, *, tol: float = 1e-11) -> QuadResu
     Returns the value together with a conservative error estimate; raises
     when the adaptive scheme cannot meet its tolerance.
     """
-    zv = _as_disk(z)
+    zv = as_disk(z)
     wexp = zv / (1 - zv)
 
     def integrand(x):
@@ -222,7 +223,7 @@ def laplace_bridge(f: SampledFunction, z, *, tol: float = 1e-11) -> QuadResult:
     the integrand decays like e^(-t Re(1/(1-z))) with Re(1/(1-z)) > 1/2,
     which fixes the truncation point for a given tolerance.
     """
-    zv = _as_disk(z)
+    zv = as_disk(z)
     p = 1 / (1 - zv)  # equals the Laplace argument 1/2 (1+z)/(1-z) plus 1/2
     decay = p.real
     T = (math.log(1 / tol) + 8) / decay
@@ -241,7 +242,7 @@ def laplace_bridge(f: SampledFunction, z, *, tol: float = 1e-11) -> QuadResult:
 
 def inverse_kernel(alpha) -> tuple[complex, Exponent]:
     """U* k_alpha = (1/(1-conj(alpha))) x^(conj(alpha)/(1-conj(alpha)))."""
-    av = _as_disk(alpha)
+    av = as_disk(alpha)
     ac = av.conjugate()
     const = 1 / (1 - ac)
     expo = ac / (1 - ac)
@@ -320,7 +321,7 @@ def reflected_inverse_as_stated(alpha, x, *, as_stated_suspect: bool = False):
     """
     from .laguerre import apply_J_monomial
 
-    av = _as_disk(alpha)
+    av = as_disk(alpha)
     c0, e0 = inverse_kernel(DiskPoint(av))
     xv = np.asarray(x, dtype=float)
     if as_stated_suspect:

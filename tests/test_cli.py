@@ -8,8 +8,7 @@ import pytest
 
 import monospan.convergence as cv
 from monospan.cli import dispatch, schema_for
-from monospan.convergence import PiecewiseMonomial
-from monospan.core import MonomialSet
+from monospan.core import MonomialSet, PiecewiseMonomial, distance
 
 X0_SET = '{"exponents":[{"re":0,"im":0,"logpow":0}]}'
 X2_SET = '{"exponents":[{"re":2}]}'
@@ -461,6 +460,11 @@ def test_domain_errors_exit_3(capsys):
         # a manifest lacking a parameter that has a default on the command line
         ["dist", "--from-manifest",
          _manifest("dist", t=[1, 0], f=None, set={"exponents": [{"re": 0}]})],
+        # a real field holding a boolean, and a monomial shorthand with a third part
+        ["sarason", "eval", "--f", '{"kind":"indicator","s":true}', "--z", "0.2"],
+        ["atomic", "proj", "--from-manifest",
+         _manifest("atomic", verb="proj", s=[0.5, 0], tau=[1, 0], w=True)],
+        ["dist", "--f", "monomial:1,2,3", "--set", X0_SET],
     ],
 )
 def test_malformed_json_fields_exit_3(capsys, tmp_path, argv):
@@ -504,12 +508,9 @@ def test_numerical_error_exit_4(capsys):
 
 def test_constant_family_curve_solves_once(capsys, monkeypatch):
     set_json = '{"exponents":[{"re":1},{"re":2.5},{"re":4}]}'
-    point = cv._distance_point(
-        PiecewiseMonomial.indicator(0.5), MonomialSet.from_json(json.loads(set_json)), "double"
-    )
+    point = distance(PiecewiseMonomial.indicator(0.5), MonomialSet.from_json(json.loads(set_json)))
     calls = []
-    solve = cv._distance_point
-    monkeypatch.setattr(cv, "_distance_point", lambda *a: calls.append(a) or solve(*a))
+    monkeypatch.setattr(cv, "distance", lambda *a, **k: calls.append(a) or distance(*a, **k))
     payload = run_json(capsys, ["converge", "--family", "constant", "--set", set_json,
                                 "--f", "chi:0.5", "--nmax", "6"])
     assert len(calls) == 1

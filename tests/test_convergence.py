@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-import monospan.convergence as cv
 from monospan.convergence import (
     ConvergenceReport,
-    PiecewiseMonomial,
     SubspaceSequence,
     constant_family,
     distance_curve,
@@ -19,7 +17,7 @@ from monospan.convergence import (
     muntz_family,
     muntz_limit_experiment,
 )
-from monospan.core import Exponent, MonomialSet
+from monospan.core import Exponent, MonomialSet, PiecewiseMonomial, distance
 from monospan.errors import ConvergenceWarning, DomainError
 
 
@@ -126,7 +124,7 @@ def test_pairing_and_distance_on_confluent_set_against_quadrature():
                                   epsabs=1e-14, epsrel=1e-13, limit=200)[0] for b in S]
                   for a in S])
     expect = math.sqrt(0.7 - r @ np.linalg.solve(G, r))
-    assert cv._distance_point(f, S, "double").distance == pytest.approx(expect, rel=1e-6)
+    assert distance(f, S).distance == pytest.approx(expect, rel=1e-6)
 
 
 def test_log_power_terms_against_quadrature():
@@ -183,7 +181,7 @@ def test_interval_family_distance_closed_form():
     fam = interval_family(0.25)
     f = PiecewiseMonomial.constant()
     for n in (10, 100, 1000, 10000):
-        d = cv._distance_point(f, fam.set_at(n), "double").distance
+        d = distance(f, fam.set_at(n)).distance
         assert abs(d - (n + 1) / (2 * n + 1)) < 1e-12
 
 
@@ -264,7 +262,7 @@ def test_distance_pythagoras_residual():
     f = PiecewiseMonomial.from_spec("chi:0.5")
     exps = [1.0 + 0.0j, 2.0 + 0.0j, 3.0 + 0.0j]
     S = MonomialSet(tuple(Exponent(s.real, s.imag, 0) for s in exps))
-    d = cv._distance_point(f, S, "double").distance
+    d = distance(f, S).distance
 
     G = np.array([[1.0 / (1.0 + si + np.conj(sj)) for sj in exps] for si in exps])
     r = np.array([(1.0 - 0.5 ** (1.0 + np.conj(s))) / (1.0 + np.conj(s)) for s in exps])

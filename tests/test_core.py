@@ -23,10 +23,12 @@ from monospan import (
     gram_build,
     monomial_distance_closed_form,
     monomial_inner,
-    monomial_pairing_oracle,
     muntz_verdict,
     sequence_from_spec,
 )
+
+
+monomial = PiecewiseMonomial.monomial
 
 
 def random_exponents(rng, n, logpow_max=0):
@@ -187,22 +189,20 @@ def test_gram_size_limit():
 
 
 def test_distance_x_to_constants():
-    r = distance_to_span(monomial_pairing_oracle(1), 1 / 3, [0])
+    r = distance_to_span(monomial(1), [0])
     assert abs(r.distance - 1 / (2 * math.sqrt(3))) < 1e-12
     assert r.precision == "double"
-    # best constant approximation to x is 1/2
-    assert abs(r.coefficients[0] - 0.5) < 1e-12
 
 
 def test_distance_x_squared_to_linear_span():
-    r = distance_to_span(monomial_pairing_oracle(2), 1 / 5, [0, 1])
+    r = distance_to_span(monomial(2), [0, 1])
     expect = 1 / (6 * math.sqrt(5))
     assert abs(r.distance - expect) < 1e-12
     assert abs(monomial_distance_closed_form(2, [0, 1]) - expect) < 1e-15
 
 
 def test_distance_member_is_zero():
-    r = distance_to_span(monomial_pairing_oracle(1), 1 / 3, [0, 1, 2])
+    r = distance_to_span(monomial(1), [0, 1, 2])
     assert r.distance < 1e-7
     assert monomial_distance_closed_form(1, [0, 1, 2]) == 0.0
 
@@ -228,9 +228,7 @@ def test_closed_form_matches_gram_solve():
                 exps.append(e)
         t, S = exps[0], exps[1:]
         direct = monomial_distance_closed_form(t, S)
-        r = distance_to_span(
-            monomial_pairing_oracle(t), 1 / (2 * t.re + 1), S, precision="extended"
-        )
+        r = distance_to_span(monomial(t), S, precision="extended")
         assert abs(direct - r.distance) < 1e-8 * (1 + direct)
 
 
@@ -248,31 +246,10 @@ def test_distance_monotone_in_set():
         prev = d
 
 
-def test_pythagoras_invariant():
-    # dist^2 + |projection|^2 = |f|^2
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        t = random_exponents(rng, 1)[0]
-        S = []
-        seen = {(t.re, t.im)}
-        while len(S) < 3:
-            e = random_exponents(rng, 1)[0]
-            if (e.re, e.im) not in seen:
-                seen.add((e.re, e.im))
-                S.append(e)
-        norm_sq = 1 / (2 * t.re + 1)
-        r = distance_to_span(monomial_pairing_oracle(t), norm_sq, S, precision="extended")
-        G = gram_build(S).matrix
-        c = r.coefficients
-        # |sum c_j m_j|^2 = sum_{i,j} conj(c_i) c_j <m_j, m_i>
-        proj_sq = float(np.real(c.conj() @ G.T @ c))
-        assert abs(r.distance**2 + proj_sq - norm_sq) < 1e-9
-
-
 def test_extended_precision_recovers_ill_conditioned_gap():
     S = list(range(31, 61))
     with pytest.warns(IllConditioningWarning):
-        r = distance_to_span(monomial_pairing_oracle(0), 1.0, S)
+        r = distance_to_span(monomial(0), S)
     assert r.precision.startswith("extended")
     assert abs(r.distance - 31 / 61) < 1e-10
 
@@ -297,35 +274,11 @@ def test_schur_recursion_matches_lu_solve():
     rng = np.random.default_rng(7)
     for S in _schur_test_sets(rng):
         f = PiecewiseMonomial.indicator(rng.uniform(0.2, 0.8))
-        r = distance_to_span(f.pairing_oracle(), f.norm_sq, S, precision="extended")
+        r = distance_to_span(f, S, precision="extended")
         dps = int(r.precision[len("extended(dps="):-1])
         with mp.workdps(dps):
-            d2, coefficients = core._lu_rung(S, f.pairing_oracle(), f.norm_sq)
-            d_lu, c_lu = float(mp.sqrt(d2)), coefficients()
+            d_lu = float(mp.sqrt(core._lu_rung(S, f)))
         assert abs(r.distance - d_lu) <= 1e-12 * d_lu + 1e-15
-        assert np.all(np.abs(r.coefficients - c_lu) <= 1e-12 * np.abs(c_lu) + 1e-15)
-
-
-def test_schur_coefficients_computed_on_first_access(monkeypatch):
-    # the expansion runs only when read, and at the accepted rung's precision
-    f = PiecewiseMonomial.indicator(0.5)
-    S = MonomialSet.from_exponents([1 + 0.05 * k for k in range(20)])
-    eager = distance_to_span(f.pairing_oracle(), f.norm_sq, S, precision="extended").coefficients
-    calls = []
-    rung = core._schur_rung
-
-    def counting(*args):
-        d2, coefficients = rung(*args)
-        return d2, lambda: calls.append(mp.mp.dps) or coefficients()
-
-    monkeypatch.setattr(core, "_schur_rung", counting)
-    r = distance_to_span(f.pairing_oracle(), f.norm_sq, S, precision="extended")
-    assert calls == []
-    with mp.workdps(15):
-        c = r.coefficients
-    assert calls == [int(r.precision[len("extended(dps="):-1])]
-    assert np.array_equal(c, eager)
-    assert r.coefficients is c and len(calls) == 1
 
 
 def test_schur_recursion_clustered_set_distance():
@@ -333,8 +286,55 @@ def test_schur_recursion_clustered_set_distance():
     # returned 0.0; dps 80..320 all give this value
     f = PiecewiseMonomial.indicator(0.5)
     S = [1 + 0.05 * k for k in range(60)]
-    r = distance_to_span(f.pairing_oracle(), f.norm_sq, S, precision="extended")
+    r = distance_to_span(f, S, precision="extended")
     assert r.distance == pytest.approx(0.08354365814623856, rel=1e-12)
+
+
+@pytest.mark.parametrize("t, n", [(0.3, 20), (4.225, 64)])
+def test_extended_norm_keeps_closed_form_digits(t, n):
+    # d^2 = ||f||^2 - q cancels to 1e-16 and 1e-102 of ||f||^2; a double
+    # norm gave 1.5716e-08 and 2.17e-10 here
+    S = [1 + 0.05 * k for k in range(n)]
+    r = distance_to_span(monomial(t), S, precision="extended")
+    assert r.distance == pytest.approx(monomial_distance_closed_form(t, S), rel=1e-12, abs=0)
+
+
+def test_extended_distances_match_closed_form_down_to_1e_40():
+    # clusters of up to 32 exponents around t put the distance anywhere in
+    # 1e-4 .. 3e-47; each must keep its relative accuracy
+    rng = np.random.default_rng(3)
+    smallest = math.inf
+    for _ in range(40):
+        n = int(rng.integers(4, 33))
+        c = complex(rng.uniform(0.0, 2.0), rng.uniform(-1.0, 1.0))
+        S = c + rng.uniform(-0.25, 0.25, n) + 1j * rng.uniform(-0.25, 0.25, n)
+        t = c + complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
+        closed = monomial_distance_closed_form(t, S)
+        r = distance_to_span(monomial(t), S, precision="extended")
+        assert r.distance == pytest.approx(closed, rel=1e-12, abs=0)
+        smallest = min(smallest, closed)
+    assert smallest < 1e-40
+
+
+def test_confluent_extended_distance_matches_cholesky_reference():
+    # x^t ln x against x^v and x^v ln x for six v: the Gram system is solved
+    # here by an mpmath Cholesky at 100 digits, with ||x^t ln x||^2 = 2/(1+2t)^3
+    t = 0.869042
+    S = MonomialSet(tuple(Exponent(v, 0.0, k)
+                          for v in (0.0, 0.909235, 1.95931, 3.33205, 4.85293, 5.92633)
+                          for k in (0, 1)))
+    with mp.workdps(100):
+        def inner(a, j, b, k):  # <x^a (ln x)^j, x^b (ln x)^k> for real a, b
+            return (-1) ** (j + k) * mp.factorial(j + k) / (1 + mp.mpf(a) + mp.mpf(b)) ** (j + k + 1)
+
+        G = mp.matrix([[inner(a.re, a.logpow, b.re, b.logpow) for b in S] for a in S])
+        rhs = mp.matrix([inner(t, 1, e.re, e.logpow) for e in S])
+        q = (rhs.T * mp.cholesky_solve(G, rhs))[0]
+        expect = float(mp.sqrt(2 / (1 + 2 * mp.mpf(t)) ** 3 - q))
+    with pytest.warns(IllConditioningWarning):
+        r = distance_to_span(monomial(Exponent(t, 0.0, 1)), S)
+    assert r.distance == pytest.approx(expect, rel=1e-12, abs=0)
+    assert expect == pytest.approx(4.0159501959515e-06, rel=1e-12, abs=0)
 
 
 def test_logpow0_extended_solve_builds_no_matrix(monkeypatch):
@@ -343,24 +343,22 @@ def test_logpow0_extended_solve_builds_no_matrix(monkeypatch):
 
     monkeypatch.setattr(mp, "matrix", forbidden)
     monkeypatch.setattr(mp, "lu_solve", forbidden)
-    r = distance_to_span(monomial_pairing_oracle(0), 1.0, range(31, 61), precision="extended")
+    r = distance_to_span(monomial(0), range(31, 61), precision="extended")
     assert abs(r.distance - 31 / 61) < 1e-10
 
 
 def test_clamped_rungs_do_not_agree(monkeypatch):
     def rung_from(d2_by_dps):
-        return lambda S, f_moments, f_norm_sq: (
-            mp.mpf(d2_by_dps[mp.mp.dps]), lambda: np.zeros(len(S), dtype=complex)
-        )
+        return lambda S, f: mp.mpf(d2_by_dps[mp.mp.dps])
 
     # every rung clamps: no distance is supported, so no 0.0 is returned
     clamped = dict.fromkeys((34, 50, 80, 120, 160), -1e-40)
     monkeypatch.setattr(core, "_schur_rung", rung_from(clamped))
     with pytest.raises(NumericalError):
-        distance_to_span(monomial_pairing_oracle(0), 1.0, [1, 2], precision="extended")
+        distance_to_span(monomial(0), [1, 2], precision="extended")
     # a clamped rung does not pair with the next one; two positive rungs do
     monkeypatch.setattr(core, "_schur_rung", rung_from({34: 0.25, 50: 0.0, 80: 0.25, 120: 0.25}))
-    r = distance_to_span(monomial_pairing_oracle(0), 1.0, [1, 2], precision="extended")
+    r = distance_to_span(monomial(0), [1, 2], precision="extended")
     assert (r.distance, r.precision) == (0.5, "extended(dps=120)")
 
 

@@ -95,19 +95,6 @@ def proj_norm_sq(p: AtomicSpaceParams, s: ExponentLike) -> float:
     return (1 - math.exp(-2 * p.wp * rate)) / (1 + 2 * u)
 
 
-_DEFAULT_PROBES = (0.0, 0.5 + 0.5j, 1.0 - 1.0j)
-
-
-def proj_profile(p: AtomicSpaceParams, probes=_DEFAULT_PROBES) -> tuple[float, ...]:
-    """The projection-norm fingerprint of a space over a few probe exponents.
-
-    Distinct (tau, w) produce distinct profiles; three probes suffice to
-    separate the two parameters in practice, which is the formula-level
-    shadow of the uniqueness theory.
-    """
-    return tuple(proj_norm_sq(p, s) for s in probes)
-
-
 @dataclass(frozen=True)
 class AtomicMeasure:
     """A finitely atomic measure on the circle: distinct atoms with masses."""
@@ -262,8 +249,11 @@ def conjugation_identity_check(c: float, wp: float, z_grid) -> tuple[float, comp
 
 
 def _toeplitz_analytic_apply(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """T_phi g: multiply by phi and keep the first N coefficients."""
-    return np.convolve(phi, g)[: len(g)]
+    """T_phi g: multiply by phi and keep the first len(phi) coefficients.
+
+    g may be shorter than phi; it is then zero beyond its length.
+    """
+    return np.convolve(phi, g)[: len(phi)]
 
 
 def _toeplitz_coanalytic_apply(phi: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -271,9 +261,31 @@ def _toeplitz_coanalytic_apply(phi: np.ndarray, f: np.ndarray) -> np.ndarray:
 
     phi and f have the same length N.  Exact (not merely truncated) whenever
     f is supported on indices < N, because the discarded products all
-    involve coefficients of f beyond N.
+    involve coefficients of f beyond N; the result is then supported there too.
     """
     return np.correlate(f, phi, "full")[len(f) - 1 :]
+
+
+def _check_order(N: int) -> None:
+    if N < 2:
+        raise DomainError("truncation order too small")
+    if N > _MODEL_N_MAX:
+        raise SizeLimitError(f"truncation order {N} exceeds the limit {_MODEL_N_MAX}")
+
+
+def _model_distance(f: LaguerreExpansion, mu: AtomicMeasure, phi: np.ndarray, n: int) -> float:
+    """||T_phi T_phibar f|| over n coefficients; phi holds mu's first n or more Taylor coefficients.
+
+    T_phibar f is supported on the m = min(n, len(f)) indices f is, so both
+    steps read only f's support and cost O(n m), not O(n^2).  An empty
+    measure spans the whole space, so every distance is zero; this is a
+    guarded special case, not a limit of the formula.
+    """
+    if not mu.atoms:
+        return 0.0
+    m = min(n, len(f.coeffs))
+    g = _toeplitz_coanalytic_apply(phi[:m], f.coeffs[:m])
+    return float(np.linalg.norm(_toeplitz_analytic_apply(phi[:n], g)))
 
 
 def model_space_distance(f: LaguerreExpansion, mu: AtomicMeasure, N: int = 4096) -> float:
@@ -286,27 +298,15 @@ def model_space_distance(f: LaguerreExpansion, mu: AtomicMeasure, N: int = 4096)
     disagree by more than 1% relative.  The truncated value
     approaches the distance from below as N grows.
 
-    An empty measure spans the whole space, so every distance is zero;
-    this is a guarded special case, not a limit of the formula.
+    Cost: phi's series is built once, O(N) per atom plus an O(N^2)
+    convolution per further atom, and the N/2 value reads its prefix
+    (the first n coefficients of taylor(N) are those of taylor(n)).  With
+    m = min(N, len(f.coeffs)) the Toeplitz steps cost O(N m).
     """
-    if N < 2:
-        raise DomainError("truncation order too small")
-    if N > _MODEL_N_MAX:
-        raise SizeLimitError(f"truncation order {N} exceeds the limit {_MODEL_N_MAX}")
-    if not mu.atoms:
-        return 0.0
-
-    def at(n: int) -> float:
-        phi = InnerFunction(mu).taylor(n)
-        fc = np.zeros(n, dtype=complex)
-        m = min(n, len(f.coeffs))
-        fc[:m] = f.coeffs[:m]
-        g = _toeplitz_coanalytic_apply(phi, fc)
-        h = _toeplitz_analytic_apply(phi, g)
-        return float(np.linalg.norm(h))
-
-    d_full = at(N)
-    d_half = at(N // 2)
+    _check_order(N)
+    phi = InnerFunction(mu).taylor(N)
+    d_full = _model_distance(f, mu, phi, N)
+    d_half = _model_distance(f, mu, phi, N // 2)
     if abs(d_full - d_half) > _SENSITIVITY_TOL * max(d_full, 1e-9):
         warnings.warn(
             f"model-space distance is truncation-sensitive: {d_half:.6g} at N={N // 2} "
@@ -345,6 +345,7 @@ def weakstar_experiment(
         raise DomainError("empty measure sequence")
     if not test_functions:
         raise DomainError("no test functions supplied")
+    _check_order(N)
     m_limit = mu_limit.moments(_MOMENT_ORDER)
     devs = np.array(
         [float(np.max(np.abs(mu.moments(_MOMENT_ORDER) - m_limit))) for mu in mu_seq]
@@ -357,16 +358,10 @@ def weakstar_experiment(
             stacklevel=2,
         )
     phi_limit = InnerFunction(mu_limit).taylor(N)
-    gaps = np.array(
-        [float(np.linalg.norm(InnerFunction(mu).taylor(N) - phi_limit)) for mu in mu_seq]
+    phis = [InnerFunction(mu).taylor(N) for mu in mu_seq]
+    gaps = np.array([float(np.linalg.norm(phi - phi_limit)) for phi in phis])
+    dist = np.array(
+        [[_model_distance(f, mu, phi, N) for mu, phi in zip(mu_seq, phis)] for f in test_functions]
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        dist = np.array(
-            [
-                [model_space_distance(f, mu, N) for mu in mu_seq]
-                for f in test_functions
-            ]
-        )
-        lim = np.array([model_space_distance(f, mu_limit, N) for f in test_functions])
+    lim = np.array([_model_distance(f, mu_limit, phi_limit, N) for f in test_functions])
     return WeakStarReport(dist, lim, gaps, devs)

@@ -317,9 +317,13 @@ class PiecewiseMonomial:
         for item in list_field(spec["terms"], "function terms"):
             if not isinstance(item, dict):
                 raise DomainError(f"function term must be an object, got {item!r}")
+            unknown = sorted(set(item) - {"coeff", "t", "a", "logpow"})
+            if unknown:
+                raise DomainError(f"function term takes coeff, t, a and logpow, got {unknown[0]!r}")
             c = complex_field(item.get("coeff", 1.0), "term coeff")
             t = complex_field(item.get("t", 0.0), "term exponent t")
-            terms.append((c, as_exponent(t), real_field(item.get("a", 0.0), "term cutoff a")))
+            a = real_field(item.get("a", 0.0), "term cutoff a")
+            terms.append((c, as_exponent(t), a, int_field(item.get("logpow", 0), "term logpow")))
         return cls(tuple(terms))
 
     @property

@@ -98,7 +98,8 @@ def test_profiles_separate_parameters():
         at.AtomicSpaceParams(-1.0, 0.5),
         at.AtomicSpaceParams(1j, 0.5),
     ]
-    profs = [np.array(at.proj_profile(p)) for p in params]
+    probes = (0.0, 0.5 + 0.5j, 1.0 - 1.0j)
+    profs = [np.array([at.proj_norm_sq(p, s) for s in probes]) for p in params]
     for i in range(len(profs)):
         for j in range(i + 1, len(profs)):
             assert np.max(np.abs(profs[i] - profs[j])) > 1e-3
@@ -274,6 +275,67 @@ def test_model_space_distance_limits():
         at.model_space_distance(f, mu, 1)
     with pytest.raises(SizeLimitError):
         at.model_space_distance(f, mu, 8193)
+
+
+def _zero_padded_distance(f, mu, n):
+    """||T_phi T_phibar f|| with f zero-padded to n and both steps at full length, O(n^2)."""
+    phi = at.InnerFunction(mu).taylor(n)
+    fc = np.zeros(n, dtype=complex)
+    m = min(n, len(f.coeffs))
+    fc[:m] = f.coeffs[:m]
+    g = at._toeplitz_coanalytic_apply(phi, fc)
+    return float(np.linalg.norm(at._toeplitz_analytic_apply(phi, g)))
+
+
+def _seeded_measures():
+    rng = np.random.default_rng(2024)
+    yield at.AtomicMeasure.single(1.0, 0.8)
+    for count in (1, 2, 3):
+        taus = np.exp(1j * (rng.uniform(0, 2 * np.pi) + 2 * np.pi * np.arange(count) / count))
+        yield at.AtomicMeasure(tuple((complex(t), rng.uniform(0.1, 2.0)) for t in taus))
+
+
+@pytest.mark.parametrize("N", [2, 3, 7, 256, 2048])
+def test_model_space_distance_matches_zero_padded_route(N):
+    """Reading only f's support and phi's prefix changes no value beyond rounding.
+
+    f is shorter than N/2, between N/2 and N, and longer than N.
+    """
+    rng = np.random.default_rng(N)
+    lengths = sorted({max(1, N // 2 - 1), max(1, (3 * N) // 4), N + 5})
+    for mu in _seeded_measures():
+        for m in lengths:
+            f = LaguerreExpansion(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                got = at.model_space_distance(f, mu, N)
+            full, half = _zero_padded_distance(f, mu, N), _zero_padded_distance(f, mu, N // 2)
+            assert abs(got - full) <= 1e-15 * full
+            warned = any(isinstance(w.message, TruncationWarning) for w in rec)
+            assert warned == (abs(full - half) > 0.01 * max(full, 1e-9))
+
+
+@pytest.mark.parametrize("N", [2, 7, 256, 8192])
+def test_taylor_prefix_is_the_shorter_series(N):
+    for mu in _seeded_measures():
+        F = at.InnerFunction(mu)
+        assert np.array_equal(F.taylor(N)[: N // 2], F.taylor(N // 2))
+
+
+def test_weakstar_distances_equal_model_space_distance():
+    """One series per measure gives model_space_distance's bits, the empty measure included."""
+    mus = [at.AtomicMeasure(())] + [at.AtomicMeasure.single(cmath.exp(1j / n), 0.5) for n in (2, 4)]
+    mus += _seeded_measures()
+    lim = at.AtomicMeasure.single(1.0, 0.5)
+    fs = [expand_monomial(0.3 + 0.2j), expand_monomial(-0.45)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = at.weakstar_experiment(mus, lim, fs, N=512)
+        assert np.array_equal(
+            rep.distances, [[at.model_space_distance(f, mu, 512) for mu in mus] for f in fs]
+        )
+        lims = [at.model_space_distance(f, lim, 512) for f in fs]
+        assert np.array_equal(rep.limit_distances, lims)
 
 
 @pytest.mark.parametrize("N", [1, 2, 7, 300])

@@ -465,6 +465,9 @@ def test_domain_errors_exit_3(capsys):
         ["atomic", "proj", "--from-manifest",
          _manifest("atomic", verb="proj", s=[0.5, 0], tau=[1, 0], w=True)],
         ["dist", "--f", "monomial:1,2,3", "--set", X0_SET],
+        # a function term key that is not coeff, t, a or logpow, and a logpow that is no integer
+        ["dist", "--f", '{"terms":[{"t":1,"bogus":7}]}', "--set", X0_SET],
+        ["dist", "--f", '{"terms":[{"t":1,"logpow":1.5}]}', "--set", X0_SET],
     ],
 )
 def test_malformed_json_fields_exit_3(capsys, tmp_path, argv):
@@ -475,6 +478,15 @@ def test_malformed_json_fields_exit_3(capsys, tmp_path, argv):
     code, _, err = run(capsys, argv)
     assert code == 3
     assert err.startswith("mono: domain error:")
+
+
+def test_json_term_logpow_matches_t_flag(capsys):
+    """A JSON term's logpow builds the target --t/--logpow builds."""
+    by_json = run_json(capsys, ["dist", "--f", '{"terms":[{"t":1,"logpow":2}]}', "--set", X0_SET])
+    by_flag = run_json(capsys, ["dist", "--t", "1", "--logpow", "2", "--set", X0_SET])
+    assert by_json == by_flag
+    # ||x (ln x)^2||^2 = 4!/3^5 and <x (ln x)^2, 1> = 2/2^3
+    assert by_json["distance"] == pytest.approx(math.sqrt(24 / 243 - 1 / 16), rel=1e-14)
 
 
 def test_op_apply_X_at_index_2000_matches_closed_form(capsys):

@@ -157,12 +157,17 @@ def singular_inner_taylor(tau: complex, w: float, N: int) -> np.ndarray:
         raise DomainError("singular inner mass must be nonnegative")
     if N < 1:
         raise DomainError("need at least one coefficient")
-    b = np.zeros(N)
-    b[0] = math.exp(-w)
+    # the recurrence runs on Python floats (the same IEEE operations as on float64
+    # entries, without indexing an array per step); the array is built once
+    prev = math.exp(-w)
+    vals = [prev]
     if N > 1:
-        b[1] = -2 * w * b[0]
-    for n in range(1, N - 1):
-        b[n + 1] = ((2 * n - 2 * w) * b[n] - (n - 1) * b[n - 1]) / (n + 1)
+        cur = -2 * w * prev
+        vals.append(cur)
+        for n in range(1, N - 1):
+            prev, cur = cur, ((2 * n - 2 * w) * cur - (n - 1) * prev) / (n + 1)
+            vals.append(cur)
+    b = np.array(vals, dtype=float)
     if abs(tau - 1) < 1e-15:
         return b.astype(complex)
     return b * tau ** (-np.arange(N))
@@ -273,16 +278,14 @@ def _check_order(N: int) -> None:
         raise SizeLimitError(f"truncation order {N} exceeds the limit {_MODEL_N_MAX}")
 
 
-def _model_distance(f: LaguerreExpansion, mu: AtomicMeasure, phi: np.ndarray, n: int) -> float:
-    """||T_phi T_phibar f|| over n coefficients; phi holds mu's first n or more Taylor coefficients.
+def _model_distance(f: LaguerreExpansion, phi: np.ndarray, n: int) -> float:
+    """||T_phi T_phibar f|| over n coefficients; phi holds the first n or more Taylor coefficients.
 
     T_phibar f is supported on the m = min(n, len(f)) indices f is, so both
     steps read only f's support and cost O(n m), not O(n^2).  An empty
-    measure spans the whole space, so every distance is zero; this is a
-    guarded special case, not a limit of the formula.
+    measure has phi = 1, whose model space is {0}: the formula then gives ||f||
+    over n coefficients, with no special case.
     """
-    if not mu.atoms:
-        return 0.0
     m = min(n, len(f.coeffs))
     g = _toeplitz_coanalytic_apply(phi[:m], f.coeffs[:m])
     return float(np.linalg.norm(_toeplitz_analytic_apply(phi[:n], g)))
@@ -296,7 +299,8 @@ def model_space_distance(f: LaguerreExpansion, mu: AtomicMeasure, N: int = 4096)
     Both factors are compressions to N coefficients; the same quantity is
     recomputed at N/2 and a TruncationWarning is issued when the two
     disagree by more than 1% relative.  The truncated value
-    approaches the distance from below as N grows.
+    approaches the distance from below as N grows.  A measure without atoms
+    has phi = 1 and the model space {0}, so the distance is ||f||.
 
     Cost: phi's series is built once, O(N) per atom plus an O(N^2)
     convolution per further atom, and the N/2 value reads its prefix
@@ -305,8 +309,8 @@ def model_space_distance(f: LaguerreExpansion, mu: AtomicMeasure, N: int = 4096)
     """
     _check_order(N)
     phi = InnerFunction(mu).taylor(N)
-    d_full = _model_distance(f, mu, phi, N)
-    d_half = _model_distance(f, mu, phi, N // 2)
+    d_full = _model_distance(f, phi, N)
+    d_half = _model_distance(f, phi, N // 2)
     if abs(d_full - d_half) > _SENSITIVITY_TOL * max(d_full, 1e-9):
         warnings.warn(
             f"model-space distance is truncation-sensitive: {d_half:.6g} at N={N // 2} "
@@ -361,7 +365,7 @@ def weakstar_experiment(
     phis = [InnerFunction(mu).taylor(N) for mu in mu_seq]
     gaps = np.array([float(np.linalg.norm(phi - phi_limit)) for phi in phis])
     dist = np.array(
-        [[_model_distance(f, mu, phi, N) for mu, phi in zip(mu_seq, phis)] for f in test_functions]
+        [[_model_distance(f, phi, N) for phi in phis] for f in test_functions]
     )
-    lim = np.array([_model_distance(f, mu_limit, phi_limit, N) for f in test_functions])
+    lim = np.array([_model_distance(f, phi_limit, N) for f in test_functions])
     return WeakStarReport(dist, lim, gaps, devs)

@@ -87,22 +87,6 @@ def _load_json(text: str, what: str):
         raise UsageError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def _sanitize(obj):
-    """JSON-safe copy: numpy scalars unwrapped, non-finite floats to null."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return f if math.isfinite(f) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def schema_for(name: str) -> dict:
     """The published JSON schema for a subcommand's output (or 'manifest')."""
     if name != "manifest" and name not in _TABLE:
@@ -207,7 +191,7 @@ def _normalize_seq(seq):
         return [complex_field(v, "sequence entry") for v in seq]
     if isinstance(seq, dict):
         return seq
-    raise UsageError("sequence must be a JSON array or a generator object")
+    raise DomainError("sequence must be a JSON array or a generator object")
 
 
 def _run_dist(v: dict, precision: str, seed) -> tuple[dict, int]:
@@ -233,7 +217,7 @@ def _run_muntz(v: dict, precision: str, seed) -> tuple[dict, int]:
 
 def _sarason_eval(spec: dict, z: complex) -> tuple[complex, float | None, str]:
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise UsageError("function spec must be an object with a 'kind' field")
+        raise DomainError("function spec must be an object with a 'kind' field")
     kind = spec["kind"]
     if kind == "monomial":
         s = complex_field(spec.get("s", 0.0), "monomial exponent")
@@ -262,9 +246,9 @@ def _sarason_eval(spec: dict, z: complex) -> tuple[complex, float | None, str]:
         xs = np.array([real_field(v, "table x") for v in xs])
         ys = np.array(_complex_list(required_field(spec, "y", "table spec"), "table value"))
         if len(xs) != len(ys) or len(xs) < 2:
-            raise UsageError("table spec needs matching x and y arrays with >= 2 entries")
+            raise DomainError("table spec needs matching x and y arrays with >= 2 entries")
         if np.any(np.diff(xs) <= 0) or xs[0] <= 0 or xs[-1] > 1:
-            raise UsageError("table x values must increase strictly inside (0, 1]")
+            raise DomainError("table x values must increase strictly inside (0, 1]")
 
         def ev(x):
             xa = np.asarray(x, dtype=float)
@@ -292,7 +276,7 @@ def _run_laguerre(v: dict, precision: str, seed) -> tuple[dict, int]:
     payload = {
         "s": _pair(v["s"]),
         "n": len(exp.coeffs) - 1,
-        "coefficients": [_pair(c) for c in exp.coeffs],
+        "coefficients": exp.coeffs,
         "tail_norm_sq": float(exp.tail_norm_sq),
         "norm_sq": float(exp.norm_sq),
     }
@@ -301,7 +285,7 @@ def _run_laguerre(v: dict, precision: str, seed) -> tuple[dict, int]:
 
 def _phi_from_spec(spec: dict) -> PhiSpec:
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise UsageError("phi spec must be an object with a 'kind' field")
+        raise DomainError("phi spec must be an object with a 'kind' field")
     kind = spec["kind"]
     if kind == "identity":
         return PhiSpec("poly", (0.0, 1.0))
@@ -338,7 +322,7 @@ def _run_op(v: dict, precision: str, seed) -> tuple[dict, int]:
     op = v["op"]
     spec = v["input"]
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise UsageError("--input must be an object with a 'kind' field")
+        raise DomainError("--input must be an object with a 'kind' field")
     if spec["kind"] == "monomial":
         s = complex_field(spec.get("s", 0.0), "input exponent")
         coeff = complex_field(spec.get("coeff", 1.0), "input coefficient")
@@ -352,12 +336,12 @@ def _run_op(v: dict, precision: str, seed) -> tuple[dict, int]:
     if spec["kind"] == "coefficients":
         vec = np.array(_complex_list(spec.get("values", []), "coefficient"))
         if vec.size == 0:
-            raise UsageError("coefficient input must be nonempty")
+            raise DomainError("coefficient input must be nonempty")
         if op == "J":
             out = apply_J_expansion(LaguerreExpansion(vec)).coeffs
         else:
             out = apply_hat(op, vec)
-        payload = {"kind": "coefficients", "values": [_pair(v) for v in out]}
+        payload = {"kind": "coefficients", "values": out}
         return payload, 0
     raise DomainError(f"unknown input kind {spec['kind']!r}")
 
@@ -502,9 +486,52 @@ _TABLE = {
 # --- rendering and manifests ---------------------------------------------------
 
 
+def _json_text(obj, level: int) -> str:
+    """obj as JSON at depth `level`, laid out as json.dumps(obj, indent=2, sort_keys=True) does.
+
+    Numpy scalars are unwrapped, a non-finite float is written as null, and a
+    one-dimensional complex ndarray as its list of [re, im] pairs.  Dict keys
+    must be strings; anything else raises TypeError, as json.dumps does.  One
+    walk writes the text: the indented json.dumps never takes the C encoder, and
+    would need a sanitized copy of the payload first.
+    """
+    if isinstance(obj, str):
+        return json.encoder.encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        return float.__repr__(f) if math.isfinite(f) else "null"
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "c" and obj.ndim == 1:
+        if obj.size == 0 or not np.isfinite(obj).all():  # the per-entry path writes the nulls
+            return _json_text([[c.real, c.imag] for c in obj.tolist()], level)
+        # every float of the array formatted by one %-operation over a repeated template
+        pair = "[" + inner + "  %r," + inner + "  %r" + inner + "]"
+        flat = np.ascontiguousarray(obj, dtype=complex).view(np.float64).tolist()
+        return "[" + inner + ("," + inner).join([pair] * obj.size) % tuple(flat) + outer + "]"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json_text(v, level + 1) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + outer + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [json.encoder.encode_basestring_ascii(key) + ": " + _json_text(obj[key], level + 1)
+                 for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _render(command: str, fmt: str, payload: dict) -> str:
     if fmt == "json":
-        return json.dumps(_sanitize(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return _json_text(payload, 0) + "\n"
     if command == "converge":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -129,6 +129,28 @@ def test_singular_inner_taylor_rotated_atom():
         assert abs(series - F.evaluate(z)) < 1e-10
 
 
+def _singular_inner_taylor_loop(tau, w, N):
+    """The recurrence on the entries of a float64 array, one index at a time."""
+    b = np.zeros(N)
+    b[0] = math.exp(-w)
+    if N > 1:
+        b[1] = -2 * w * b[0]
+    for n in range(1, N - 1):
+        b[n + 1] = ((2 * n - 2 * w) * b[n] - (n - 1) * b[n - 1]) / (n + 1)
+    if abs(tau - 1) < 1e-15:
+        return b.astype(complex)
+    return b * tau ** (-np.arange(N))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8192])
+def test_singular_inner_taylor_equals_array_loop(N):
+    for tau in (1.0, cmath.exp(0.9j)):
+        for w in (0.0, 0.37, 2.5):
+            got = at.singular_inner_taylor(tau, w, N)
+            want = _singular_inner_taylor_loop(tau, w, N)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (tau, w)
+
+
 def test_singular_inner_taylor_validation():
     with pytest.raises(DomainError):
         at.singular_inner_taylor(0.9, 0.5, 8)
@@ -218,8 +240,12 @@ def test_conjugation_identity_degenerate_c():
 
 
 def test_model_space_distance_empty_measure():
-    f = expand_monomial(0.0, 32)
-    assert at.model_space_distance(f, at.AtomicMeasure(()), 256) == 0.0
+    """phi = 1 has the model space {0}, so the distance is ||f||."""
+    for s in (0.0, 0.3 + 0.4j):
+        f = expand_monomial(s, 64)
+        d = at.model_space_distance(f, at.AtomicMeasure(()), 256)
+        assert d == pytest.approx(float(np.linalg.norm(f.coeffs)), rel=1e-15)
+        assert d == pytest.approx(1 / math.sqrt(2 * s.real + 1), rel=1e-12)  # ||x^s||
 
 
 def test_model_space_distance_against_closed_form():

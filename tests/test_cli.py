@@ -4,8 +4,10 @@ import json
 import math
 
 import jsonschema
+import numpy as np
 import pytest
 
+import monospan.cli as cli
 import monospan.convergence as cv
 from monospan.cli import dispatch, schema_for
 from monospan.core import MonomialSet, PiecewiseMonomial, distance
@@ -336,6 +338,86 @@ def test_manifest_round_trip(tmp_path, capsys, argv, keys):
     assert run(capsys, replay + ["--from-manifest", str(man)]) == (0, out, "")
 
 
+def _sanitize(obj):
+    """JSON-safe copy: numpy scalars unwrapped, non-finite floats to null."""
+    if isinstance(obj, dict):
+        return {k: _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        f = float(obj)
+        return f if math.isfinite(f) else None
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
+
+
+def _pair_lists(obj):
+    """obj with each complex array turned into its list of [re, im] pairs, entry by entry."""
+    if isinstance(obj, np.ndarray):
+        return [cli._pair(z) for z in obj]
+    if isinstance(obj, dict):
+        return {k: _pair_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_pair_lists(v) for v in obj]
+    return obj
+
+
+def _json_oracle(obj):
+    """The indented json.dumps of a sanitized copy: the reference for cli._json_text."""
+    return json.dumps(_sanitize(_pair_lists(obj)), indent=2, sort_keys=True, allow_nan=False)
+
+
+def test_json_text_matches_json_dumps_on_command_payloads(monkeypatch, capsys):
+    assert {argv[0] for argv, _ in ROUND_TRIP.values()} == set(cli._TABLE)
+    payloads = []
+    render = cli._render
+    monkeypatch.setattr(cli, "_render", lambda command, fmt, payload: (
+        payloads.append(payload), render(command, fmt, payload))[1])
+    for argv, _ in ROUND_TRIP.values():
+        assert run(capsys, argv)[0] == 0
+    assert len(payloads) == len(ROUND_TRIP)
+    for payload in payloads:
+        assert cli._json_text(payload, 0) == _json_oracle(payload)
+
+
+_NAN, _INF = float("nan"), float("inf")
+JSON_VALUES = {
+    "floats": [-0.0, 5e-324, 1e16, 1e-5, _NAN, _INF, -_INF, 0.1, 1e22, 2.0**-1074 * 3],
+    "numpy-scalars": [np.float32(0.1), np.int64(-7), np.bool_(True), np.bool_(False),
+                      np.float64(_NAN), None, True, False, 0, 2**70],
+    "non-ascii": "x\u00f1\u20ac\U0001f600",
+    "control": "tab\tnl\nquote\"back\\ \x00\x1f\x7f",
+    "empty-list": [],
+    "empty-dict": {},
+    "tuple": (1, 2.5, "a", ()),
+    "nested": {"b": [[], {}], "a": {"z": (None,), "y": -0.0}},
+    "complex-empty": np.zeros(0, dtype=complex),
+    "complex-one": np.array([1 + 2j]),
+    "complex-nan": np.array([complex(_NAN, 1.0), 3 + 0j]),
+    "complex-inf": np.array([2 + 0j, complex(1.0, -_INF)]),
+    "complex-slice": (np.arange(12) * (0.1 + 0.3j))[::3],
+    "complex-negative-zero": np.array([complex(1.0, -0.0), complex(-0.0, -0.0)]),
+    "complex64": np.array([0.1 + 0.2j], dtype=np.complex64),
+}
+
+
+@pytest.mark.parametrize("value", JSON_VALUES.values(), ids=JSON_VALUES)
+def test_json_text_matches_json_dumps_on_edge_values(value):
+    for obj in (value, {"k": value, "a": [value, {"v": value}]}):
+        assert cli._json_text(obj, 0) == _json_oracle(obj)
+
+
+def test_json_text_rejects_what_json_dumps_rejects():
+    for obj in (1j, np.array([1.0]), object(), {"k": np.complex128(1j)}):
+        with pytest.raises(TypeError):
+            json.dumps(_sanitize(obj))
+        with pytest.raises(TypeError):
+            cli._json_text(obj, 0)
+
+
 def test_usage_errors_exit_2(capsys):
     cases = [
         ["dist", "--set", X0_SET],  # neither --t nor --f
@@ -344,8 +426,6 @@ def test_usage_errors_exit_2(capsys):
         ["muntz", "--seq", '{"kind":"affine","a":1}', "--format", "csv"],  # csv unsupported here
         ["converge", "--f", "chi:0.5", "--nmax", "3"],  # missing --family
         ["nonsense"],
-        ["sarason", "eval", "--f", '{"kind":"table","x":[0.5],"y":[1,2]}', "--z", "0.2"],
-        ["op", "apply", "--op", "H", "--input", '{"kind":"coefficients","values":[]}'],
     ]
     for argv in cases:
         code, _, _ = run(capsys, argv)
@@ -468,6 +548,15 @@ def test_domain_errors_exit_3(capsys):
         # a function term key that is not coeff, t, a or logpow, and a logpow that is no integer
         ["dist", "--f", '{"terms":[{"t":1,"bogus":7}]}', "--set", X0_SET],
         ["dist", "--f", '{"terms":[{"t":1,"logpow":1.5}]}', "--set", X0_SET],
+        # JSON that parses but has the wrong shape: a sequence that is neither array nor
+        # object, a spec without 'kind', a bad table, no coefficients
+        ["muntz", "--seq", "5"],
+        ["sarason", "eval", "--f", "[1]", "--z", "0.2"],
+        ["sarason", "eval", "--f", '{"kind":"table","x":[0.5],"y":[1,2]}', "--z", "0.2"],
+        ["sarason", "eval", "--f", '{"kind":"table","x":[0.5,0.4],"y":[1,2]}', "--z", "0.2"],
+        ["op", "pick", "--phi", '{"coeffs":[1]}', "--M", "2", "--grid", "[0]"],
+        ["op", "apply", "--op", "H", "--input", "[1]"],
+        ["op", "apply", "--op", "H", "--input", '{"kind":"coefficients","values":[]}'],
     ],
 )
 def test_malformed_json_fields_exit_3(capsys, tmp_path, argv):

@@ -20,7 +20,14 @@ import mpmath as mp
 import numpy as np
 from scipy import special
 
-from .atomic import AtomicMeasure, AtomicSpaceParams, conjugation_identity_check, model_space_distance, proj_norm_sq
+from .atomic import (
+    AtomicMeasure,
+    AtomicSpaceParams,
+    conjugation_identity_check,
+    kernel_distance,
+    model_space_distance,
+    proj_norm_sq,
+)
 from .convergence import distance_curve, interval_family, muntz_family
 from .core import (
     AffineSequence,
@@ -208,6 +215,24 @@ def criterion_6() -> CriterionResult:
                 ref = (1 - mp.e ** (-2 * mp.mpf(w) * (1 + 2 * u))) / (1 + 2 * u)
                 rel = abs(impl - ref) / ref
             dev_alg = max(dev_alg, float(rel))
+    # the kernel formula |phi(alpha)| / sqrt(2 Re s + 1), one atom and several
+    dev_kernel = 0.0
+    measures = [AtomicMeasure.single(1.0, w) for w in masses] + [
+        AtomicMeasure(((1.0, 0.5), (1j, 0.25), (-1.0, 0.3))),
+        AtomicMeasure(((cmath.exp(0.7j), 1.0), (cmath.exp(-2.0j), 0.25))),
+    ]
+    for mu in measures:
+        for s in probes:
+            impl = kernel_distance(mu, s)
+            with mp.workdps(50):
+                sm = mp.mpc(s.real, s.imag)
+                alpha = mp.conj(sm) / (mp.conj(sm) + 1)
+                log_phi = mp.mpf(0)
+                for tau, w in mu.atoms:
+                    t = mp.mpc(tau.real, tau.imag)
+                    log_phi -= mp.mpf(w) * mp.re((t + alpha) / (t - alpha))
+                ref = mp.exp(log_phi) / mp.sqrt(2 * mp.re(sm) + 1)
+                dev_kernel = max(dev_kernel, float(abs(impl - ref) / ref))
     dev_model = 0.0
     dev_sens = 0.0
     f = expand_monomial(0.0)
@@ -222,6 +247,7 @@ def criterion_6() -> CriterionResult:
             dev_sens = max(dev_sens, abs(d_full - d_half) / d_full)
     checks = [
         (dev_alg < 1e-14, f"projection-norm formula vs 50-digit reevaluation: rel dev {dev_alg:.3e} (tol 1e-14)"),
+        (dev_kernel < 1e-14, f"kernel-formula distance vs 50-digit reevaluation: rel dev {dev_kernel:.3e} (tol 1e-14)"),
         (dev_model < 0.01, f"model distance^2 vs complement e^(-2w): rel dev {dev_model:.3e} (tol 1e-2)"),
         (dev_sens < 0.01, f"truncation sensitivity N/2 vs N: rel dev {dev_sens:.3e} (tol 1e-2)"),
     ]

@@ -7,13 +7,15 @@ squared norm of the projection of x^s onto the atomic space has an exact
 closed form: with s = u + iv,
 
     tau = 1:   [1 - exp(-2w (1+2u))] / (1+2u)
-    tau != 1:  [1 - exp(-2 wp (1+2u) / ((1+2u)^2 + 4 (delta-v)^2))] / (1+2u)
+    tau != 1:  [1 - exp(-2 wp (1+2u) / ((1+2u)^2 + 4 (c-v)^2))] / (1+2u)
 
 where c is the real number with tau = (2ic + 1)/(2ic - 1), and
 wp = (1 + 4c^2) w.  The first line is the c -> infinity limit of the
-second.  For finitely atomic measures there is no closed form; a
-truncated Toeplitz projection T_phi T_phibar serves as the independent
-numerical route, with its truncation sensitivity always reported.
+second.  For any finitely atomic measure with inner function phi, x^s is
+k_alpha / (s+1) under the transform, k_alpha the Szego kernel at
+alpha = conj(s)/(conj(s)+1), so its squared distance to the atomic space is
+|phi(alpha)|^2 / (1+2u) exactly (kernel_distance).  Truncated Toeplitz
+projections T_phi T_phibar serve Laguerre-coefficient input and the tests.
 """
 
 from __future__ import annotations
@@ -271,7 +273,7 @@ def _toeplitz_coanalytic_apply(phi: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.correlate(f, phi, "full")[len(f) - 1 :]
 
 
-def _check_order(N: int) -> None:
+def check_order(N: int) -> None:
     if N < 2:
         raise DomainError("truncation order too small")
     if N > _MODEL_N_MAX:
@@ -299,7 +301,7 @@ def model_space_distance(f: LaguerreExpansion, mu: AtomicMeasure, N: int = 4096)
     Both factors are compressions to N coefficients; the same quantity is
     recomputed at N/2 and a TruncationWarning is issued when the two
     disagree by more than 1% relative.  The truncated value
-    approaches the distance from below as N grows.  A measure without atoms
+    approaches kernel_distance from below as N grows.  A measure without atoms
     has phi = 1 and the model space {0}, so the distance is ||f||.
 
     Cost: phi's series is built once, O(N) per atom plus an O(N^2)
@@ -307,7 +309,7 @@ def model_space_distance(f: LaguerreExpansion, mu: AtomicMeasure, N: int = 4096)
     (the first n coefficients of taylor(N) are those of taylor(n)).  With
     m = min(N, len(f.coeffs)) the Toeplitz steps cost O(N m).
     """
-    _check_order(N)
+    check_order(N)
     phi = InnerFunction(mu).taylor(N)
     d_full = _model_distance(f, phi, N)
     d_half = _model_distance(f, phi, N // 2)
@@ -319,6 +321,18 @@ def model_space_distance(f: LaguerreExpansion, mu: AtomicMeasure, N: int = 4096)
             stacklevel=2,
         )
     return d_full
+
+
+def kernel_distance(mu: AtomicMeasure, s: ExponentLike) -> float:
+    """Exact distance from x^s to the atomic space of mu: |phi(alpha)| / sqrt(2 Re s + 1).
+
+    The projection of k_alpha onto phi H^2 is conj(phi(alpha)) phi k_alpha.
+    """
+    e = as_exponent(s)
+    if e.logpow != 0:
+        raise DomainError("kernel formula requires logpow = 0")
+    alpha = e.s.conjugate() / (e.s.conjugate() + 1)
+    return InnerFunction(mu).modulus(alpha) / math.sqrt(2 * e.re + 1)
 
 
 @dataclass(frozen=True)
@@ -349,7 +363,7 @@ def weakstar_experiment(
         raise DomainError("empty measure sequence")
     if not test_functions:
         raise DomainError("no test functions supplied")
-    _check_order(N)
+    check_order(N)
     m_limit = mu_limit.moments(_MOMENT_ORDER)
     devs = np.array(
         [float(np.max(np.abs(mu.moments(_MOMENT_ORDER) - m_limit))) for mu in mu_seq]

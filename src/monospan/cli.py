@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .acceptance import DEFAULT_SEED
-from .atomic import AtomicMeasure, AtomicSpaceParams, model_space_distance, proj_norm_sq
+from .atomic import AtomicMeasure, AtomicSpaceParams, check_order, kernel_distance, proj_norm_sq
 from .convergence import (
     constant_family, interval_family, limit_membership_test, muntz_limit_experiment,
 )
@@ -72,7 +72,15 @@ def _parse_complex(text: str, what: str) -> complex:
 
 
 def _complex_list(value, what: str) -> list[complex]:
-    return [complex_field(v, what) for v in list_field(value, f"{what} list")]
+    values = list_field(value, f"{what} list")
+    try:  # finite [re, im] number pairs in one array pass, with complex_field's values
+        arr = np.array(values)
+        if arr.dtype.kind in "fi" and arr.shape == (len(values), 2) and np.isfinite(arr).all():
+            return arr.astype(float).view(complex).ravel().tolist()
+    except ValueError:  # a ragged list
+        pass
+    # anything else goes entry by entry, so a malformed one keeps complex_field's message
+    return [complex_field(v, what) for v in values]
 
 
 def _pair(z) -> list[float]:
@@ -361,7 +369,8 @@ def _run_atomic(v: dict, precision: str, seed) -> tuple[dict, int]:
         }
         return payload, 0
     mu = AtomicMeasure.from_json(v["measure"])
-    d = model_space_distance(expand_monomial(s), mu, v["n"])
+    d = kernel_distance(mu, s)
+    check_order(v["n"])  # --n no longer changes the distance, but keeps its range
     payload = {
         "distance": float(d),
         "N": v["n"],
@@ -466,8 +475,8 @@ _TABLE = {
         _Flag("w", "real", "atom mass for proj", when=("proj",)),
         _Flag("measure", "json", 'measure JSON {"atoms": [{"tau": [re,im], "w": ...}]}',
               when=("dist",)),
-        _Flag("n", "int", "Toeplitz truncation order (default 4096)", default=4096,
-              when=("dist",)),
+        _Flag("n", "int", "echoed as N and checked to lie in 2..8192; the distance is exact "
+              "and does not depend on it (default 4096)", default=4096, when=("dist",)),
     )),
     "converge": _Command(_run_converge, "distance curves along subspace families", (
         _Flag("family", "text", choices=("interval", "muntz", "constant")),

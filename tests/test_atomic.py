@@ -4,6 +4,7 @@ import cmath
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special
@@ -89,6 +90,19 @@ def test_proj_norm_sq_rejects_log_weights():
     p = at.AtomicSpaceParams(1.0, 0.5)
     with pytest.raises(DomainError):
         at.proj_norm_sq(p, Exponent(0.0, 0.0, 1))
+
+
+def test_proj_norm_sq_is_one_atom_complement():
+    """proj_norm_sq is (1 - |phi(alpha)|^2)/(2 Re s + 1), the kernel formula's complement."""
+    rng = np.random.default_rng(11)
+    for k in range(200):
+        tau = 1.0 if k % 3 == 0 else cmath.exp(1j * rng.uniform(0.1, 6.2))
+        w = rng.uniform(0.1, 2.0)
+        s = complex(rng.uniform(-0.3, 3.0), rng.uniform(-2.0, 2.0))
+        alpha = s.conjugate() / (s.conjugate() + 1)
+        phi = at.InnerFunction(at.AtomicMeasure.single(tau, w)).modulus(alpha)
+        complement = (1 - phi**2) / (1 + 2 * s.real)
+        assert at.proj_norm_sq(at.AtomicSpaceParams(tau, w), s) == pytest.approx(complement, rel=1e-14)
 
 
 def test_profiles_separate_parameters():
@@ -260,15 +274,53 @@ def test_model_space_distance_against_closed_form():
     assert abs(d - math.sqrt(exact_sq)) < 0.01 * math.sqrt(exact_sq)
 
 
+def _kernel_distance_mp(mu, s):
+    """|phi(alpha)| / sqrt(2 Re s + 1) at 40 digits, alpha = conj(s)/(conj(s)+1)."""
+    with mp.workdps(40):
+        sm = mp.mpc(s.real, s.imag)
+        alpha = mp.conj(sm) / (mp.conj(sm) + 1)
+        log_phi = mp.mpc(0)
+        for tau, w in mu.atoms:
+            t = mp.mpc(tau.real, tau.imag)
+            log_phi -= mp.mpf(w) * (t + alpha) / (t - alpha)
+        return mp.exp(mp.re(log_phi)) / mp.sqrt(2 * mp.re(sm) + 1)
+
+
+def test_kernel_distance_against_mpmath():
+    rng = np.random.default_rng(7)
+    for k in range(120):
+        atoms = []
+        for j in range(1 + k % 3):
+            tau = 1.0 if j == 0 and k % 2 else cmath.exp(1j * rng.uniform(0.1, 6.2))
+            atoms.append((tau, rng.uniform(0.05, 2.0)))
+        mu = at.AtomicMeasure(tuple(atoms))
+        re = -0.49 if k % 4 == 0 else rng.uniform(-0.45, 3.0)
+        s = complex(re, rng.uniform(-2.0, 2.0))
+        ref = _kernel_distance_mp(mu, s)
+        assert abs(at.kernel_distance(mu, s) - ref) <= 1e-12 * ref, (atoms, s)
+    with pytest.raises(DomainError):
+        at.kernel_distance(mu, Exponent(0.5, 0.0, 1))
+    with pytest.raises(DomainError):
+        at.kernel_distance(mu, -0.6)
+
+
 def test_model_space_distance_monotone_from_below():
-    mu = at.AtomicMeasure.single(1.0, 0.5)
-    f = expand_monomial(0.0, 255)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        vals = [at.model_space_distance(f, mu, N) for N in (256, 512, 1024, 2048)]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-    exact = math.sqrt(1.0 - at.proj_norm_sq(at.AtomicSpaceParams(1.0, 0.5), 0.0))
-    assert all(v < exact for v in vals)
+    """The Toeplitz route rises with N towards the kernel formula's value, never past it."""
+    cases = [
+        (at.AtomicMeasure.single(1.0, 0.5), 0.0),
+        (at.AtomicMeasure.single(cmath.exp(2.1j), 0.8), 0.4 - 0.3j),
+        (at.AtomicMeasure(((1.0, 0.3), (1j, 0.25), (-1.0, 0.4))), 0.5 + 0.2j),
+    ]
+    for mu, s in cases:
+        f = expand_monomial(s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            vals = [at.model_space_distance(f, mu, N) for N in (256, 512, 1024, 2048, 4096)]
+        exact = at.kernel_distance(mu, s)
+        assert all(b > a for a, b in zip(vals, vals[1:]))
+        assert all(v < exact for v in vals)
+        gaps = [exact - v for v in vals]
+        assert gaps[-1] < 0.01 * exact and gaps[-1] < gaps[0] / 3  # the gap falls like N^(-1/2)
 
 
 def test_model_space_distance_is_rotation_invariant_for_constants():

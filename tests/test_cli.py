@@ -147,13 +147,16 @@ def test_atomic_proj(capsys):
 
 
 def test_atomic_dist(capsys):
-    payload = run_json(
-        capsys,
-        ["atomic", "dist", "--measure", '{"atoms":[{"tau":[1,0],"w":0.5}]}', "--s", "0", "--n", "512"],
-    )
-    validate("atomic", payload)
-    assert abs(payload["distance"] - 0.6022) < 5e-4
-    assert payload["total_mass"] == 0.5
+    """The exact distance e^(-w) at every --n, echoed as N, with no truncation note."""
+    for n in ("64", "512"):
+        code, out, err = run(capsys, ["atomic", "dist", "--measure", '{"atoms":[{"tau":[1,0],"w":0.5}]}',
+                                      "--s", "0", "--n", n])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        validate("atomic", payload)
+        assert abs(payload["distance"] - math.exp(-0.5)) < 1e-14
+        assert payload["N"] == int(n)
+        assert payload["total_mass"] == 0.5
 
 
 def test_converge_interval_json(capsys):
@@ -432,6 +435,44 @@ def test_usage_errors_exit_2(capsys):
         assert code == 2, argv
 
 
+def test_negative_complex_flag_needs_equals_form(capsys):
+    """argparse reads '-0.49,3' after a space as an option; joined by '=' it is the value."""
+    payload = run_json(capsys, ["laguerre", "expand", "--s=-0.49,3", "--n", "2"])
+    assert payload["s"] == [-0.49, 3.0]
+    code, _, err = run(capsys, ["laguerre", "expand", "--s", "-0.49,3", "--n", "2"])
+    assert code == 2 and "expected one argument" in err
+
+
+_BULK_PAIRS = ([[0.1 * k, -k] for k in range(1000)], [[1.5, -0.0], [2, 3], [1e308, -1e-320]],
+               [[2, 3], [-4, 2**53 + 1]])
+
+
+@pytest.mark.parametrize("values", [
+    *_BULK_PAIRS,
+    [1, 2.5], [[1, 2], [3]], [[1, 2, 3]], [[[1, 2], [3, 4]]], [], [[1, None]], [{"re": 1}],
+    [["1.5", "2"]], [[1.5, "2"]], [[True, 1.5]], [[True, False]], [True], [[2**63 + 1, 0.25]],
+    [[float("nan"), 1.0]], [[1e999, 0.0]], [[10**400, 0.5]], "[[1, 2]]",
+])
+def test_complex_list_bulk_matches_per_entry(values):
+    """The bulk route gives complex_field's values, and each malformed list its error."""
+    def per_entry(value, what):
+        return [cli.complex_field(v, what) for v in cli.list_field(value, f"{what} list")]
+
+    results = []
+    for parse in (cli._complex_list, per_entry):
+        try:
+            results.append([(z.real, z.imag) for z in parse(values, "coefficient")])
+        except cli.DomainError as exc:
+            results.append(str(exc))
+    assert repr(results[0]) == repr(results[1])  # repr tells -0.0 from 0.0
+
+
+def test_complex_list_takes_the_bulk_route(monkeypatch):
+    expected = [[complex(float(a), float(b)) for a, b in values] for values in _BULK_PAIRS]
+    monkeypatch.setattr(cli, "complex_field", None)  # the per-entry route would raise
+    assert [cli._complex_list(values, "coefficient") for values in _BULK_PAIRS] == expected
+
+
 def test_from_manifest_command_mismatch_exit_2(tmp_path, capsys):
     man = tmp_path / "m.json"
     assert dispatch(["dist", "--t", "1", "--set", X0_SET, "--manifest", str(man), "--out", str(tmp_path / "o.json")]) == 0
@@ -457,6 +498,9 @@ def test_domain_errors_exit_3(capsys):
         ["sarason", "eval", "--f", '{"kind":"monomial","s":[1,0]}', "--z", "1.5,0"],
         ["dist", "--t", "-0.6", "--set", X0_SET],
         ["converge", "--family", "interval", "--rho", "1.5", "--f", "chi:0.5", "--nmax", "3"],
+        # --n no longer changes the distance but keeps its range 2..8192
+        ["atomic", "dist", "--measure", '{"atoms":[{"tau":[1,0],"w":0.5}]}', "--s", "0", "--n", "1"],
+        ["atomic", "dist", "--measure", '{"atoms":[{"tau":[1,0],"w":0.5}]}', "--s", "0", "--n", "9000"],
     ]
     for argv in cases:
         code, _, err = run(capsys, argv)

@@ -181,13 +181,13 @@ def criterion_5() -> CriterionResult:
 
     dense_seq = AffineSequence(1.0, 0.0)
     v_dense = muntz_verdict(dense_seq, "complex")
-    curve = distance_curve(f, muntz_family(dense_seq), 200)
+    curve, _ = distance_curve(f, muntz_family(dense_seq), 200)
     below = np.nonzero(curve < 1e-2)[0]
     first_n = int(below[0]) + 1 if len(below) else -1
 
     sparse_seq = GeometricSequence(1.0, 2.0)
     v_sparse = muntz_verdict(sparse_seq, "complex")
-    curve2 = distance_curve(f, muntz_family(sparse_seq), 40)
+    curve2, _ = distance_curve(f, muntz_family(sparse_seq), 40)
     tail_diffs = float(np.max(np.abs(np.diff(curve2[29:]))))
 
     checks = [

@@ -38,7 +38,7 @@ from .convergence import (
 )
 from .core import (
     Exponent, MonomialSet, PiecewiseMonomial, complex_field, distance, int_field, list_field,
-    muntz_verdict, real_field, required_field,
+    muntz_verdict, real_field, required_field, sequence_from_spec,
 )
 from .errors import DomainError, MonomialError, NumericalError
 from .laguerre import LaguerreExpansion, apply_J_expansion, apply_J_monomial, expand_monomial
@@ -194,14 +194,6 @@ def _read_params(command: str, params: dict) -> dict:
 # --- handlers (typed values -> payload dict, exit code) -------------------------
 
 
-def _normalize_seq(seq):
-    if isinstance(seq, list):
-        return [complex_field(v, "sequence entry") for v in seq]
-    if isinstance(seq, dict):
-        return seq
-    raise DomainError("sequence must be a JSON array or a generator object")
-
-
 def _run_dist(v: dict, precision: str, seed) -> tuple[dict, int]:
     S = MonomialSet.from_json(v["set"])
     t = v["t"]
@@ -219,7 +211,7 @@ def _run_dist(v: dict, precision: str, seed) -> tuple[dict, int]:
 
 
 def _run_muntz(v: dict, precision: str, seed) -> tuple[dict, int]:
-    verdict = muntz_verdict(_normalize_seq(v["seq"]), v["criterion"])
+    verdict = muntz_verdict(v["seq"], v["criterion"])
     return verdict.to_json(), 0
 
 
@@ -385,7 +377,7 @@ def _run_converge(v: dict, precision: str, seed) -> tuple[dict, int]:
     if family == "interval":
         fam = interval_family(v["rho"])
     elif family == "muntz":
-        seq = _normalize_seq(v["seq"])
+        seq = sequence_from_spec(v["seq"])
     else:
         fam = constant_family(MonomialSet.from_json(v["set"]))
     f = PiecewiseMonomial.from_spec(v["f"])

@@ -82,7 +82,7 @@ def interval_family(rho: float) -> SubspaceSequence:
 
 def muntz_family(seq) -> SubspaceSequence:
     """Nested sets S_n = {s_0, ..., s_n} from an exponent sequence spec."""
-    seq = sequence_from_spec(seq) if not isinstance(seq, (list, tuple)) else list(seq)
+    seq = sequence_from_spec(seq)
 
     def gen(n: int) -> MonomialSet:
         values = materialize_sequence(seq, n + 1)
@@ -104,16 +104,14 @@ def distance_curve(
     n_max: int,
     *,
     precision: str = "double",
-    with_conditions: bool = False,
-):
-    """dist(f, M(S_n)) for n = 1..n_max.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(distances, condition estimates) of dist(f, M(S_n)) for n = 1..n_max.
 
     Monomial f uses the closed-form product; anything else goes through
     Gram solves on the exact pairings.  A point whose set equals the
     previous one repeats that point instead of solving again.  A point
-    where the solve fails numerically becomes NaN, leaving a gap instead
-    of aborting the curve.
-    With with_conditions=True, returns (distances, condition_estimates).
+    where the solve fails numerically becomes NaN, with condition
+    estimate inf, leaving a gap instead of aborting the curve.
     """
     f = PiecewiseMonomial.from_spec(f)
     if n_max < 1:
@@ -134,9 +132,7 @@ def distance_curve(
             prev_S = S
         dists[n - 1] = d
         conds[n - 1] = c
-    if with_conditions:
-        return dists, conds
-    return dists
+    return dists, conds
 
 
 @dataclass(frozen=True)
@@ -170,7 +166,7 @@ def limit_membership_test(
     if tol <= 0:
         raise DomainError("tol must be positive")
     fpm = PiecewiseMonomial.from_spec(f)
-    curve, conds = distance_curve(fpm, seq, n_max, precision=precision, with_conditions=True)
+    curve, conds = distance_curve(fpm, seq, n_max, precision=precision)
     finite = curve[np.isfinite(curve)]
     if len(finite) < 3:
         return ConvergenceReport(seq.description, curve, conds, math.nan, "undetermined")
@@ -208,10 +204,10 @@ def muntz_limit_experiment(
     a hard dense/not-in-limit (or not-dense/in-limit) clash is flagged
     with a ConvergenceWarning and agreement=False.
     """
-    family = muntz_family(seq)
     # judge density from the generator itself so symbolic certificates apply
-    seq_obj = sequence_from_spec(seq) if not isinstance(seq, (list, tuple)) else list(seq)
-    density = muntz_verdict(seq_obj, "complex")
+    seq = sequence_from_spec(seq)
+    family = muntz_family(seq)
+    density = muntz_verdict(seq, "complex")
     report = limit_membership_test(f, family, n_max, precision=precision)
     agreement: bool | None = None
     if density.verdict != "undetermined" and report.verdict != "undetermined":

@@ -39,7 +39,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Union
 
 import mpmath as mp
 import numpy as np
@@ -555,7 +555,7 @@ class GeometricSequence:
         return self.base * self.ratio**k
 
 
-SequenceLike = Union[AffineSequence, GeometricSequence, Sequence]
+SequenceLike = Union[AffineSequence, GeometricSequence, np.ndarray]
 
 
 def complex_field(value, what: str) -> complex:
@@ -626,8 +626,8 @@ def required_field(spec, key: str, what: str):
 
 
 def sequence_from_spec(spec) -> SequenceLike:
-    """Build a sequence from JSON: affine, geometric, or explicit."""
-    if isinstance(spec, (AffineSequence, GeometricSequence)):
+    """A sequence from a JSON array or generator spec; a parsed sequence is returned as it is."""
+    if isinstance(spec, (AffineSequence, GeometricSequence, np.ndarray)):
         return spec
     if isinstance(spec, dict):
         kind = spec.get("kind")
@@ -641,11 +641,12 @@ def sequence_from_spec(spec) -> SequenceLike:
                 complex_field(spec.get("base", 1.0), "geometric base"),
                 real_field(required_field(spec, "ratio", "geometric sequence"), "geometric ratio"),
             )
-        if kind == "explicit":
-            values = required_field(spec, "values", "explicit sequence")
-            return [complex_field(v, "sequence entry") for v in list_field(values, "explicit values")]
-        raise DomainError(f"unknown sequence kind {kind!r}")
-    return list(spec)
+        if kind != "explicit":
+            raise DomainError(f"unknown sequence kind {kind!r}")
+        spec = list_field(required_field(spec, "values", "explicit sequence"), "explicit values")
+    elif not isinstance(spec, (list, tuple)):
+        raise DomainError("sequence must be a JSON array or a generator object")
+    return np.array([complex_field(v, "sequence entry") for v in spec], dtype=complex)
 
 
 def materialize_sequence(seq: SequenceLike, count: int) -> list[complex]:
@@ -661,8 +662,7 @@ def materialize_sequence(seq: SequenceLike, count: int) -> list[complex]:
                 break
             out.append(s)
         return out
-    values = [complex(as_exponent(v).s) if isinstance(v, Exponent) else complex(v) for v in seq]
-    return values[:count]
+    return seq[:count].tolist()
 
 
 @dataclass(frozen=True)
@@ -752,7 +752,7 @@ def muntz_verdict(seq: SequenceLike, criterion: str = "complex") -> DensityVerdi
     """
     if criterion not in _CRITERIA:
         raise DomainError(f"unknown criterion {criterion!r}; expected one of {_CRITERIA}")
-    seq = sequence_from_spec(seq) if isinstance(seq, dict) else seq
+    seq = sequence_from_spec(seq)
     symbolic = _symbolic_certificate(seq, criterion)
     # a symbolic certificate decides the verdict from the generator alone;
     # keep the supporting partial sums short so fast growth cannot overflow

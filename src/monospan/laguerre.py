@@ -125,6 +125,8 @@ def default_truncation(s: ExponentLike) -> int:
     rho = abs(es.s / (es.s + 1))
     if rho == 0.0:
         return _N_MIN
+    if rho >= 1.0:  # |s| above about 1e16 rounds the ratio to 1
+        return _N_MAX
     n = math.ceil(-16 * math.log(10) / (2 * math.log(rho)) - 1)
     return min(max(n, _N_MIN), _N_MAX)
 
@@ -147,26 +149,6 @@ def expand_monomial(s: ExponentLike, N: int | None = None) -> LaguerreExpansion:
     coeffs = (1 / (sv + 1)) * rho ** np.arange(N + 1)
     tail = abs(rho) ** (2 * (N + 1)) / (2 * es.re + 1)
     return LaguerreExpansion(coeffs, tail)
-
-
-@dataclass(frozen=True)
-class LogMonomial:
-    """The function coeff * (ln x)^power on (0, 1]."""
-
-    coeff: float
-    power: int
-
-    def evaluate(self, x) -> np.ndarray | float:
-        x_arr = np.asarray(x, dtype=float)
-        out = self.coeff * np.log(x_arr) ** self.power
-        return float(out) if np.isscalar(x) else out
-
-
-def hstar_power(j: int) -> LogMonomial:
-    """The function (H*)^j applied to 1, which is (-1)^j (ln x)^j / j!."""
-    if j < 0:
-        raise DomainError(f"power must be nonnegative, got {j}")
-    return LogMonomial((-1) ** j / math.factorial(j), j)
 
 
 def apply_J_monomial(s: ExponentLike) -> tuple[complex, Exponent]:

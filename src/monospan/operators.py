@@ -2,8 +2,9 @@
 
 H f(x) = (1/x) * integral of f over [0, x] acts diagonally on monomials,
 H x^s = x^s/(s+1); X is multiplication by x; V = XH is the Volterra
-integral.  In Laguerre coordinates (equivalently, Taylor coordinates on
-the disk side) they become
+integral.  monomial_operator gives these monomial actions in closed form.
+In Laguerre coordinates (equivalently, Taylor coordinates on the disk
+side) they become
 
     H-hat = I - S*,   X-hat = S* C*,   V-hat = (I - S*) C*,
 
@@ -28,41 +29,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Exponent, ExponentLike, as_exponent, as_monomial_set
+from .core import Exponent, ExponentLike, as_exponent
 from .errors import (
     DomainError,
     IllConditioningWarning,
     NumericalError,
     RepresentationError,
     SizeLimitError,
-    TruncationWarning,
 )
-from .laguerre import LaguerreExpansion
-from .quadrature import integrate
-from .sarason import SampledFunction
 
 _HAT_N_MAX = 2048
 _ROW_BLOCK = 64  # rows of the C* recurrence generated at once
 _OPS = ("H", "X", "V")
-
-
-# --- monomial actions ---------------------------------------------------------
-
-
-def _monomial_action(op: str, coeff: complex, e: Exponent) -> tuple[complex, Exponent]:
-    if op == "X":
-        return coeff, Exponent(e.re + 1, e.im, e.logpow)
-    if e.logpow != 0:
-        raise RepresentationError(
-            f"{op} maps a log-weighted monomial to a two-term combination, "
-            "which a single monomial cannot represent; use the sampled route"
-        )
-    s = e.s
-    if op == "H":
-        return coeff / (s + 1), e
-    if op == "V":
-        return coeff / (s + 1), Exponent(e.re + 1, e.im, 0)
-    raise DomainError(f"unknown operator {op!r}; expected one of {_OPS}")
 
 
 # --- coefficient-space (hat) matrices -----------------------------------------
@@ -178,74 +156,6 @@ def apply_hat(op: str, coeffs) -> np.ndarray:
         out.real[: t.shape[1]] += v.real[blk] @ t
         out.imag[: t.shape[1]] += v.imag[blk] @ t
     return out
-
-
-def _apply_hat_to_expansion(op: str, e: LaguerreExpansion) -> LaguerreExpansion:
-    if e.tail_norm_sq > 1e-20:
-        warnings.warn(
-            f"applying {op} to a truncated expansion ignores tail mass "
-            f"{e.tail_norm_sq:.3g}",
-            TruncationWarning,
-            stacklevel=3,
-        )
-    return LaguerreExpansion(apply_hat(op, e.coeffs), e.tail_norm_sq)
-
-
-# --- sampled-function actions -------------------------------------------------
-
-
-def _averaging_evaluator(f: SampledFunction, cumulative: bool) -> Callable:
-    def ev(x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty(len(x_arr), dtype=complex)
-        for i, xi in enumerate(x_arr):
-            bp = tuple(b for b in f.breakpoints if b < xi)
-            res = integrate(f.evaluator, 0.0, xi, tol=1e-12, breakpoints=bp)
-            out[i] = res.value if cumulative else res.value / xi
-        return out if np.ndim(x) else out[0]
-
-    return ev
-
-
-def _apply_to_sampled(op: str, f: SampledFunction) -> SampledFunction:
-    if op == "X":
-        ev = lambda x: np.asarray(x, dtype=float) * f.evaluator(x)
-        norm = None  # multiplication changes the norm in a function-specific way
-        return SampledFunction(ev, f.breakpoints, norm)
-    if op == "H":
-        return SampledFunction(_averaging_evaluator(f, cumulative=False), f.breakpoints)
-    if op == "V":
-        return SampledFunction(_averaging_evaluator(f, cumulative=True), f.breakpoints)
-    raise DomainError(f"unknown operator {op!r}; expected one of {_OPS}")
-
-
-def _apply(op: str, f):
-    if isinstance(f, LaguerreExpansion):
-        return _apply_hat_to_expansion(op, f)
-    if isinstance(f, SampledFunction):
-        return _apply_to_sampled(op, f)
-    if isinstance(f, tuple) and len(f) == 2:
-        coeff, e = f
-        return _monomial_action(op, complex(coeff), as_exponent(e))
-    raise RepresentationError(
-        f"cannot apply {op} to {type(f).__name__}; expected a (coefficient, exponent) "
-        "pair, a LaguerreExpansion, or a SampledFunction"
-    )
-
-
-def apply_H(f):
-    """H f = (1/x) integral of f over [0, x], in any of the three representations."""
-    return _apply("H", f)
-
-
-def apply_X(f):
-    """X f = x f(x).  The only one of the three that tolerates log weights."""
-    return _apply("X", f)
-
-
-def apply_V(f):
-    """V f = integral of f over [0, x], the Volterra operator."""
-    return _apply("V", f)
 
 
 # --- unitary monomial operators from half-plane automorphisms ------------------
@@ -428,12 +338,6 @@ def phi_of_H(phi: PhiSpec, s: ExponentLike) -> complex:
     if not abs(w - 1) < 1:
         raise DomainError(f"multiplier argument {w} escaped D(1,1) for s = {e.s}")
     return phi.evaluate(w)
-
-
-def phi_of_H_multiplier(phi: PhiSpec, S) -> np.ndarray:
-    """Diagonal multiplier values of phi(H) over a monomial set."""
-    S = as_monomial_set(S)
-    return np.array([phi_of_H(phi, e) for e in S])
 
 
 def pick_positivity_check(

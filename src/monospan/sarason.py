@@ -8,9 +8,8 @@ f(x) x^(z/(1-z)) over [0,1]; monomials go to reproducing-kernel multiples,
 indicators of [0, s] go to sqrt(s) times a singular inner function with
 atom at 1, and the inverse carries kernels back to monomials.  The module
 provides those closed forms, an adaptive-quadrature route for general
-functions, the equivalent Laplace-transform route over (0, infinity), the
-moment/value dictionary on the interpolation points n/(n+1), and the
-inverse power series from derivatives at 1.
+functions, the moment/value dictionary on the interpolation points
+n/(n+1), and the inverse power series from derivatives at 1.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Exponent, ExponentLike, as_exponent
-from .errors import DomainError, NumericalError, SeriesWarning
+from .errors import DomainError, SeriesWarning
 from .quadrature import QuadResult, integrate
 
 DEFAULT_TAYLOR_N = 512
@@ -213,31 +212,6 @@ def forward_quadrature(f: SampledFunction, z, *, tol: float = 1e-11) -> QuadResu
     res = integrate(integrand, 0.0, 1.0, tol=tol, breakpoints=f.breakpoints)
     c = 1 / (1 - zv)
     return QuadResult(c * res.value, abs(c) * res.error)
-
-
-def laplace_bridge(f: SampledFunction, z, *, tol: float = 1e-11) -> QuadResult:
-    """Uf(z) via the Laplace transform of f~(t) = e^(-t/2) f(e^(-t)).
-
-    Substituting x = e^(-t) turns the transform into
-    (1/(1-z)) * integral over (0, infinity) of e^(-t/(1-z)) f(e^(-t)) dt;
-    the integrand decays like e^(-t Re(1/(1-z))) with Re(1/(1-z)) > 1/2,
-    which fixes the truncation point for a given tolerance.
-    """
-    zv = as_disk(z)
-    p = 1 / (1 - zv)  # equals the Laplace argument 1/2 (1+z)/(1-z) plus 1/2
-    decay = p.real
-    T = (math.log(1 / tol) + 8) / decay
-    c_half = 0.5 * (1 + zv) / (1 - zv)
-
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        ft = np.exp(-t / 2) * f.evaluator(np.exp(-t))
-        return ft * np.exp(-c_half * t)
-
-    bp = tuple(-math.log(b) for b in reversed(f.breakpoints))
-    res = integrate(integrand, 0.0, T, tol=tol, breakpoints=bp)
-    c = 1 / (1 - zv)
-    return QuadResult(c * res.value, abs(c) * res.error + tol)
 
 
 def inverse_kernel(alpha) -> tuple[complex, Exponent]:

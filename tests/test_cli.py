@@ -106,6 +106,15 @@ def test_laguerre_expand(capsys):
     assert abs(payload["norm_sq"] - 1 / 3) < 1e-14
 
 
+def test_laguerre_expand_huge_s_takes_the_clamped_order(capsys):
+    """Once s/(s+1) rounds to 1 the default order is the clamp 4096, not a division by zero."""
+    for flags, s in ((["--s", "1e17"], 1e17), (["--s=0,1e17"], 1e17j)):
+        payload = run_json(capsys, ["laguerre", "expand", *flags])
+        assert payload["n"] == 4096 and len(payload["coefficients"]) == 4097
+        # the whole norm 1/(2 Re s + 1) is left in the tail bound
+        assert payload["tail_norm_sq"] == pytest.approx(1 / (2 * s.real + 1), rel=1e-12)
+
+
 def test_op_apply_monomial(capsys):
     payload = run_json(
         capsys,

@@ -227,7 +227,7 @@ def test_chi_curve_small_n_against_normal_equations():
         return math.sqrt(max(0.0, val))
 
     fam = interval_family(0.25)
-    curve = distance_curve(f, fam, 3)
+    curve, _ = distance_curve(f, fam, 3)
     for n in range(1, 4):
         exps = [complex(k) for k in range(n + 1, 2 * n + 1)]
         assert curve[n - 1] == pytest.approx(direct_distance(exps), abs=1e-12)
@@ -240,7 +240,7 @@ def test_chi_curve_small_n_against_normal_equations():
 
 def test_chi_curve_frozen_values():
     f = PiecewiseMonomial.from_spec("chi:0.5")
-    curve = distance_curve(f, interval_family(0.25), 20)
+    curve, _ = distance_curve(f, interval_family(0.25), 20)
     assert curve[0] == pytest.approx(0.2732, abs=5e-5)
     assert curve[1] == pytest.approx(0.2039, abs=5e-5)
     assert curve[4] == pytest.approx(0.1544, abs=5e-5)
@@ -252,7 +252,7 @@ def test_nested_family_curve_is_nonincreasing():
     # growing a nested monomial set can only shrink distances
     f = PiecewiseMonomial.from_spec("chi:0.5")
     fam = muntz_family({"kind": "affine", "a": 1.0, "b": 1.0})
-    curve = distance_curve(f, fam, 15)
+    curve, _ = distance_curve(f, fam, 15)
     assert np.all(np.diff(curve) <= 1e-12)
 
 
@@ -282,7 +282,7 @@ def test_distance_curve_handles_singular_points():
     # singular Gram matrix; the curve records a gap instead of aborting
     f = PiecewiseMonomial.from_spec("chi:0.5")
     fam = muntz_family([0.0, 1.0, 1e-200, 2.0])
-    curve = distance_curve(f, fam, 3)
+    curve, _ = distance_curve(f, fam, 3)
     assert curve[0] == pytest.approx(0.25, abs=1e-12)
     assert math.isnan(curve[1])
     assert math.isnan(curve[2])
@@ -291,13 +291,13 @@ def test_distance_curve_handles_singular_points():
 def test_distance_curve_with_conditions():
     f = PiecewiseMonomial.constant()
     fam = interval_family(0.25)
-    dists, conds = distance_curve(f, fam, 5, with_conditions=True)
+    dists, conds = distance_curve(f, fam, 5)
     assert len(dists) == 5 and len(conds) == 5
     # single-monomial targets ride the closed-form product, condition 1
     assert all(c == pytest.approx(1.0) for c in conds)
 
     chi = PiecewiseMonomial.from_spec("chi:0.5")
-    _, conds2 = distance_curve(chi, fam, 5, with_conditions=True)
+    _, conds2 = distance_curve(chi, fam, 5)
     assert all(c >= 1.0 for c in conds2)
 
     with pytest.raises(DomainError):

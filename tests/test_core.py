@@ -437,6 +437,17 @@ def test_sequence_specs_from_json():
     g = sequence_from_spec({"kind": "geometric", "base": 1, "ratio": 2})
     assert isinstance(g, GeometricSequence)
     e = sequence_from_spec({"kind": "explicit", "values": [[0, 0], [1, 0]]})
-    assert e == [0j, 1 + 0j]
+    assert e.tolist() == [0j, 1 + 0j]
     with pytest.raises(DomainError):
         sequence_from_spec({"kind": "fibonacci"})
+
+
+def test_sequence_from_spec_reads_arrays_and_rejects_other_values():
+    arr = sequence_from_spec([1, [0, 2], 0.5])
+    assert arr.tolist() == [1 + 0j, 2j, 0.5 + 0j]
+    assert sequence_from_spec(arr) is arr  # a parsed sequence is not parsed again
+    assert sequence_from_spec((1.0,)).tolist() == [1 + 0j]
+    with pytest.raises(DomainError, match="sequence entry"):
+        sequence_from_spec([1.0, "x"])
+    with pytest.raises(DomainError, match="sequence must be a JSON array or a generator object"):
+        sequence_from_spec(5)

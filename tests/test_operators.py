@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from monospan import operators as op
-from monospan import sarason as sr
 from monospan.core import Exponent
 from monospan.errors import (
     DomainError,
@@ -19,47 +18,54 @@ from monospan.errors import (
     SizeLimitError,
     TruncationWarning,
 )
-from monospan.laguerre import LaguerreExpansion, apply_J_monomial, expand_monomial
+from monospan.laguerre import apply_J_monomial, expand_monomial
+from monospan.quadrature import integrate
 
 
 def test_monomial_actions():
+    H, X, V = (op.monomial_operator(name) for name in "HXV")
     rng = np.random.default_rng(2)
     for _ in range(20):
         s = complex(rng.uniform(-0.4, 3.0), rng.uniform(-3.0, 3.0))
-        cH, eH = op.apply_H((1.0, s))
+        cH, eH = H.apply(1.0, s)
         assert abs(cH - 1 / (s + 1)) < 1e-14 and abs(eH.s - s) < 1e-14
-        cX, eX = op.apply_X((1.0, s))
+        cX, eX = X.apply(1.0, s)
         assert cX == 1.0 and abs(eX.s - (s + 1)) < 1e-14
-        cV, eV = op.apply_V((1.0, s))
+        cV, eV = V.apply(1.0, s)
         assert abs(cV - 1 / (s + 1)) < 1e-14 and abs(eV.s - (s + 1)) < 1e-14
+    # H and V against quadrature of u^s over [0, x], divided by x for H
+    for s in (0.0, 0.7, 2.5 - 1.5j):
+        cH, eH = H.apply(1.0, s)
+        cV, eV = V.apply(1.0, s)
+        for x in (0.2, 0.5, 0.8, 1.0):
+            v = integrate(lambda u: np.asarray(u, dtype=complex) ** s, 0.0, x, tol=1e-12).value
+            assert abs(cH * x**eH.s - v / x) < 1e-10
+            assert abs(cV * x**eV.s - v) < 1e-10
 
 
 def test_commutator_closed_forms():
     """[H, X] and [H, V] on monomials match their rational closed forms."""
+    H, X, V = (op.monomial_operator(name) for name in "HXV")
     rng = np.random.default_rng(9)
     for _ in range(20):
         s = complex(rng.uniform(-0.4, 2.0), rng.uniform(-2.0, 2.0))
-        hx = op.apply_H(op.apply_X((1.0, s)))
-        xh = op.apply_X(op.apply_H((1.0, s)))
+        hx = H.apply(*X.apply(1.0, s))
+        xh = X.apply(*H.apply(1.0, s))
         assert abs(hx[1].s - xh[1].s) < 1e-14
         comm = hx[0] - xh[0]
         assert abs(comm - (-1 / ((s + 1) * (s + 2)))) < 1e-13
-        hv = op.apply_H(op.apply_V((1.0, s)))
-        vh = op.apply_V(op.apply_H((1.0, s)))
+        hv = H.apply(*V.apply(1.0, s))
+        vh = V.apply(*H.apply(1.0, s))
         comm2 = hv[0] - vh[0]
         assert abs(comm2 - (-1 / ((s + 1) ** 2 * (s + 2)))) < 1e-13
 
 
 def test_log_weight_handling():
     e = Exponent(0.5, 0.0, 1)
-    c, img = op.apply_X((2.0, e))
-    assert c == 2.0 and img.re == 1.5 and img.logpow == 1
     with pytest.raises(RepresentationError):
-        op.apply_H((1.0, e))
+        op.monomial_operator("H").apply(1.0, e)
     with pytest.raises(RepresentationError):
-        op.apply_V((1.0, e))
-    with pytest.raises(RepresentationError):
-        op.apply_H("not a function")
+        op.monomial_operator("V").apply(1.0, e)
 
 
 def test_hat_matrix_structure():
@@ -167,14 +173,14 @@ def test_hat_matrix_limits():
 def test_route_equivalence_monomial_vs_hat():
     """The coefficient-space matrices reproduce the monomial actions."""
     N = 256
-    for name, fn in (("H", op.apply_H), ("X", op.apply_X), ("V", op.apply_V)):
+    for name in "HXV":
         mat = op.hat_matrix(name, N)
         for s in (0.0 + 0j, 1.0 + 0j, 1j):
             src = expand_monomial(s, N - 1)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", TruncationWarning)
                 out = mat @ src.coeffs
-            c_img, e_img = fn((1.0, s))
+            c_img, e_img = op.monomial_operator(name).apply(1.0, s)
             target = c_img * expand_monomial(e_img, N - 1).coeffs
             assert np.max(np.abs(out[:64] - target[:64])) < 1e-8
 
@@ -242,36 +248,6 @@ def test_apply_hat_limits():
         op.apply_hat("X", np.zeros(2049, dtype=complex))
     with pytest.raises(DomainError):
         op.apply_hat("Q", np.ones(4, dtype=complex))
-
-
-def test_apply_dispatch_on_expansion_warns_about_tail():
-    e = expand_monomial(1.0, 8)  # fat geometric tail left over
-    with pytest.warns(TruncationWarning):
-        out = op.apply_H(e)
-    assert isinstance(out, LaguerreExpansion)
-    assert len(out) == len(e)
-
-
-def test_sampled_routes_match_closed_forms():
-    x = np.linspace(0.05, 1.0, 9)
-    s = 0.7
-    f = sr.monomial_function(s)
-    Hf = op.apply_H(f)
-    assert np.max(np.abs(Hf.evaluator(x) - x**s / (s + 1))) < 1e-10
-    Vf = op.apply_V(f)
-    assert np.max(np.abs(Vf.evaluator(x) - x ** (s + 1) / (s + 1))) < 1e-10
-    Xf = op.apply_X(f)
-    assert np.max(np.abs(Xf.evaluator(x) - x ** (s + 1))) < 1e-14
-
-
-def test_averaging_an_indicator():
-    a = 0.5
-    f = sr.indicator_function(a)
-    Hf = op.apply_H(f)
-    x = np.array([0.2, 0.5, 0.8])
-    expected = np.minimum(x, a) / x
-    assert np.max(np.abs(Hf.evaluator(x) - expected)) < 1e-10
-    assert Hf.breakpoints == (a,)
 
 
 def test_automorphism_determinant_and_maps():
@@ -349,15 +325,6 @@ def test_unitary_kind_validates_normalization():
         op.MonomialOperator(lambda s: s, lambda s: 1.0, "sideways")
 
 
-def test_named_monomial_operators_match_apply():
-    for name, fn in (("H", op.apply_H), ("X", op.apply_X), ("V", op.apply_V)):
-        T = op.monomial_operator(name)
-        for s in (0.0 + 0j, 1.5 + 0.5j):
-            ca, ea = T.apply(1.0, s)
-            cb, eb = fn((1.0, s))
-            assert abs(ca - cb) < 1e-14 and abs(ea.s - eb.s) < 1e-14
-
-
 def test_phi_of_H_identity_and_rational():
     ident = op.PhiSpec("poly", coeffs=(0.0, 1.0))
     s = 0.5 + 1.0j
@@ -374,12 +341,6 @@ def test_phi_table_lookup():
     assert op.phi_of_H(tab, 0.0) == 5.0
     with pytest.raises(DomainError):
         op.phi_of_H(tab, 1.0)
-
-
-def test_phi_of_H_multiplier_shape():
-    ident = op.PhiSpec("poly", coeffs=(0.0, 1.0))
-    vals = op.phi_of_H_multiplier(ident, [0.0, 1.0, 2.0])
-    assert np.max(np.abs(vals - np.array([1.0, 0.5, 1 / 3]))) < 1e-14
 
 
 def test_pick_check_identity_multiplier():

@@ -110,14 +110,6 @@ def test_forward_indicator_matches_quadrature():
             assert abs(closed.evaluate(z) - quad.value) < 1e-8
 
 
-def test_laplace_bridge_agrees_with_direct_route():
-    z = 0.3 + 0.4j
-    for f in (sr.indicator_function(0.5), sr.monomial_function(1.0 + 0.5j)):
-        a = sr.forward_quadrature(f, z)
-        b = sr.laplace_bridge(f, z)
-        assert abs(a.value - b.value) < 1e-10
-
-
 def test_forward_quadrature_log_monomial():
     """The quadrature route covers log weights, which the closed form refuses."""
     with pytest.raises(DomainError, match="forward_quadrature"):

@@ -315,7 +315,7 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     herm_ok = psd_ok = 0
     n_gram = 200
     for _ in range(n_gram):
-        S = MonomialSet.from_exponents(_random_exponents(rng, int(rng.integers(1, 9))))
+        S = MonomialSet(_random_exponents(rng, int(rng.integers(1, 9))))
         G = gram_build(S).matrix
         scale = float(np.max(np.abs(G)))
         if float(np.max(np.abs(G - G.conj().T))) <= 1e-14 * scale:
@@ -330,9 +330,9 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
         base = _random_exponents(rng, int(rng.integers(1, 7)))
         extra = _random_exponents(rng, 1)
         t = complex(_random_exponents(rng, 1)[0])
-        d1 = monomial_distance_closed_form(t, MonomialSet.from_exponents(base))
+        d1 = monomial_distance_closed_form(t, MonomialSet(base))
         d2 = monomial_distance_closed_form(
-            t, MonomialSet.from_exponents(np.concatenate([base, extra]))
+            t, MonomialSet(np.concatenate([base, extra]))
         )
         if d2 <= d1 + 1e-12:
             mono_ok += 1
@@ -342,7 +342,7 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditioningWarning)
         for _ in range(n_equiv):
-            S = MonomialSet.from_exponents(_random_exponents(rng, int(rng.integers(1, 9))))
+            S = MonomialSet(_random_exponents(rng, int(rng.integers(1, 9))))
             t = complex(_random_exponents(rng, 1)[0])
             d_closed = monomial_distance_closed_form(t, S)
             try:

@@ -162,8 +162,6 @@ def _flags_taken(command: str, values: dict):
 
 def _params_from_argv(command: str, args) -> dict:
     """The manifest's parameter object from parsed argv; a missing flag is a usage error."""
-    if command == "dist" and (args.t is None) == (args.f is None):
-        raise UsageError("dist needs exactly one of --t or --f")
     params: dict = {}
     for flag in _flags_taken(command, params):
         value = getattr(args, flag.name)
@@ -195,8 +193,10 @@ def _read_params(command: str, params: dict) -> dict:
 
 
 def _run_dist(v: dict, precision: str, seed) -> tuple[dict, int]:
-    S = MonomialSet.from_json(v["set"])
     t = v["t"]
+    if (t is None) == (v["f"] is None):
+        raise UsageError("dist needs exactly one of --t or --f")
+    S = MonomialSet.from_json(v["set"])
     if t is not None:
         f = PiecewiseMonomial.monomial(Exponent(t.real, t.imag, v["logpow"]))
     else:

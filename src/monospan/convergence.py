@@ -23,13 +23,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .core import (
-    Exponent,
     MonomialSet,
     PiecewiseMonomial,
     as_monomial_set,
@@ -45,18 +43,13 @@ DEFAULT_TOL = 1e-3
 
 @dataclass(frozen=True)
 class SubspaceSequence:
-    """n -> MonomialSet, with a tag describing the family."""
+    """n -> MonomialSet, with a tag; a curve reuses its point while the set object repeats."""
 
     generator: Callable[[int], MonomialSet]
     description: str = ""
 
     def set_at(self, n: int) -> MonomialSet:
         return as_monomial_set(self.generator(n))
-
-
-@lru_cache(maxsize=None)
-def _int_exponent(k: int) -> Exponent:
-    return Exponent(float(k))
 
 
 def interval_family(rho: float) -> SubspaceSequence:
@@ -74,8 +67,7 @@ def interval_family(rho: float) -> SubspaceSequence:
         if n < 1:
             raise DomainError("sequence index starts at 1")
         N = max(1, round(ratio * n))
-        # exponents are frozen, so the integer cache can share them across sets
-        return MonomialSet(tuple(map(_int_exponent, range(n + 1, n + N + 1))))
+        return MonomialSet(np.arange(n + 1, n + N + 1))
 
     return SubspaceSequence(gen, f"interval(rho={rho})")
 
@@ -88,7 +80,7 @@ def muntz_family(seq) -> SubspaceSequence:
         values = materialize_sequence(seq, n + 1)
         if len(values) < n + 1:
             raise DomainError(f"sequence exhausted before index {n}")
-        return MonomialSet.from_exponents(values)
+        return MonomialSet(values)
 
     return SubspaceSequence(gen, "muntz")
 
@@ -108,7 +100,7 @@ def distance_curve(
     """(distances, condition estimates) of dist(f, M(S_n)) for n = 1..n_max.
 
     Monomial f uses the closed-form product; anything else goes through
-    Gram solves on the exact pairings.  A point whose set equals the
+    Gram solves on the exact pairings.  A point whose set object is the
     previous one repeats that point instead of solving again.  A point
     where the solve fails numerically becomes NaN, with condition
     estimate inf, leaving a gap instead of aborting the curve.
@@ -121,7 +113,7 @@ def distance_curve(
     prev_S = None
     for n in range(1, n_max + 1):
         S = seq.set_at(n)
-        if S != prev_S:  # a repeated set (the constant family) reuses its point
+        if S is not prev_S:
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")

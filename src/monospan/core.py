@@ -1,10 +1,11 @@
 """Exponents, monomial inner products, Gram systems, and density verdicts.
 
 Monomials live in L2[0,1]: x^s (ln x)^k with Re s > -1/2 (the half-plane S)
-and log-multiplicity k >= 0.  The inner product <f, g> = integral of f(x)
+and log-multiplicity k >= 0; a MonomialSet holds them as two read-only arrays,
+exponents and log powers.  The inner product <f, g> = integral of f(x)
 conj(g(x)) over [0,1] is conjugate-linear in the second slot; this convention
-is fixed here and used everywhere else in the package.  The closed form
-behind every Gram entry is
+is fixed here and used everywhere else in the package.  The closed form behind
+every Gram entry is
 
     <x^a (ln x)^j, x^b (ln x)^k> = (-1)^(j+k) (j+k)! / (1 + a + conj(b))^(j+k+1),
 
@@ -37,9 +38,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import itemgetter
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 import mpmath as mp
 import numpy as np
@@ -97,78 +96,94 @@ def as_exponent(value: ExponentLike) -> Exponent:
     return Exponent.from_complex(complex(value))
 
 
-@dataclass(frozen=True)
 class MonomialSet:
     """Ordered finite multiset of exponents generating a span M(S).
 
-    Repeated (re, im) pairs must carry logpow values 0..m-1 exactly once
-    each: a log power k > 0 is only admitted together with k-1.  confluent
-    tells whether any entry carries a log power; values holds the exponents
-    s as a complex array, built on first use.
+    values holds the exponents s (complex) and logpows their log powers (int),
+    as read-only arrays of one length; repeated s must carry log powers 0..m-1
+    exactly once each.  confluent tells whether any entry carries a log power.
+    Iteration yields Exponent objects; sets compare by identity.
     """
 
-    entries: tuple[Exponent, ...]
-    confluent: bool = field(init=False, repr=False, compare=False)
+    def __init__(self, values=(), logpows=None) -> None:
+        v = np.array(values, dtype=complex)
+        k = np.zeros(v.shape, dtype=np.int64) if logpows is None else np.array(logpows)
+        if v.ndim != 1 or k.shape != v.shape:
+            raise DomainError(f"values and logpows need one 1-D shape, got {v.shape}, {k.shape}")
+        _check_set(v, k)
+        k = k.astype(np.int64, copy=False)
+        v.flags.writeable = k.flags.writeable = False
+        self.values, self.logpows = v, k
 
-    def __post_init__(self) -> None:
-        keys = [(e.re, e.im, e.logpow) for e in self.entries]
-        if len(set(keys)) != len(keys):
-            seen = set()
-            for e in self.entries:
-                key = (e.re, e.im, e.logpow)
-                if key in seen:
-                    raise DomainError(
-                        f"duplicate exponent entry (s={e.s}, logpow={e.logpow})"
-                    )
-                seen.add(key)
-        object.__setattr__(self, "confluent", any(map(itemgetter(2), keys)))
-        if self.confluent:
-            powers: dict[tuple[float, float], set[int]] = {}
-            for e in self.entries:
-                powers.setdefault((e.re, e.im), set()).add(e.logpow)
-            for (sr, si), ks in powers.items():
-                if ks != set(range(len(ks))):
-                    raise DomainError(
-                        f"log powers for s={sr}+{si}j must be contiguous from 0, got {sorted(ks)}"
-                    )
+    @property
+    def confluent(self) -> bool:
+        return bool(np.count_nonzero(self.logpows))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.values)
 
     def __iter__(self):
-        return iter(self.entries)
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """The exponents s as a read-only complex array, equal to each e.s."""
-        # the parts are set apart, as complex(re, im) does: re + 1j*im would
-        # turn a -0.0 real part into +0.0
-        v = np.empty(len(self.entries), dtype=complex)
-        v.real = [e.re for e in self.entries]
-        v.imag = [e.im for e in self.entries]
-        v.flags.writeable = False
-        return v
+        v = self.values
+        return map(Exponent, v.real.tolist(), v.imag.tolist(), self.logpows.tolist())
 
     @classmethod
     def from_exponents(cls, values: Iterable[ExponentLike]) -> "MonomialSet":
-        return cls(tuple(as_exponent(v) for v in values))
+        es = [as_exponent(v) for v in values]
+        return cls([e.s for e in es], [e.logpow for e in es])
 
     @classmethod
     def from_json(cls, payload: dict) -> "MonomialSet":
         raw = required_field(payload, "exponents", "monomial set JSON")
-        entries = []
+        values, logpows = [], []
         for e in list_field(raw, "monomial set exponents"):
-            if not isinstance(e, dict):
-                raise DomainError(f"monomial set exponent must be an object, got {e!r}")
-            entries.append(Exponent(
-                real_field(e.get("re", 0.0), "exponent re"),
-                real_field(e.get("im", 0.0), "exponent im"),
-                int_field(e.get("logpow", 0), "exponent logpow"),
-            ))
-        return cls(tuple(entries))
+            try:
+                if not isinstance(e, dict):
+                    raise DomainError(f"monomial set exponent must be an object, got {e!r}")
+                s = complex(real_field(e.get("re", 0.0), "exponent re"),
+                            real_field(e.get("im", 0.0), "exponent im"))
+                logpows.append(int_field(e.get("logpow", 0), "exponent logpow"))
+            except DomainError:  # an earlier entry's own error comes first, as read in order
+                _check_entries(np.array(values, dtype=complex), np.array(logpows, dtype=np.int64))
+                raise
+            values.append(s)
+        return cls(values, logpows)
 
     def to_json(self) -> dict:
-        return {"exponents": [e.to_json() for e in self.entries]}
+        return {"exponents": [e.to_json() for e in self]}
+
+
+def _check_entries(v: np.ndarray, k: np.ndarray) -> None:
+    """Raise the Exponent error of the first entry that is no valid exponent on its own."""
+    ok = np.isfinite(v) & (v.real > HALF_PLANE_EDGE)
+    if np.count_nonzero(k):  # log powers are whole numbers >= 0: a cast would read 1.5 as 1
+        ok &= (k >= 0) & (k % 1 == 0)
+    for i in np.flatnonzero(~ok).tolist():
+        Exponent(v.real[i].item(), v.imag[i].item(), k[i].item())
+
+
+def _check_set(v: np.ndarray, k: np.ndarray) -> None:
+    """Raise on a bad entry, a repeated entry, or log powers of one s that do not run 0..m-1."""
+    if np.count_nonzero(k):
+        _check_entries(v, k)
+        order = np.lexsort((k, v.imag, v.real))
+        s, ks = v[order], k[order]
+        # sorted, each s starts at log power 0 and steps by 1; a repeat or a gap breaks the run
+        bad = ks - np.concatenate(([0], (ks[:-1] + 1) * (s[1:] == s[:-1])))
+    else:  # sorted, the smallest real part comes first and a repeated s sits by its twin
+        s = np.sort(v)
+        if np.count_nonzero(np.isfinite(s)) < len(s) or (len(s) and s[0].real <= HALF_PLANE_EDGE):
+            _check_entries(v, k)
+        bad = s[1:] == s[:-1]
+    if not np.count_nonzero(bad):
+        return
+    # the error is the one an entry-by-entry scan in set order meets first
+    powers: dict[complex, set[int]] = {}
+    for z, j in zip(v.tolist(), k.astype(np.int64).tolist()):
+        if j in powers.setdefault(z, set()):
+            raise DomainError(f"duplicate exponent entry (s={z}, logpow={j})")
+        powers[z].add(j)
+    z, js = next((z, sorted(js)) for z, js in powers.items() if max(js) >= len(js))
+    raise DomainError(f"log powers for s={z.real}+{z.imag}j must be contiguous from 0, got {js}")
 
 
 def as_monomial_set(values) -> MonomialSet:
@@ -189,7 +204,6 @@ class GramSystem:
     read as "at least this large".
     """
 
-    set: MonomialSet
     matrix: np.ndarray
     condition_estimate: float
 
@@ -233,20 +247,19 @@ def gram_build(S) -> GramSystem:
     if len(S) > _GRAM_N_MAX:
         raise SizeLimitError(f"monomial set has {len(S)} entries, limit is {_GRAM_N_MAX}")
     n = len(S)
+    # scalar closed forms, bit for bit: the solves downstream amplify a last-bit change
+    s, k = S.values.tolist(), S.logpows.tolist()
     G = np.empty((n, n), dtype=complex)
-    for i, mi in enumerate(S):
-        for j, mj in enumerate(S):
-            if j < i:
-                G[i, j] = np.conj(G[j, i])
-            else:
-                G[i, j] = monomial_inner(mi, mj)
+    for i in range(n):
+        G[i, :i] = G[:i, i].conj()
+        G[i, i:] = [cauchy_moment(s[i], s[j], k[i] + k[j]) for j in range(i, n)]
     try:
         cond = float(np.linalg.cond(G))
     except np.linalg.LinAlgError:
         cond = math.inf
     if not math.isfinite(cond):
         cond = math.inf
-    return GramSystem(set=S, matrix=G, condition_estimate=cond)
+    return GramSystem(matrix=G, condition_estimate=cond)
 
 
 @dataclass(frozen=True)
@@ -330,11 +343,9 @@ class PiecewiseMonomial:
     def is_single_monomial(self) -> bool:
         return len(self.terms) == 1 and self.terms[0][2] == 0.0
 
-    def pairing_oracle(self) -> Callable[[Exponent], complex]:
-        """<f, x^s (ln x)^j> as a function of s, exact in either precision regime."""
-        return lambda s: sum(
-            cauchy_moment(t.s, s.s, k + s.logpow, a, c) for c, t, a, k in self.terms
-        )
+    def pairing(self, s: complex, logpow: int = 0):
+        """<f, x^s (ln x)^logpow>, exact in either precision regime."""
+        return sum(cauchy_moment(t.s, s, k + logpow, a, c) for c, t, a, k in self.terms)
 
     @property
     def norm_sq(self):
@@ -372,15 +383,14 @@ class DistanceResult:
 
 def _lu_rung(S: MonomialSet, f: PiecewiseMonomial):
     """d^2 = ||f||^2 - q for one ladder rung, by an mpmath LU solve of the Gram system, O(n^3)."""
-    n = len(S)
+    s, k = S.values.tolist(), S.logpows.tolist()
+    n = len(s)
     G = mp.matrix(n, n)
-    for i, mi in enumerate(S):
-        for j, mj in enumerate(S):
-            # normal-equation matrix: row i pairs against m_i in the
-            # second slot, i.e. A[i,j] = <m_j, m_i>
-            G[i, j] = monomial_inner(mj, mi)
-    pair = f.pairing_oracle()
-    r = mp.matrix([mp.mpc(pair(m)) for m in S])
+    for i in range(n):
+        for j in range(n):
+            # normal-equation matrix: row i pairs against m_i, i.e. A[i,j] = <m_j, m_i>
+            G[i, j] = cauchy_moment(s[j], s[i], k[j] + k[i])
+    r = mp.matrix([mp.mpc(f.pairing(*e)) for e in zip(s, k)])
     try:
         c = mp.lu_solve(G, r)
     except (ZeroDivisionError, ValueError) as exc:
@@ -403,9 +413,9 @@ def _schur_rung(S: MonomialSet, f: PiecewiseMonomial):
     The nodes are built in mpmath; rounded to double first, nearby nodes
     lose the digits the divisions need.
     """
-    w = [mp.mpc(mp.mpf(e.re) + mp.mpf(1) / 2, -mp.mpf(e.im)) for e in S]
-    pair = f.pairing_oracle()
-    v = [mp.mpc(pair(m)) for m in S]
+    s = S.values.tolist()
+    w = [mp.mpc(mp.mpf(z.real) + mp.mpf(1) / 2, -mp.mpf(z.imag)) for z in s]
+    v = [mp.mpc(f.pairing(z)) for z in s]
     n = len(w)
     q = mp.mpf(0)
     try:
@@ -474,8 +484,7 @@ def distance_to_span(f: PiecewiseMonomial, S, *, precision: str = "double") -> D
     if use_extended:
         dist, dps = _solve_extended(S, f)
         return DistanceResult(dist, cond, f"extended(dps={dps})")
-    pair = f.pairing_oracle()
-    r = np.array([complex(pair(m)) for m in S])
+    r = np.array([complex(f.pairing(*e)) for e in zip(S.values.tolist(), S.logpows.tolist())])
     # <f - sum c_j m_j, m_i> = 0 gives conj(G) c = r with G[i,j] = <m_i, m_j>
     c = np.conj(np.linalg.solve(gram.matrix, np.conj(r)))
     q = float(np.real(np.vdot(c, r)))  # vdot conjugates its first argument
@@ -509,12 +518,10 @@ def monomial_distance_closed_form(t: ExponentLike, S) -> float:
     if et.logpow != 0 or S.confluent:
         raise DomainError("closed-form distance requires logpow = 0 throughout")
     # set validation already guarantees distinct exponents once logpows are 0
-    s_vals = S.values
-    t_val = et.s
-    num = np.abs(t_val - s_vals)
+    num = np.abs(et.s - S.values)
     if np.any(num == 0.0):
         return 0.0
-    factors = num / np.abs(t_val + np.conj(s_vals) + 1.0)
+    factors = num / np.abs(et.s + np.conj(S.values) + 1.0)
     return float(np.prod(factors)) / math.sqrt(2 * et.re + 1)
 
 

@@ -444,6 +444,16 @@ def test_usage_errors_exit_2(capsys):
         assert code == 2, argv
 
 
+@pytest.mark.parametrize("t, f", [(None, None), ([1.0, 0.0], "chi:0.5")])
+def test_dist_needs_one_of_t_and_f_from_argv_and_manifest(capsys, tmp_path, t, f):
+    argv = ["dist", "--set", X0_SET] + ["--t", "1"] * (t is not None) + ["--f", f] * (f is not None)
+    err = "mono: usage error: dist needs exactly one of --t or --f\n"
+    assert run(capsys, argv) == (2, "", err)
+    man = tmp_path / "manifest.json"
+    man.write_text(json.dumps(_manifest("dist", t=t, logpow=0, f=f, set=json.loads(X0_SET))))
+    assert run(capsys, ["dist", "--from-manifest", str(man)]) == (2, "", err)
+
+
 def test_negative_complex_flag_needs_equals_form(capsys):
     """argparse reads '-0.49,3' after a space as an option; joined by '=' it is the value."""
     payload = run_json(capsys, ["laguerre", "expand", "--s=-0.49,3", "--n", "2"])

@@ -92,7 +92,6 @@ def test_norm_and_pairing_against_quadrature():
     nsq, _ = integrate.quad(lambda x: fx(x) ** 2, 0.0, 1.0, points=[0.3])
     assert f.norm_sq == pytest.approx(nsq, abs=1e-10)
 
-    pair = f.pairing_oracle()
     for s in [0.0 + 0.0j, 1.5 + 0.0j, 0.2 + 3.0j]:
         e = Exponent(s.real, s.imag, 0)
         sc = s.conjugate()
@@ -102,23 +101,21 @@ def test_norm_and_pairing_against_quadrature():
         im_val, _ = integrate.quad(
             lambda x: (fx(x) * x ** sc).imag, 0.0, 1.0, points=[0.3]
         )
-        assert pair(e) == pytest.approx(re_val + 1j * im_val, abs=1e-8)
+        assert f.pairing(e.s, e.logpow) == pytest.approx(re_val + 1j * im_val, abs=1e-8)
 
 
 def test_pairing_and_distance_on_confluent_set_against_quadrature():
     # chi_[0.3,1] against x^0.5, x^0.5 ln x, x^0.5 (ln x)^2, x^2: every
     # pairing and Gram entry comes from scipy quad, independent of the moments
     f = PiecewiseMonomial.from_spec("chi:0.3")
-    S = MonomialSet((Exponent(0.5, 0.0, 0), Exponent(0.5, 0.0, 1), Exponent(0.5, 0.0, 2),
-                     Exponent(2.0, 0.0, 0)))
+    S = MonomialSet([0.5, 0.5, 0.5, 2.0], [0, 1, 2, 0])
 
     def m(e):
         return lambda x: x ** e.re * math.log(x) ** e.logpow
 
     r = np.array([integrate.quad(m(e), 0.3, 1.0, epsabs=1e-14, epsrel=1e-13)[0] for e in S])
-    pair = f.pairing_oracle()
     for e, expect in zip(S, r):
-        assert pair(e) == pytest.approx(expect, rel=1e-11, abs=1e-13)
+        assert f.pairing(e.s, e.logpow) == pytest.approx(expect, rel=1e-11, abs=1e-13)
 
     G = np.array([[integrate.quad(lambda x: m(a)(x) * m(b)(x), 0.0, 1.0,
                                   epsabs=1e-14, epsrel=1e-13, limit=200)[0] for b in S]
@@ -137,12 +134,11 @@ def test_log_power_terms_against_quadrature():
     nsq, _ = integrate.quad(lambda x: fx(x) ** 2, 0.0, 1.0, points=[0.3])
     assert f.norm_sq == pytest.approx(nsq, rel=1e-10)
     assert f.evaluate(0.5) == pytest.approx(fx(0.5))
-    pair = f.pairing_oracle()
     for e in (Exponent(0.0), Exponent(1.5, 0.0, 1)):
         expect, _ = integrate.quad(
             lambda x: fx(x) * x ** e.re * math.log(x) ** e.logpow, 0.0, 1.0, points=[0.3]
         )
-        assert pair(e) == pytest.approx(expect, rel=1e-10)
+        assert f.pairing(e.s, e.logpow) == pytest.approx(expect, rel=1e-10)
 
 
 def test_evaluate_matches_terms():
@@ -198,7 +194,7 @@ def test_muntz_family_nesting_and_exhaustion():
 
 
 def test_constant_family():
-    S = MonomialSet((Exponent(1.0, 0.0, 0), Exponent(2.0, 0.0, 0)))
+    S = MonomialSet([1.0, 2.0])
     fam = constant_family(S)
     assert fam.set_at(0) is S
     assert fam.set_at(17) is S
@@ -261,7 +257,7 @@ def test_distance_pythagoras_residual():
     # projection coefficients and integrate the residual directly
     f = PiecewiseMonomial.from_spec("chi:0.5")
     exps = [1.0 + 0.0j, 2.0 + 0.0j, 3.0 + 0.0j]
-    S = MonomialSet(tuple(Exponent(s.real, s.imag, 0) for s in exps))
+    S = MonomialSet(exps)
     d = distance(f, S).distance
 
     G = np.array([[1.0 / (1.0 + si + np.conj(sj)) for sj in exps] for si in exps])
@@ -398,8 +394,8 @@ def test_muntz_experiment_explicit_list():
 
 def test_subspace_sequence_description():
     fam = SubspaceSequence(
-        generator=lambda n: MonomialSet((Exponent(float(n), 0.0, 0),)),
+        generator=lambda n: MonomialSet([float(n)]),
         description="singletons",
     )
     assert fam.description == "singletons"
-    assert fam.set_at(3).entries[0].re == pytest.approx(3.0)
+    assert fam.set_at(3).values[0] == pytest.approx(3.0)

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -70,16 +71,90 @@ def test_monomial_set_rejects_duplicates():
 
 
 def test_monomial_set_log_contiguity():
-    MonomialSet((Exponent(1, 0, 0), Exponent(1, 0, 1), Exponent(1, 0, 2)))
+    MonomialSet([1, 1, 1], [0, 1, 2])
     with pytest.raises(DomainError):
-        MonomialSet((Exponent(1, 0, 0), Exponent(1, 0, 2)))
+        MonomialSet([1, 1], [0, 2])
     with pytest.raises(DomainError):
-        MonomialSet((Exponent(1, 0, 1),))
+        MonomialSet([1], [1])
+
+
+def assert_same_sets(S, T):
+    """Equal log powers and exponents, with the sign of every zero part."""
+    assert np.array_equal(S.logpows, T.logpows)
+    # array_equal treats -0.0 as 0.0, so compare the signs of the parts too
+    assert np.array_equal(S.values, T.values)
+    assert np.array_equal(np.signbit(S.values.real), np.signbit(T.values.real))
+    assert np.array_equal(np.signbit(S.values.imag), np.signbit(T.values.imag))
 
 
 def test_monomial_set_json_round_trip():
-    S = MonomialSet.from_exponents([0, 1j, Exponent(0.5, -2.0, 0)])
-    assert MonomialSet.from_json(S.to_json()) == S
+    S = MonomialSet.from_exponents([0, 1j, Exponent(0.5, -2.0, 0), Exponent(-0.0, 2.0),
+                                    Exponent(2.0, -0.0, 0), Exponent(2.0, -0.0, 1)])
+    T = MonomialSet.from_json(json.loads(json.dumps(S.to_json())))
+    assert_same_sets(S, T)
+    assert list(np.signbit(T.values.real)) == [False, False, False, True, False, False]
+    assert list(np.signbit(T.values.imag)) == [False, False, True, False, True, True]
+    assert T.logpows.tolist() == [0, 0, 0, 0, 0, 1]
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+# (entries as (re, im, logpow), message of the array and Exponent routes, message of from_json)
+_BAD_SETS = [
+    ([(1.0, 0.0, 0), (_NAN, 0.0, 0)], "exponent components must be finite, got nan+0.0j",
+     "exponent re must be finite, got nan"),
+    ([(0.0, _INF, 0)], "exponent components must be finite, got 0.0+infj",
+     "exponent im must be finite, got inf"),
+    ([(1.0, 0.0, 0), (-0.5, 1.0, 0)],
+     "exponent -0.5+1.0j lies outside the half-plane Re s > -1/2", None),
+    ([(-0.7, 0.0, 0)], "exponent -0.7+0.0j lies outside the half-plane Re s > -1/2", None),
+    ([(1.0, 0.0, -1)], "logpow must be a nonnegative integer, got -1", None),
+    ([(1.0, 0.0, 0), (2.0, 0.0, 1.5)], "logpow must be a nonnegative integer, got 1.5",
+     "exponent logpow must be an integer, got 1.5"),
+    ([(1.0, 0.0, 0), (2.0, 0.0, 0), (1.0, 0.0, 0)],
+     "duplicate exponent entry (s=(1+0j), logpow=0)", None),
+    ([(-0.0, 1.0, 0), (0.0, 1.0, 0)], "duplicate exponent entry (s=1j, logpow=0)", None),
+    ([(1.0, 0.0, 0), (1.0, 0.0, 2)],
+     "log powers for s=1.0+0.0j must be contiguous from 0, got [0, 2]", None),
+    ([(5.0, 0.0, 2), (1.0, 0.0, 1)],
+     "log powers for s=5.0+0.0j must be contiguous from 0, got [2]", None),
+    ([(2.0, 0.0, 1), (2.0, 0.0, 0), (-0.0, 3.0, 1), (0.0, 3.0, 2)],
+     "log powers for s=-0.0+3.0j must be contiguous from 0, got [1, 2]", None),
+]
+
+
+@pytest.mark.parametrize("entries, message, json_message", _BAD_SETS)
+def test_monomial_set_validation_is_the_same_on_every_route(entries, message, json_message):
+    values = [complex(re, im) for re, im, _ in entries]
+    logpows = [k for _, _, k in entries]
+    with pytest.raises(DomainError) as exc:
+        MonomialSet(values, logpows)
+    assert str(exc.value) == message
+    with pytest.raises(DomainError) as exc:
+        MonomialSet.from_exponents([Exponent(re, im, k) for re, im, k in entries])
+    assert str(exc.value) == message
+    payload = {"exponents": [{"re": re, "im": im, "logpow": k} for re, im, k in entries]}
+    with pytest.raises(DomainError) as exc:
+        MonomialSet.from_json(payload)
+    assert str(exc.value) == (json_message or message)
+
+
+def test_monomial_set_errors_keep_entry_order():
+    # an entry's own error comes before a later entry's field error and before set errors
+    payload = {"exponents": [{"re": 1.0}, {"re": 1.0}, {"re": -1.0}, {"re": "x"}]}
+    with pytest.raises(DomainError, match=r"^exponent -1\.0\+0\.0j lies outside"):
+        MonomialSet.from_json(payload)
+    with pytest.raises(DomainError, match="^exponent re must be a real number"):
+        MonomialSet.from_json({"exponents": [{"re": 1.0}, {"re": 1.0}, {"re": "x"}]})
+    with pytest.raises(DomainError, match="^duplicate exponent entry"):
+        MonomialSet([1.0, 1.0, 2.0], [0, 0, 0])
+    # whole floats are log powers, as in JSON; 1.5 is not read as 1
+    assert MonomialSet([1.0, 1.0], np.array([0.0, 1.0])).logpows.tolist() == [0, 1]
+    with pytest.raises(DomainError, match=r"^logpow must be a nonnegative integer, got 1\.5$"):
+        MonomialSet([1.0, 1.0], np.array([0.0, 1.5]))
+    with pytest.raises(DomainError, match="^values and logpows need one 1-D shape"):
+        MonomialSet([1.0, 2.0], [0])
 
 
 # --- inner products against direct quadrature --------------------------------
@@ -103,24 +178,30 @@ def quad_inner(a, b):
 
 def test_monomial_set_values_and_confluent_equal_entry_scans():
     zeros = [Exponent(-0.0, 1.0), Exponent(0.5, -0.0), Exponent(-0.0, -2.0), Exponent(1.0, 2.0)]
-    sets = [MonomialSet(()), MonomialSet(tuple(zeros))]
     rng = np.random.default_rng(3)
-    for n in (1, 5, 40):
-        sets.append(MonomialSet.from_exponents(random_exponents(rng, n)))
-    sets.append(MonomialSet((Exponent(0.5), Exponent(0.5, 0.0, 1), Exponent(-0.0, 1.0))))
-    for S in sets:
-        assert S.confluent == any(e.logpow != 0 for e in S)
-        ref = np.fromiter((e.s for e in S), dtype=complex, count=len(S))
-        # array_equal treats -0.0 as 0.0, so compare the signs of the parts too
-        assert np.array_equal(S.values, ref)
-        assert np.array_equal(np.signbit(S.values.real), np.signbit(ref.real))
-        assert np.array_equal(np.signbit(S.values.imag), np.signbit(ref.imag))
-        assert not S.values.flags.writeable
+    entry_lists = [[], zeros, *(random_exponents(rng, n) for n in (1, 5, 40)),
+                   [Exponent(0.5), Exponent(0.5, 0.0, 1), Exponent(-0.0, 1.0)]]
+    sets = [MonomialSet.from_exponents(entries) for entries in entry_lists]
+    for entries, S in zip(entry_lists, sets):
+        assert S.confluent == any(e.logpow != 0 for e in entries)
+        assert len(S) == len(entries) and list(S) == entries
+        values = np.array([e.s for e in entries], dtype=complex)
+        assert_same_sets(S, MonomialSet(values, [e.logpow for e in entries]))
+        assert np.array_equal(np.signbit(S.values.real), np.signbit(values.real))
+        assert np.array_equal(np.signbit(S.values.imag), np.signbit(values.imag))
+        for a in (S.values, S.logpows):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[:1] = 0
     assert list(np.signbit(sets[1].values.real)) == [True, False, True, False]
     assert list(np.signbit(sets[1].values.imag)) == [False, True, True, False]
     assert sets[-1].confluent and not sets[-2].confluent
-    # equality and hashing still see the entries only
-    assert MonomialSet(tuple(zeros)) == sets[1] and hash(MonomialSet(tuple(zeros))) == hash(sets[1])
+    # the constructor copies its input, and sets compare by identity
+    values = np.array([1.0, 2.0])
+    S = MonomialSet(values)
+    values[0] = 5.0
+    assert S.values.tolist() == [1.0, 2.0] and S.values.dtype == complex
+    assert S == S and S != MonomialSet([1.0, 2.0])
 
 
 def test_inner_product_basics():
@@ -176,6 +257,27 @@ def test_gram_hermitian_psd():
         assert np.max(np.abs(G - G.conj().T)) < 1e-14
         w = np.linalg.eigvalsh(G)
         assert w.min() > -1e-12 * max(1.0, w.max())
+
+
+def test_gram_entries_keep_the_scalar_closed_form_bits():
+    # numpy's complex division differs from CPython's in the last bit on about
+    # one pair in four, and the ill-conditioned solves would carry that bit on
+    rng = np.random.default_rng(29)
+    sets = [MonomialSet(rng.uniform(-0.45, 3.0, n) + 1j * rng.uniform(-3.0, 3.0, n))
+            for n in (1, 8, 30, 64)]
+    for _ in range(4):  # confluent: each s carries log powers 0..m-1
+        s = rng.uniform(-0.45, 3.0, 6) + 1j * rng.uniform(-3.0, 3.0, 6)
+        m = rng.integers(1, 5, 6)
+        sets.append(MonomialSet(np.repeat(s, m), [k for mi in m for k in range(mi)]))
+    assert sets[-1].confluent
+    for S in sets:
+        G = gram_build(S).matrix
+        es = list(S)
+        for i, a in enumerate(es):
+            for j, b in enumerate(es):
+                # the upper triangle is the closed form, the lower one its mirror
+                want = monomial_inner(a, b) if j >= i else np.conj(G[j, i])
+                assert G[i, j] == want and np.signbit(G[i, j].imag) == np.signbit(want.imag)
 
 
 def test_gram_size_limit():
@@ -320,9 +422,9 @@ def test_confluent_extended_distance_matches_cholesky_reference():
     # x^t ln x against x^v and x^v ln x for six v: the Gram system is solved
     # here by an mpmath Cholesky at 100 digits, with ||x^t ln x||^2 = 2/(1+2t)^3
     t = 0.869042
-    S = MonomialSet(tuple(Exponent(v, 0.0, k)
-                          for v in (0.0, 0.909235, 1.95931, 3.33205, 4.85293, 5.92633)
-                          for k in (0, 1)))
+    S = MonomialSet.from_exponents([Exponent(v, 0.0, k)
+                                    for v in (0.0, 0.909235, 1.95931, 3.33205, 4.85293, 5.92633)
+                                    for k in (0, 1)])
     with mp.workdps(100):
         def inner(a, j, b, k):  # <x^a (ln x)^j, x^b (ln x)^k> for real a, b
             return (-1) ** (j + k) * mp.factorial(j + k) / (1 + mp.mpf(a) + mp.mpf(b)) ** (j + k + 1)

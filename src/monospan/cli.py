@@ -37,8 +37,8 @@ from .convergence import (
     constant_family, interval_family, limit_membership_test, muntz_limit_experiment,
 )
 from .core import (
-    Exponent, MonomialSet, PiecewiseMonomial, complex_field, distance, int_field, list_field,
-    muntz_verdict, real_field, required_field, sequence_from_spec,
+    Exponent, MonomialSet, PiecewiseMonomial, complex_field, complex_list, distance, int_field,
+    list_field, muntz_verdict, real_field, required_field, sequence_from_spec,
 )
 from .errors import DomainError, MonomialError, NumericalError
 from .laguerre import LaguerreExpansion, apply_J_expansion, apply_J_monomial, expand_monomial
@@ -69,18 +69,6 @@ def _parse_complex(text: str, what: str) -> complex:
     except ValueError:
         pass
     raise UsageError(f"{what} must be 're' or 're,im', got {text!r}")
-
-
-def _complex_list(value, what: str) -> list[complex]:
-    values = list_field(value, f"{what} list")
-    try:  # finite [re, im] number pairs in one array pass, with complex_field's values
-        arr = np.array(values)
-        if arr.dtype.kind in "fi" and arr.shape == (len(values), 2) and np.isfinite(arr).all():
-            return arr.astype(float).view(complex).ravel().tolist()
-    except ValueError:  # a ragged list
-        pass
-    # anything else goes entry by entry, so a malformed one keeps complex_field's message
-    return [complex_field(v, what) for v in values]
 
 
 def _pair(z) -> list[float]:
@@ -244,7 +232,7 @@ def _sarason_eval(spec: dict, z: complex) -> tuple[complex, float | None, str]:
     if kind == "table":
         xs = list_field(required_field(spec, "x", "table spec"), "table x")
         xs = np.array([real_field(v, "table x") for v in xs])
-        ys = np.array(_complex_list(required_field(spec, "y", "table spec"), "table value"))
+        ys = np.array(complex_list(required_field(spec, "y", "table spec"), "table value"))
         if len(xs) != len(ys) or len(xs) < 2:
             raise DomainError("table spec needs matching x and y arrays with >= 2 entries")
         if np.any(np.diff(xs) <= 0) or xs[0] <= 0 or xs[-1] > 1:
@@ -290,12 +278,12 @@ def _phi_from_spec(spec: dict) -> PhiSpec:
     if kind == "identity":
         return PhiSpec("poly", (0.0, 1.0))
     if kind == "poly":
-        return PhiSpec("poly", tuple(_complex_list(spec.get("coeffs", []), "phi coefficient")))
+        return PhiSpec("poly", tuple(complex_list(spec.get("coeffs", []), "phi coefficient")))
     if kind == "rational":
         return PhiSpec(
             "rational",
-            tuple(_complex_list(spec.get("coeffs", []), "phi numerator")),
-            tuple(_complex_list(spec.get("denom", []), "phi denominator")),
+            tuple(complex_list(spec.get("coeffs", []), "phi numerator")),
+            tuple(complex_list(spec.get("denom", []), "phi denominator")),
         )
     if kind == "table":
         entries = []
@@ -309,7 +297,7 @@ def _phi_from_spec(spec: dict) -> PhiSpec:
 def _run_op(v: dict, precision: str, seed) -> tuple[dict, int]:
     if v["verb"] == "pick":
         phi = _phi_from_spec(v["phi"])
-        grid = _complex_list(v["grid"], "grid point")
+        grid = complex_list(v["grid"], "grid point")
         passes, smallest = pick_positivity_check(phi, v["M"], grid)
         payload = {
             "passes": bool(passes),
@@ -334,7 +322,7 @@ def _run_op(v: dict, precision: str, seed) -> tuple[dict, int]:
         payload = {"kind": "monomial", "coeff": _pair(c), "s": _pair(e.s)}
         return payload, 0
     if spec["kind"] == "coefficients":
-        vec = np.array(_complex_list(spec.get("values", []), "coefficient"))
+        vec = np.array(complex_list(spec.get("values", []), "coefficient"))
         if vec.size == 0:
             raise DomainError("coefficient input must be nonempty")
         if op == "J":

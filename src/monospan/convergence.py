@@ -20,6 +20,7 @@ explicit thresholds and an undetermined fallback.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -32,9 +33,9 @@ from .core import (
     PiecewiseMonomial,
     as_monomial_set,
     distance,
-    materialize_sequence,
     muntz_verdict,
     sequence_from_spec,
+    sequence_terms,
 )
 from .errors import ConvergenceWarning, DomainError, NumericalError
 
@@ -73,14 +74,18 @@ def interval_family(rho: float) -> SubspaceSequence:
 
 
 def muntz_family(seq) -> SubspaceSequence:
-    """Nested sets S_n = {s_0, ..., s_n} from an exponent sequence spec."""
-    seq = sequence_from_spec(seq)
+    """Nested sets S_n = {s_0, ..., s_n} from an exponent sequence spec.
+
+    The terms are computed once, into one prefix that grows with the largest
+    n asked for.
+    """
+    terms, prefix = sequence_terms(sequence_from_spec(seq)), []
 
     def gen(n: int) -> MonomialSet:
-        values = materialize_sequence(seq, n + 1)
-        if len(values) < n + 1:
+        prefix.extend(itertools.islice(terms, max(0, n + 1 - len(prefix))))
+        if len(prefix) < n + 1:
             raise DomainError(f"sequence exhausted before index {n}")
-        return MonomialSet(values)
+        return MonomialSet(prefix[:max(0, n + 1)])
 
     return SubspaceSequence(gen, "muntz")
 

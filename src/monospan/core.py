@@ -16,17 +16,12 @@ precision (mpmath) when the condition estimate passes EXTENDED_THRESHOLD.
 
 A target f is a PiecewiseMonomial, a sum of c x^t (ln x)^k chi_[a,1]
 terms whose pairings and norm are sums of cauchy_moment values.  The
-extended solve is a ladder of mpmath precisions (34 to 160 digits) that
-stops when two consecutive rungs agree on the distance.  Each rung
-evaluates f's pairings and its norm at the rung's own precision, so
-d^2 = ||f||^2 - q keeps its digits; a rung whose d^2 is not positive is
-clamped and does not count toward that agreement.  For sets without log
-powers each rung is the O(n^2) Schur (Nevanlinna-Pick) recursion: x^s is
-the half-plane Szego kernel at w = conj(s) + 1/2, so the Gram matrix
-1/(conj w_i + w_j) is a Cauchy matrix and each step divides by one Blaschke
-factor (z - w_k)/(z + conj w_k), the factors of
-monomial_distance_closed_form.  Confluent sets (logpow > 0) keep the O(n^3)
-LU solve of the Gram matrix.  distance() takes that closed-form product
+extended solve is a ladder of mpmath precisions (34 to 160 digits) whose
+rungs are one O(n^2) Schur (Nevanlinna-Pick) recursion for every set: x^s
+is the half-plane Szego kernel at w = conj(s) + 1/2, x^s (ln x)^k its k-th
+derivative, so the Gram matrix is a (confluent) Cauchy matrix and each step
+divides by one Blaschke factor (z - w_k)/(z + conj w_k), the factors of
+monomial_distance_closed_form.  distance() takes that closed-form product
 when f is a single uncut monomial and distance_to_span otherwise; both
 return a DistanceResult.
 """
@@ -34,11 +29,14 @@ return a DistanceResult.
 from __future__ import annotations
 
 import cmath
+import collections
+import contextlib
+import itertools
 import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 import mpmath as mp
 import numpy as np
@@ -81,11 +79,6 @@ class Exponent:
     def s(self) -> complex:
         return complex(self.re, self.im)
 
-    @classmethod
-    def from_complex(cls, z: complex, logpow: int = 0) -> "Exponent":
-        z = complex(z)
-        return cls(z.real, z.imag, logpow)
-
     def to_json(self) -> dict:
         return {"re": self.re, "im": self.im, "logpow": self.logpow}
 
@@ -93,7 +86,8 @@ class Exponent:
 def as_exponent(value: ExponentLike) -> Exponent:
     if isinstance(value, Exponent):
         return value
-    return Exponent.from_complex(complex(value))
+    z = complex(value)
+    return Exponent(z.real, z.imag)
 
 
 class MonomialSet:
@@ -156,7 +150,8 @@ def _check_entries(v: np.ndarray, k: np.ndarray) -> None:
     """Raise the Exponent error of the first entry that is no valid exponent on its own."""
     ok = np.isfinite(v) & (v.real > HALF_PLANE_EDGE)
     if np.count_nonzero(k):  # log powers are whole numbers >= 0: a cast would read 1.5 as 1
-        ok &= (k >= 0) & (k % 1 == 0)
+        with np.errstate(invalid="ignore"):  # inf % 1 is NaN, and no whole number
+            ok &= (k >= 0) & (k % 1 == 0)
     for i in np.flatnonzero(~ok).tolist():
         Exponent(v.real[i].item(), v.imag[i].item(), k[i].item())
 
@@ -381,74 +376,59 @@ class DistanceResult:
     precision: str
 
 
-def _lu_rung(S: MonomialSet, f: PiecewiseMonomial):
-    """d^2 = ||f||^2 - q for one ladder rung, by an mpmath LU solve of the Gram system, O(n^3)."""
-    s, k = S.values.tolist(), S.logpows.tolist()
-    n = len(s)
-    G = mp.matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            # normal-equation matrix: row i pairs against m_i, i.e. A[i,j] = <m_j, m_i>
-            G[i, j] = cauchy_moment(s[j], s[i], k[j] + k[i])
-    r = mp.matrix([mp.mpc(f.pairing(*e)) for e in zip(s, k)])
-    try:
-        c = mp.lu_solve(G, r)
-    except (ZeroDivisionError, ValueError) as exc:
-        raise NumericalError(f"extended-precision Gram solve failed: {exc}") from exc
-    q = mp.re(sum(mp.conj(c[i]) * r[i] for i in range(n)))
-    return f.norm_sq - q
-
-
 def _schur_rung(S: MonomialSet, f: PiecewiseMonomial):
-    """d^2 = ||f||^2 - q for one ladder rung, by the Schur recursion on a logpow-0 set, O(n^2).
+    """d^2 = ||f||^2 - q for one ladder rung, by the Schur recursion on Taylor data, O(n^2).
 
-    Under the transform x^s is the Szego kernel 1/(z + conj w) of the
-    right half-plane at w = conj(s) + 1/2, and v_j = <f, x^(s_j)> is the
-    value F(w_j) of f's image.  Step k projects out the kernel at w_k, which
-    adds 2 Re(w_k) |v_k|^2 to the projected mass q, and divides the rest by
-    the Blaschke factor (z - w_k)/(z + conj w_k):
+    With w = conj(s) + 1/2 and F(z) = integral of f(x) x^(z - 1/2) dx,
+    <f, x^s (ln x)^j> = F^(j)(w).  A node w_k that occurs m times (nodes in
+    order of first appearance) carries F_j = F^(j)(w_k)/j!, j < m, and takes
+    m steps; each adds 2 Re(w_k) |F_0|^2 to the projected mass q and divides
+    the rest by the Blaschke factor:
 
-        v_j <- (v_j (w_j + conj w_k) - 2 Re(w_k) v_k) / (w_j - w_k),  j > k.
+        F(z) <- (F(z) (z + conj w_k) - 2 Re(w_k) F_0) / (z - w_k).
 
-    The nodes are built in mpmath; rounded to double first, nearby nodes
-    lose the digits the divisions need.
+    On a later node's data V, with c = w_j + conj w_k and d = w_j - w_k, this
+    is V_0 <- (V_0 c - 2 Re(w_k) F_0) / d and V_i <- (V_i c + V_(i-1) - V'_(i-1)) / d,
+    V' the updated value; at w_k itself F_i <- 2 Re(w_k) F_(i+1) + F_i, one
+    shorter.  The nodes are built in mpmath; rounded to double first, nearby
+    nodes lose the digits the divisions need.
     """
-    s = S.values.tolist()
-    w = [mp.mpc(mp.mpf(z.real) + mp.mpf(1) / 2, -mp.mpf(z.imag)) for z in s]
-    v = [mp.mpc(f.pairing(z)) for z in s]
-    n = len(w)
+    m = collections.Counter(S.values.tolist())
+    w = [mp.mpc(mp.mpf(z.real) + mp.mpf(1) / 2, -mp.mpf(z.imag)) for z in m]
+    F = [[mp.mpc(f.pairing(z))] + [mp.mpc(f.pairing(z, j)) / math.factorial(j)
+                                   for j in range(1, mz)] for z, mz in m.items()]
     q = mp.mpf(0)
     try:
-        for k in range(n):
-            two_re = 2 * w[k].real
-            alpha = two_re * v[k]
-            q += two_re * (v[k].real ** 2 + v[k].imag ** 2)
-            wbk = mp.conj(w[k])
-            for j in range(k + 1, n):
-                v[j] = (v[j] * (w[j] + wbk) - alpha) / (w[j] - w[k])
+        for k, (wk, Fk) in enumerate(zip(w, F)):
+            two_re, wbk = 2 * wk.real, mp.conj(wk)
+            while Fk:
+                alpha = two_re * Fk[0]
+                q += two_re * (Fk[0].real ** 2 + Fk[0].imag ** 2)
+                for wj, V in zip(w[k + 1:], F[k + 1:]):
+                    c, d = wj + wbk, wj - wk
+                    old, V[0] = V[0], (V[0] * c - alpha) / d
+                    for i in range(1, len(V)):
+                        old, V[i] = V[i], (V[i] * c + old - V[i - 1]) / d
+                Fk[:] = [two_re * b + a for a, b in zip(Fk, Fk[1:])]
     except ZeroDivisionError as exc:
-        raise NumericalError(
-            f"Schur recursion failed: nodes coincide at {mp.mp.dps} digits"
-        ) from exc
+        raise NumericalError(f"Schur recursion failed: nodes coincide at {mp.mp.dps} digits") from exc
     return f.norm_sq - q
 
 
 def _solve_extended(S: MonomialSet, f: PiecewiseMonomial) -> tuple[float, int]:
     """The distance and the dps it was accepted at, from an escalating-precision ladder.
 
-    Each rung evaluates f's pairings and its norm inside its own precision
-    context, so d^2 = ||f||^2 - q keeps the digits the rung works with.
-    Sets without log powers take the O(n^2) Schur recursion (`_schur_rung`);
-    confluent sets (logpow > 0) rebuild the Gram matrix from the closed
-    form and take an O(n^3) LU solve (`_lu_rung`).  Escalation stops when
-    two consecutive rungs agree on the distance; a rung whose d^2 is not
-    positive (clamped) does not count toward that agreement.
+    Each rung is the O(n^2) Schur recursion (`_schur_rung`), with or without
+    log powers; it evaluates f's pairings and its norm inside its own
+    precision context, so d^2 = ||f||^2 - q keeps the digits the rung works
+    with.  Escalation stops when two consecutive rungs agree on the
+    distance; a rung whose d^2 is not positive (clamped) does not count
+    toward that agreement.
     """
-    rung = _lu_rung if S.confluent else _schur_rung
     prev = None
     for dps in _EXTENDED_DPS_LADDER:
         with mp.workdps(dps):
-            d2 = rung(S, f)
+            d2 = _schur_rung(S, f)
             dist = float(mp.sqrt(d2)) if d2 > 0 else None
             if dist is not None and prev is not None and abs(dist - prev) <= 1e-13 * (1.0 + dist):
                 return dist, dps
@@ -571,13 +551,33 @@ def complex_field(value, what: str) -> complex:
     try:
         if isinstance(value, numbers.Number) and not isinstance(value, bool):
             z = complex(value)
-        elif isinstance(value, (list, tuple)) and len(value) == 2:
+        elif isinstance(value, (list, tuple)) and len(value) == 2 and all(
+                isinstance(x, numbers.Real) and not isinstance(x, bool) for x in value):
             z = complex(float(value[0]), float(value[1]))
     except (TypeError, ValueError, OverflowError):
         pass
     if z is None:
         raise DomainError(f"{what} must be a number or an [re, im] pair, got {value!r}")
     return _finite(z, what, value)
+
+
+def complex_list(value, what: str) -> list[complex]:
+    """complex_field of each entry of a JSON array, `what` naming the entry."""
+    values = list_field(value, f"{what} list")
+    # plain ints and floats, or [re, im] pairs of them, in one array pass; numpy and
+    # float() read true as 1, so a boolean takes the per-entry route
+    flat, kinds = values, set(map(type, values))
+    pairs = kinds <= {list, tuple} and set(map(len, values)) == {2}
+    if pairs:
+        flat = list(itertools.chain.from_iterable(values))
+        kinds = set(map(type, flat))
+    if kinds <= {int, float}:
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            arr = np.array(flat, dtype=float)
+            if np.isfinite(arr).all():
+                return (arr.view(complex) if pairs else arr.astype(complex)).tolist()
+    # anything else goes entry by entry, so a malformed one keeps complex_field's message
+    return [complex_field(v, what) for v in values]
 
 
 def real_field(value, what: str) -> float:
@@ -653,23 +653,22 @@ def sequence_from_spec(spec) -> SequenceLike:
         spec = list_field(required_field(spec, "values", "explicit sequence"), "explicit values")
     elif not isinstance(spec, (list, tuple)):
         raise DomainError("sequence must be a JSON array or a generator object")
-    return np.array([complex_field(v, "sequence entry") for v in spec], dtype=complex)
+    return np.array(complex_list(spec, "sequence entry"), dtype=complex)
 
 
-def materialize_sequence(seq: SequenceLike, count: int) -> list[complex]:
-    """First `count` terms; fast-growing generators stop before float overflow."""
-    if isinstance(seq, (AffineSequence, GeometricSequence)):
-        out: list[complex] = []
-        for k in range(count):
-            try:
-                s = seq.term(k)
-            except OverflowError:
-                break
-            if abs(s) > 1e300:
-                break
-            out.append(s)
-        return out
-    return seq[:count].tolist()
+def sequence_terms(seq: SequenceLike) -> Iterator[complex]:
+    """The terms in order; fast-growing generators stop before float overflow."""
+    if isinstance(seq, np.ndarray):
+        yield from seq.tolist()
+        return
+    for k in itertools.count():
+        try:
+            s = seq.term(k)
+        except OverflowError:
+            return
+        if abs(s) > 1e300:
+            return
+        yield s
 
 
 @dataclass(frozen=True)
@@ -764,7 +763,7 @@ def muntz_verdict(seq: SequenceLike, criterion: str = "complex") -> DensityVerdi
     # a symbolic certificate decides the verdict from the generator alone;
     # keep the supporting partial sums short so fast growth cannot overflow
     count = _MAX_TERMS if symbolic is None else min(_MAX_TERMS, 256)
-    values = materialize_sequence(seq, count)
+    values = list(itertools.islice(sequence_terms(seq), count))
     if not values:
         raise DomainError("empty exponent sequence")
     seen = set()

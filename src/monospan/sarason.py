@@ -48,20 +48,18 @@ def as_disk(z) -> complex:
 
 @dataclass(frozen=True)
 class DiskFunction:
-    """A Hardy-space function in one of three representations.
+    """A Hardy-space function in one of two representations.
 
     kind "kernel": a finite combination sum c_i k_{alpha_i} of Szego
     kernels k_alpha(z) = 1/(1 - conj(alpha) z), stored as (c_i, alpha_i)
-    pairs with |alpha_i| < 1.  kind "taylor": an explicit truncated Taylor
-    series.  kind "inner-singular": scale * exp(-w (tau + z)/(tau - z)),
-    a constant multiple of the singular inner function with a single
-    boundary atom at tau of mass w.  Closed forms are always preferred;
-    Taylor coefficients are derived on demand.
+    pairs with |alpha_i| < 1.  kind "inner-singular":
+    scale * exp(-w (tau + z)/(tau - z)), a constant multiple of the singular
+    inner function with a single boundary atom at tau of mass w.  Closed
+    forms are always preferred; Taylor coefficients are derived on demand.
     """
 
     kind: str
     terms: tuple[tuple[complex, complex], ...] = ()
-    coeffs: np.ndarray | None = None
     tau: complex = 1.0
     w: float = 0.0
     scale: complex = 1.0
@@ -73,11 +71,6 @@ class DiskFunction:
                 if not abs(a) < 1:
                     raise DomainError(f"kernel parameter |alpha| = {abs(a)} not in the disk")
             object.__setattr__(self, "terms", clean)
-        elif self.kind == "taylor":
-            arr = np.asarray(self.coeffs, dtype=complex)
-            if arr.ndim != 1 or len(arr) == 0:
-                raise DomainError("taylor representation needs a nonempty 1-d array")
-            object.__setattr__(self, "coeffs", arr)
         elif self.kind == "inner-singular":
             object.__setattr__(self, "tau", complex(self.tau))
             object.__setattr__(self, "scale", complex(self.scale))
@@ -92,12 +85,6 @@ class DiskFunction:
         zv = as_disk(z)
         if self.kind == "kernel":
             return sum(c / (1 - a.conjugate() * zv) for c, a in self.terms)
-        if self.kind == "taylor":
-            # Horner in ascending order
-            acc = 0j
-            for c in self.coeffs[::-1]:
-                acc = acc * zv + c
-            return acc
         return self.scale * cmath.exp(-self.w * (self.tau + zv) / (self.tau - zv))
 
     def taylor(self, N: int = DEFAULT_TAYLOR_N) -> np.ndarray:
@@ -108,11 +95,6 @@ class DiskFunction:
             out = np.zeros(N, dtype=complex)
             for c, a in self.terms:
                 out += c * np.conj(a) ** np.arange(N)
-            return out
-        if self.kind == "taylor":
-            out = np.zeros(N, dtype=complex)
-            m = min(N, len(self.coeffs))
-            out[:m] = self.coeffs[:m]
             return out
         from .atomic import singular_inner_taylor
 
@@ -131,15 +113,12 @@ class SampledFunction:
 
     The evaluator must accept numpy arrays of points in (0,1] and be
     reentrant.  breakpoints list interior points where smoothness fails
-    (jumps, kinks), which the quadrature respects.  norm_sq may carry a
-    known squared L2 norm.  A non-square-integrable blowup at 0 is not
-    representable; an integrable singularity at 0 must be declared.
+    (jumps, kinks), which the quadrature respects.  A non-square-integrable
+    blowup at 0 is not representable.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     breakpoints: tuple[float, ...] = ()
-    norm_sq: float | None = None
-    singular_at_zero: bool = False
 
     def __post_init__(self) -> None:
         bp = tuple(sorted(float(b) for b in self.breakpoints))
@@ -157,10 +136,7 @@ def monomial_function(s: ExponentLike) -> SampledFunction:
             out = out * np.log(np.asarray(x, dtype=float)) ** es.logpow
         return out
 
-    norm = None
-    if es.logpow == 0:
-        norm = 1 / (2 * es.re + 1)
-    return SampledFunction(ev, (), norm, singular_at_zero=es.re < 0 or es.logpow > 0)
+    return SampledFunction(ev)
 
 
 def indicator_function(s: float) -> SampledFunction:
@@ -169,7 +145,7 @@ def indicator_function(s: float) -> SampledFunction:
         raise DomainError(f"indicator endpoint must lie in (0, 1], got {s}")
     ev = lambda x: np.where(np.asarray(x, dtype=float) <= s, 1.0 + 0j, 0.0 + 0j)
     bp = (s,) if s < 1 else ()
-    return SampledFunction(ev, bp, s)
+    return SampledFunction(ev, bp)
 
 
 def forward_monomial(beta: ExponentLike) -> DiskFunction:

@@ -9,6 +9,7 @@ import pytest
 
 import monospan.cli as cli
 import monospan.convergence as cv
+import monospan.core as core
 from monospan.cli import dispatch, schema_for
 from monospan.core import MonomialSet, PiecewiseMonomial, distance
 
@@ -471,14 +472,17 @@ _BULK_PAIRS = ([[0.1 * k, -k] for k in range(1000)], [[1.5, -0.0], [2, 3], [1e30
     [1, 2.5], [[1, 2], [3]], [[1, 2, 3]], [[[1, 2], [3, 4]]], [], [[1, None]], [{"re": 1}],
     [["1.5", "2"]], [[1.5, "2"]], [[True, 1.5]], [[True, False]], [True], [[2**63 + 1, 0.25]],
     [[float("nan"), 1.0]], [[1e999, 0.0]], [[10**400, 0.5]], "[[1, 2]]",
+    [[True, "2"], [0, 0]], [[True, 2.0], [0, 0]], [[0.5, "1"], [1, 0], [2, 0]], [[1, 2.0], [3, False]],
+    [0.1 * k - 50 for k in range(1000)], [1, -0.0, 2**53 + 1, 1e308, -1e-320], [1.5, True], [0.5, "1"],
+    [2**63 + 1, 0.25], [1, float("inf")], [1.5, [2, 3]],
 ])
 def test_complex_list_bulk_matches_per_entry(values):
     """The bulk route gives complex_field's values, and each malformed list its error."""
     def per_entry(value, what):
-        return [cli.complex_field(v, what) for v in cli.list_field(value, f"{what} list")]
+        return [core.complex_field(v, what) for v in core.list_field(value, f"{what} list")]
 
     results = []
-    for parse in (cli._complex_list, per_entry):
+    for parse in (core.complex_list, per_entry):
         try:
             results.append([(z.real, z.imag) for z in parse(values, "coefficient")])
         except cli.DomainError as exc:
@@ -488,8 +492,10 @@ def test_complex_list_bulk_matches_per_entry(values):
 
 def test_complex_list_takes_the_bulk_route(monkeypatch):
     expected = [[complex(float(a), float(b)) for a, b in values] for values in _BULK_PAIRS]
-    monkeypatch.setattr(cli, "complex_field", None)  # the per-entry route would raise
-    assert [cli._complex_list(values, "coefficient") for values in _BULK_PAIRS] == expected
+    reals = [0.1 * k - 50 for k in range(1000)] + [1, -0.0, 2**53 + 1]
+    monkeypatch.setattr(core, "complex_field", None)  # the per-entry route would raise
+    assert [core.complex_list(values, "coefficient") for values in _BULK_PAIRS] == expected
+    assert repr(core.complex_list(reals, "entry")) == repr([complex(x) for x in reals])
 
 
 def test_from_manifest_command_mismatch_exit_2(tmp_path, capsys):
@@ -630,6 +636,18 @@ def test_malformed_json_fields_exit_3(capsys, tmp_path, argv):
     code, _, err = run(capsys, argv)
     assert code == 3
     assert err.startswith("mono: domain error:")
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (["op", "apply", "--op", "H", "--input", '{"kind":"coefficients","values":[[true,"2"],[0,0]]}'],
+     "coefficient must be a number or an [re, im] pair, got [True, '2']"),
+    (["op", "apply", "--op", "H", "--input", '{"kind":"coefficients","values":[[true,2.0],[0,0]]}'],
+     "coefficient must be a number or an [re, im] pair, got [True, 2.0]"),
+    (["muntz", "--seq", '[[0.5,"1"],[1,0],[2,0]]'],
+     "sequence entry must be a number or an [re, im] pair, got [0.5, '1']"),
+])
+def test_booleans_and_strings_in_pairs_exit_3(capsys, argv, entry):
+    assert run(capsys, argv) == (3, "", f"mono: domain error: {entry}\n")
 
 
 def test_json_term_logpow_matches_t_flag(capsys):

@@ -17,7 +17,7 @@ from monospan.convergence import (
     muntz_family,
     muntz_limit_experiment,
 )
-from monospan.core import Exponent, MonomialSet, PiecewiseMonomial, distance
+from monospan.core import AffineSequence, Exponent, MonomialSet, PiecewiseMonomial, distance
 from monospan.errors import ConvergenceWarning, DomainError
 
 
@@ -191,6 +191,20 @@ def test_muntz_family_nesting_and_exhaustion():
     gen = muntz_family({"kind": "affine", "a": 2.0, "b": 1.0})
     s2 = gen.set_at(2)
     assert [e.re for e in s2] == [1.0, 3.0, 5.0]
+
+
+def test_muntz_family_computes_each_term_once(monkeypatch):
+    calls = []
+    term = AffineSequence.term
+    monkeypatch.setattr(AffineSequence, "term", lambda self, k: calls.append(k) or term(self, k))
+    fam = muntz_family({"kind": "affine", "a": 1.0})
+    curve, _ = distance_curve("chi:0.5", fam, 24)
+    assert sorted(calls) == list(range(25))
+    assert [e.re for e in fam.set_at(3)] == [0.0, 1.0, 2.0, 3.0]  # an earlier n reads the prefix
+    f = PiecewiseMonomial.indicator(0.5)
+    assert curve[3] == distance(f, MonomialSet([0, 1, 2, 3, 4])).distance
+    with pytest.raises(DomainError, match="^sequence exhausted before index 3$"):
+        muntz_family({"kind": "geometric", "ratio": 1e200}).set_at(3)
 
 
 def test_constant_family():

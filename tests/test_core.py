@@ -157,6 +157,14 @@ def test_monomial_set_errors_keep_entry_order():
         MonomialSet([1.0, 2.0], [0])
 
 
+def test_infinite_logpow_raises_without_a_runtime_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match=f"^logpow must be a nonnegative integer, got {k}$"):
+                MonomialSet([1.0], [k])
+
+
 # --- inner products against direct quadrature --------------------------------
 
 
@@ -370,6 +378,21 @@ def _schur_test_sets(rng):
         yield MonomialSet.from_exponents(z)
 
 
+def _lu_rung(S, f):
+    """Reference for core._schur_rung: d^2 = ||f||^2 - q by an mpmath LU solve, O(n^3)."""
+    s, k = S.values.tolist(), S.logpows.tolist()
+    n = len(s)
+    G = mp.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            # normal-equation matrix: row i pairs against m_i, i.e. A[i,j] = <m_j, m_i>
+            G[i, j] = core.cauchy_moment(s[j], s[i], k[j] + k[i])
+    r = mp.matrix([mp.mpc(f.pairing(*e)) for e in zip(s, k)])
+    c = mp.lu_solve(G, r)
+    q = mp.re(sum(mp.conj(c[i]) * r[i] for i in range(n)))
+    return f.norm_sq - q
+
+
 def test_schur_recursion_matches_lu_solve():
     # the extended route on logpow-0 sets is the Schur recursion; the LU rung
     # at the precision it accepted is the independent oracle
@@ -379,8 +402,48 @@ def test_schur_recursion_matches_lu_solve():
         r = distance_to_span(f, S, precision="extended")
         dps = int(r.precision[len("extended(dps="):-1])
         with mp.workdps(dps):
-            d_lu = float(mp.sqrt(core._lu_rung(S, f)))
+            d_lu = float(mp.sqrt(_lu_rung(S, f)))
         assert abs(r.distance - d_lu) <= 1e-12 * d_lu + 1e-15
+
+
+def _confluent_test_sets(rng):
+    """Seeded sets of 1 to 5 nodes with log powers 0..3 in shuffled order, and a target for each.
+
+    The targets take turns: a monomial with a log power, an indicator, and a
+    cut log-monomial plus a complex monomial.
+    """
+    for i in range(120):
+        nodes = int(rng.integers(1, 6))
+        imag = rng.uniform(-2.0, 2.0, nodes) * (rng.random(nodes) < 0.6)
+        z = rng.uniform(-0.4, 3.0, nodes) + 1j * imag
+        m = rng.integers(1, 5, nodes)
+        order = rng.permutation(int(m.sum()))
+        S = MonomialSet(np.repeat(z, m)[order], np.concatenate([np.arange(k) for k in m])[order])
+        if i % 3 == 0:
+            t = Exponent(rng.uniform(-0.4, 3.0), rng.uniform(-1.0, 1.0), int(rng.integers(0, 3)))
+            f = monomial(t)
+        elif i % 3 == 1:
+            f = PiecewiseMonomial.indicator(rng.uniform(0.1, 0.9))
+        else:
+            c = complex(rng.normal(), rng.normal())
+            cut = (c, Exponent(rng.uniform(0.0, 2.0)), rng.uniform(0.0, 0.8), int(rng.integers(0, 3)))
+            f = PiecewiseMonomial((cut, (1.0, Exponent(rng.uniform(0.0, 2.0), rng.uniform(-1.0, 1.0)), 0.0)))
+        yield S, f
+
+
+def test_confluent_schur_recursion_matches_lu_solve():
+    # sets with log powers take the same recursion on Taylor data; the LU rung
+    # at 100 digits is the oracle (at the accepted precision it can lose the
+    # digits that the recursion keeps)
+    rng = np.random.default_rng(11)
+    confluent = 0
+    for S, f in _confluent_test_sets(rng):
+        confluent += S.confluent
+        r = distance_to_span(f, S, precision="extended")
+        with mp.workdps(100):
+            d_lu = float(mp.sqrt(_lu_rung(S, f)))
+        assert r.distance == pytest.approx(d_lu, rel=1e-12, abs=0)
+    assert confluent >= 100
 
 
 def test_schur_recursion_clustered_set_distance():
@@ -441,12 +504,18 @@ def test_confluent_extended_distance_matches_cholesky_reference():
 
 def test_logpow0_extended_solve_builds_no_matrix(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("the logpow-0 route must not build a Gram matrix")
+        raise AssertionError("the extended route must not build a Gram matrix")
 
     monkeypatch.setattr(mp, "matrix", forbidden)
     monkeypatch.setattr(mp, "lu_solve", forbidden)
     r = distance_to_span(monomial(0), range(31, 61), precision="extended")
     assert abs(r.distance - 31 / 61) < 1e-10
+    # a set with log powers takes the same recursion
+    S, f = MonomialSet([1.0, 1.0, 2.0, 2.0, 2.0], [1, 0, 2, 0, 1]), monomial(Exponent(0.5, 0.0, 1))
+    r = distance_to_span(f, S, precision="extended")
+    monkeypatch.undo()
+    with mp.workdps(50):
+        assert r.distance == pytest.approx(float(mp.sqrt(_lu_rung(S, f))), rel=1e-12, abs=0)
 
 
 def test_clamped_rungs_do_not_agree(monkeypatch):

@@ -179,18 +179,8 @@ def test_disk_function_validation():
     with pytest.raises(DomainError):
         sr.DiskFunction("kernel", terms=((1.0, 1.2),))
     with pytest.raises(DomainError):
-        sr.DiskFunction("taylor", coeffs=np.array([]))
-    with pytest.raises(DomainError):
         sr.DiskFunction("inner-singular", tau=0.5, w=1.0)
     with pytest.raises(DomainError):
         sr.DiskFunction("inner-singular", tau=1.0, w=-1.0)
     with pytest.raises(DomainError):
         sr.DiskFunction("mystery")
-
-
-def test_taylor_of_taylor_kind_pads_and_truncates():
-    F = sr.DiskFunction("taylor", coeffs=np.array([1.0, 2.0, 3.0]))
-    out = F.taylor(5)
-    assert np.array_equal(out, np.array([1, 2, 3, 0, 0], dtype=complex))
-    out2 = F.taylor(2)
-    assert np.array_equal(out2, np.array([1, 2], dtype=complex))

@@ -1,11 +1,13 @@
 """Distance curves along subspace sequences and limit-membership verdicts.
 
 A sequence of monomial sets S_n spans a sequence of subspaces; a function
-f belongs to the limit exactly when dist(f, M(S_n)) -> 0.  Each point of a
-curve is core.distance of a core.PiecewiseMonomial f (a combination of
-indicator-times-monomial terms, each with an optional log power): for
-monomial f the stable closed-form product, otherwise a Gram solve in which
-every pairing and the norm are sums of the closed moments
+f belongs to the limit exactly when dist(f, M(S_n)) -> 0.  A curve is one
+core.distances call over the sets S_1..S_n_max, with the values of a
+core.distance call per point.  f is a core.PiecewiseMonomial (a combination
+of indicator-times-monomial terms, each with an optional log power): for
+monomial f a point is the stable closed-form product, and along nested sets
+the curve is the running product of its factors; otherwise it is a Gram
+solve in which every pairing and the norm are sums of the closed moments
 
     <chi_[a,1] x^t (ln x)^j, x^s (ln x)^k> = integral_a^1 x^(p-1) (ln x)^m dx,
         p = 1 + t + conj(s),  m = j + k,
@@ -13,7 +15,8 @@ every pairing and the norm are sums of the closed moments
 which equal (-1)^m m! / p^(m+1) at a = 0 and (1 - a^p)/p at m = 0, with
 the recurrence I_m = -(a^p (ln a)^m + m I_(m-1))/p in between (see
 core.cauchy_moment), so Gram solves never touch quadrature; on the
-extended ladder both are evaluated at each rung's precision.  Limits are
+extended ladder both are evaluated at each rung's precision, and nested sets
+take one Schur pass per rung for all their points.  Limits are
 never decided by a finite curve; the fitted verdict is three-valued, with
 explicit thresholds and an undetermined fallback.
 """
@@ -32,7 +35,7 @@ from .core import (
     MonomialSet,
     PiecewiseMonomial,
     as_monomial_set,
-    distance,
+    distances,
     muntz_verdict,
     sequence_from_spec,
     sequence_terms,
@@ -44,7 +47,11 @@ DEFAULT_TOL = 1e-3
 
 @dataclass(frozen=True)
 class SubspaceSequence:
-    """n -> MonomialSet, with a tag; a curve reuses its point while the set object repeats."""
+    """n -> MonomialSet, with a tag.
+
+    A curve solves a set equal to the one before it once, and sets without
+    log powers that nest, each a prefix of the next, in one pass.
+    """
 
     generator: Callable[[int], MonomialSet]
     description: str = ""
@@ -102,33 +109,25 @@ def distance_curve(
     *,
     precision: str = "double",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(distances, condition estimates) of dist(f, M(S_n)) for n = 1..n_max.
+    """(distances, condition estimates) of dist(f, M(S_n)) for n = 1..n_max, in one call.
 
-    Monomial f uses the closed-form product; anything else goes through
-    Gram solves on the exact pairings.  A point whose set object is the
-    previous one repeats that point instead of solving again.  A point
-    where the solve fails numerically becomes NaN, with condition
-    estimate inf, leaving a gap instead of aborting the curve.
+    The points are core.distances of the curve's sets, with the values a loop
+    of core.distance calls gives, bit for bit: the closed-form product for a
+    monomial f and Gram solves on the exact pairings otherwise, sharing f's
+    data at each node and precision, one solve for a set that repeats the
+    one before, and one pass for sets that nest.  A point where the solve fails
+    numerically becomes NaN, with condition estimate inf, leaving a gap
+    instead of aborting the curve.
     """
     f = PiecewiseMonomial.from_spec(f)
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
-    dists = np.empty(n_max)
-    conds = np.empty(n_max)
-    prev_S = None
-    for n in range(1, n_max + 1):
-        S = seq.set_at(n)
-        if S is not prev_S:
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    res = distance(f, S, precision=precision)
-                d, c = res.distance, res.condition_estimate
-            except NumericalError:
-                d, c = math.nan, math.inf
-            prev_S = S
-        dists[n - 1] = d
-        conds[n - 1] = c
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        points = distances(f, map(seq.set_at, range(1, n_max + 1)), precision=precision)
+    ok = [not isinstance(p, NumericalError) for p in points]
+    dists = np.array([p.distance if good else math.nan for p, good in zip(points, ok)])
+    conds = np.array([p.condition_estimate if good else math.inf for p, good in zip(points, ok)])
     return dists, conds
 
 

@@ -23,7 +23,9 @@ derivative, so the Gram matrix is a (confluent) Cauchy matrix and each step
 divides by one Blaschke factor (z - w_k)/(z + conj w_k), the factors of
 monomial_distance_closed_form.  distance() takes that closed-form product
 when f is a single uncut monomial and distance_to_span otherwise; both
-return a DistanceResult.
+return a DistanceResult.  distances() gives distance() for a sequence of
+sets in one call: after k nodes the recursion's mass is the projection onto
+the first k kernels, so nested sets share one pass per rung.
 """
 
 from __future__ import annotations
@@ -376,8 +378,39 @@ class DistanceResult:
     precision: str
 
 
-def _schur_rung(S: MonomialSet, f: PiecewiseMonomial):
-    """d^2 = ||f||^2 - q for one ladder rung, by the Schur recursion on Taylor data, O(n^2).
+class _Memo:
+    """What the sets of one distances() call share, each computed once.
+
+    f's pairings, its norm and its Schur node data, at each working
+    precision.  A memo lives for one call.
+    """
+
+    def __init__(self, f: PiecewiseMonomial) -> None:
+        self.f, self._values = f, {}
+
+    def _once(self, key: tuple, make, *args):
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = make(*args)
+        return value
+
+    def pairing(self, s: complex, j: int = 0):
+        return self._once(("pairing", mp.mp.prec, s, j), self.f.pairing, s, j)
+
+    def norm_sq(self):
+        return self._once(("norm", mp.mp.prec), lambda: self.f.norm_sq)
+
+    def node(self, z: complex, m: int):
+        """w = conj(z) + 1/2 and a new list of F_j = <f, x^z (ln x)^j> / j!, j < m, in mpmath."""
+        w, F = self._once(("node", mp.mp.prec, z, m), lambda: (
+            mp.mpc(mp.mpf(z.real) + mp.mpf(1) / 2, -mp.mpf(z.imag)),
+            [mp.mpc(self.pairing(z))]
+            + [mp.mpc(self.pairing(z, j)) / math.factorial(j) for j in range(1, m)]))
+        return w, list(F)
+
+
+def _schur_rung(S: MonomialSet, memo: _Memo, end: int | None = None) -> list:
+    """||f||^2 - q after each of S's first `end` nodes (all by default), by the Schur recursion.
 
     With w = conj(s) + 1/2 and F(z) = integral of f(x) x^(z - 1/2) dx,
     <f, x^s (ln x)^j> = F^(j)(w).  A node w_k that occurs m times (nodes in
@@ -390,53 +423,161 @@ def _schur_rung(S: MonomialSet, f: PiecewiseMonomial):
     On a later node's data V, with c = w_j + conj w_k and d = w_j - w_k, this
     is V_0 <- (V_0 c - 2 Re(w_k) F_0) / d and V_i <- (V_i c + V_(i-1) - V'_(i-1)) / d,
     V' the updated value; at w_k itself F_i <- 2 Re(w_k) F_(i+1) + F_i, one
-    shorter.  The nodes are built in mpmath; rounded to double first, nearby
-    nodes lose the digits the divisions need.
+    shorter.  After k nodes q is the projection of f onto their kernels, so
+    one O(n^2) pass gives d^2 for every prefix of the nodes.  The list stops
+    before the first node that coincides with an earlier one at this
+    precision, since no prefix holding both can be solved.  The nodes are
+    built in mpmath; rounded to double first, nearby nodes lose the digits
+    the divisions need.
     """
-    m = collections.Counter(S.values.tolist())
-    w = [mp.mpc(mp.mpf(z.real) + mp.mpf(1) / 2, -mp.mpf(z.imag)) for z in m]
-    F = [[mp.mpc(f.pairing(z))] + [mp.mpc(f.pairing(z, j)) / math.factorial(j)
-                                   for j in range(1, mz)] for z, mz in m.items()]
-    q = mp.mpf(0)
-    try:
-        for k, (wk, Fk) in enumerate(zip(w, F)):
-            two_re, wbk = 2 * wk.real, mp.conj(wk)
-            while Fk:
-                alpha = two_re * Fk[0]
-                q += two_re * (Fk[0].real ** 2 + Fk[0].imag ** 2)
-                for wj, V in zip(w[k + 1:], F[k + 1:]):
-                    c, d = wj + wbk, wj - wk
+    nodes = itertools.islice(collections.Counter(S.values.tolist()).items(), end)
+    w, F = map(list, zip(*(memo.node(z, m) for z, m in nodes)))
+    norm, q, out = memo.norm_sq(), mp.mpf(0), []
+    for k, (wk, Fk) in enumerate(zip(w, F)):
+        two_re, wbk = 2 * wk.real, mp.conj(wk)
+        while Fk:
+            alpha = two_re * Fk[0]
+            q += two_re * (Fk[0].real ** 2 + Fk[0].imag ** 2)
+            for j, (wj, V) in enumerate(zip(w[k + 1:], F[k + 1:]), k + 1):
+                c, d = wj + wbk, wj - wk
+                try:
                     old, V[0] = V[0], (V[0] * c - alpha) / d
-                    for i in range(1, len(V)):
-                        old, V[i] = V[i], (V[i] * c + old - V[i - 1]) / d
-                Fk[:] = [two_re * b + a for a, b in zip(Fk, Fk[1:])]
-    except ZeroDivisionError as exc:
-        raise NumericalError(f"Schur recursion failed: nodes coincide at {mp.mp.dps} digits") from exc
-    return f.norm_sq - q
+                except ZeroDivisionError:  # w_j = w_k at this precision
+                    del w[j:], F[j:]
+                    break
+                for i in range(1, len(V)):
+                    old, V[i] = V[i], (V[i] * c + old - V[i - 1]) / d
+            Fk[:] = [two_re * b + a for a, b in zip(Fk, Fk[1:])]
+        out.append(norm - q)
+    return out
 
 
-def _solve_extended(S: MonomialSet, f: PiecewiseMonomial) -> tuple[float, int]:
-    """The distance and the dps it was accepted at, from an escalating-precision ladder.
+def _solve_extended(S: MonomialSet, memo: _Memo, ends: list[int]) -> list:
+    """(distance, dps), or a NumericalError, for the first `end` nodes of S, for each end.
 
-    Each rung is the O(n^2) Schur recursion (`_schur_rung`), with or without
-    log powers; it evaluates f's pairings and its norm inside its own
+    The distance comes from an escalating-precision ladder.  Each rung is one
+    pass of the Schur recursion (`_schur_rung`) over the longest prefix still
+    on the ladder; it evaluates f's pairings and its norm inside its own
     precision context, so d^2 = ||f||^2 - q keeps the digits the rung works
-    with.  Escalation stops when two consecutive rungs agree on the
-    distance; a rung whose d^2 is not positive (clamped) does not count
-    toward that agreement.
+    with.  A prefix stops when two consecutive rungs agree on its distance; a
+    rung whose d^2 is not positive (clamped) does not count toward that
+    agreement, and a rung on which two of its nodes coincide fails it.
     """
-    prev = None
+    out, prev = [None] * len(ends), [None] * len(ends)
     for dps in _EXTENDED_DPS_LADDER:
+        todo = [i for i, r in enumerate(out) if r is None]
+        if not todo:
+            break
         with mp.workdps(dps):
-            d2 = _schur_rung(S, f)
-            dist = float(mp.sqrt(d2)) if d2 > 0 else None
-            if dist is not None and prev is not None and abs(dist - prev) <= 1e-13 * (1.0 + dist):
-                return dist, dps
-        prev = dist
-    last = "d^2 <= 0" if prev is None else f"distance {prev}"
-    raise NumericalError(
-        f"Gram solve did not stabilize on the extended-precision ladder (last rung: {last})"
-    )
+            d2s = _schur_rung(S, memo, max(ends[i] for i in todo))
+            for i in todo:
+                if len(d2s) < ends[i]:
+                    out[i] = NumericalError(f"Schur recursion failed: nodes coincide at {dps} digits")
+                    continue
+                d2 = d2s[ends[i] - 1]
+                dist = float(mp.sqrt(d2)) if d2 > 0 else None
+                if dist is not None and prev[i] is not None and abs(dist - prev[i]) <= 1e-13 * (1.0 + dist):
+                    out[i] = dist, dps
+                prev[i] = dist
+    for i, r in enumerate(out):
+        if r is None:
+            last = "d^2 <= 0" if prev[i] is None else f"distance {prev[i]}"
+            out[i] = NumericalError(
+                f"Gram solve did not stabilize on the extended-precision ladder (last rung: {last})"
+            )
+    return out
+
+
+def _chain(chains: list, S: MonomialSet, member: tuple, settle) -> None:
+    """Add member to the last chain if S and that chain's longest set, without log powers, nest.
+
+    Otherwise the last chain is settled, since no later set can join it, and
+    S starts a new one; a chain is [longest set, members].
+    """
+    if chains:
+        short, long = sorted((S, chains[-1][0]), key=len)
+        if not long.confluent and long.values[:len(short)].tobytes() == short.values.tobytes():
+            chains[-1][0] = long
+            chains[-1][1].append(member)
+            return
+        settle(*chains.pop())
+    chains.append([S, [member]])
+
+
+def _distances(f: PiecewiseMonomial, sets: Iterable, precision: str, closed_form: bool) -> list:
+    """The body of distances(), which takes the closed form only when closed_form is true."""
+    memo = _Memo(f)
+    c, t, _, k = f.terms[0]
+    closed_form = closed_form and f.is_single_monomial and k == 0
+
+    def settle_ladder(base, members):  # members: (slot, nodes, condition estimate)
+        for (slot, _, cond), res in zip(members, _solve_extended(base, memo, [m[1] for m in members])):
+            slot[0] = res if isinstance(res, NumericalError) else DistanceResult(
+                res[0], cond, f"extended(dps={res[1]})")
+
+    def settle_prods(base, members):  # members: (slot, size)
+        d = _closed_form_prefixes(t.s, base.values)
+        for slot, size in members:
+            slot[0] = DistanceResult(abs(c) * float(d[size]), 1.0, "closed-form")
+
+    slots, last, ladder, prods = [], None, [], []  # a set equal to the one before shares its slot
+    for S in sets:
+        S = as_monomial_set(S)
+        if S is last or (last is not None and len(S) == len(last) and S.values.tobytes()
+                         == last.values.tobytes() and S.logpows.tobytes() == last.logpows.tobytes()):
+            slots.append(slots[-1])
+            continue
+        last, slot = S, [None]
+        slots.append(slot)
+        if closed_form and not S.confluent:
+            _chain(prods, S, (slot, len(S)), settle_prods)
+            continue
+        if precision not in ("double", "extended"):
+            raise DomainError(f"unknown precision mode {precision!r}")
+        gram = gram_build(S)
+        cond = gram.condition_estimate
+        if precision == "double" and cond > EXTENDED_THRESHOLD:
+            warnings.warn(
+                f"Gram condition estimate {cond:.2e} exceeds {EXTENDED_THRESHOLD:.0e}; "
+                "switching to extended precision",
+                IllConditioningWarning,
+                stacklevel=3,
+            )
+        if precision == "extended" or cond > EXTENDED_THRESHOLD:
+            _chain(ladder, S, (slot, len(dict.fromkeys(S.values.tolist())), cond), settle_ladder)
+            continue
+        r = np.array([complex(memo.pairing(*e)) for e in zip(S.values.tolist(), S.logpows.tolist())])
+        # <f - sum c_j m_j, m_i> = 0 gives conj(G) c = r with G[i,j] = <m_i, m_j>
+        coef = np.conj(np.linalg.solve(gram.matrix, np.conj(r)))
+        q = float(np.real(np.vdot(coef, r)))  # vdot conjugates its first argument
+        d2 = memo.norm_sq() - q
+        slot[0] = DistanceResult(math.sqrt(d2) if d2 > 0 else 0.0, cond, "double")
+    for chain in ladder:
+        settle_ladder(*chain)
+    for chain in prods:
+        settle_prods(*chain)
+    return [slot[0] for slot in slots]
+
+
+def distances(f: PiecewiseMonomial, sets: Iterable, *, precision: str = "double") -> list:
+    """distance(f, S) for each S of `sets`, computing what the sets share once.
+
+    Each item is a DistanceResult, or the NumericalError that distance()
+    raises for that set.  The sets are drawn and checked one at a time, so
+    any other error is raised where a loop of distance() calls would raise
+    it.  A set equal to the one before it is solved once; f's pairings,
+    norm and Schur node data at each precision are computed once;
+    consecutive sets without log powers that nest (each a prefix of
+    the next, or the next of it) share one Schur pass per ladder rung, or
+    for a monomial f one running product of the closed-form factors.
+    """
+    return _distances(f, sets, precision, closed_form=True)
+
+
+def _one(results: list) -> DistanceResult:
+    if isinstance(results[0], NumericalError):
+        raise results[0]
+    return results[0]
 
 
 def distance_to_span(f: PiecewiseMonomial, S, *, precision: str = "double") -> DistanceResult:
@@ -448,29 +589,7 @@ def distance_to_span(f: PiecewiseMonomial, S, *, precision: str = "double") -> D
     issued); precision="extended" forces the mpmath path, where each rung
     evaluates f's pairings and norm at its own precision.
     """
-    if precision not in ("double", "extended"):
-        raise DomainError(f"unknown precision mode {precision!r}")
-    S = as_monomial_set(S)
-    gram = gram_build(S)
-    cond = gram.condition_estimate
-    use_extended = precision == "extended" or cond > EXTENDED_THRESHOLD
-    if precision == "double" and cond > EXTENDED_THRESHOLD:
-        warnings.warn(
-            f"Gram condition estimate {cond:.2e} exceeds {EXTENDED_THRESHOLD:.0e}; "
-            "switching to extended precision",
-            IllConditioningWarning,
-            stacklevel=2,
-        )
-    if use_extended:
-        dist, dps = _solve_extended(S, f)
-        return DistanceResult(dist, cond, f"extended(dps={dps})")
-    r = np.array([complex(f.pairing(*e)) for e in zip(S.values.tolist(), S.logpows.tolist())])
-    # <f - sum c_j m_j, m_i> = 0 gives conj(G) c = r with G[i,j] = <m_i, m_j>
-    c = np.conj(np.linalg.solve(gram.matrix, np.conj(r)))
-    q = float(np.real(np.vdot(c, r)))  # vdot conjugates its first argument
-    d2 = f.norm_sq - q
-    dist = math.sqrt(d2) if d2 > 0 else 0.0
-    return DistanceResult(dist, cond, "double")
+    return _one(_distances(f, [S], precision, closed_form=False))
 
 
 def distance(f: PiecewiseMonomial, S, *, precision: str = "double") -> DistanceResult:
@@ -479,30 +598,35 @@ def distance(f: PiecewiseMonomial, S, *, precision: str = "double") -> DistanceR
     Every other f and S go through distance_to_span at `precision`.  The
     closed form reports condition estimate 1.0 and precision "closed-form".
     """
-    S = as_monomial_set(S)
-    c, t, _, k = f.terms[0]
-    if f.is_single_monomial and k == 0 and not S.confluent:
-        return DistanceResult(abs(c) * monomial_distance_closed_form(t, S), 1.0, "closed-form")
-    return distance_to_span(f, S, precision=precision)
+    return _one(distances(f, [S], precision=precision))
 
 
 def monomial_distance_closed_form(t: ExponentLike, S) -> float:
     """dist(x^t, M(S)) for logpow-0 data, as a stable product of factors.
 
-    Equals (2 Re t + 1)^(-1/2) * prod over s in S of |t - s| / |t + conj(s) + 1|.
-    Every factor is < 1 (a pseudo-hyperbolic distance on the half-plane), so
-    the running product is monotone; underflow to 0 is reported as 0.
+    Equals (2 Re t + 1)^(-1/2) * prod over s in S of |t - s| / |t + conj(s) + 1|,
+    the last of _closed_form_prefixes' running products.
     """
     et = as_exponent(t)
     S = as_monomial_set(S)
     if et.logpow != 0 or S.confluent:
         raise DomainError("closed-form distance requires logpow = 0 throughout")
-    # set validation already guarantees distinct exponents once logpows are 0
-    num = np.abs(et.s - S.values)
-    if np.any(num == 0.0):
-        return 0.0
-    factors = num / np.abs(et.s + np.conj(S.values) + 1.0)
-    return float(np.prod(factors)) / math.sqrt(2 * et.re + 1)
+    return float(_closed_form_prefixes(et.s, S.values)[-1])
+
+
+def _closed_form_prefixes(t: complex, values: np.ndarray) -> np.ndarray:
+    """dist(x^t, M({s_0, ..., s_(k-1)})) for k = 0..len(values), as running products.
+
+    Every factor |t - s_j| / |t + conj(s_j) + 1| is < 1 (a pseudo-hyperbolic
+    distance on the half-plane), so the running product is monotone;
+    underflow to 0 is reported as 0, and so is every prefix that holds t.
+    np.cumprod multiplies in np.prod's order, so each value keeps the bits
+    of the product over its own prefix.
+    """
+    num = np.abs(t - values)
+    prods = np.cumprod(np.concatenate(([1.0], num / np.abs(t + np.conj(values) + 1.0))))
+    prods[1:][np.maximum.accumulate(num == 0.0)] = 0.0
+    return prods / math.sqrt(2 * t.real + 1)
 
 
 # --- density sequences and the Muntz-Szasz verdict ---------------------------
@@ -698,6 +822,14 @@ _HARMONIC_FLOOR = 1e-2
 _RATIO_CEILING = 0.98
 
 
+def _over_square(num: float, x: float, plus: float = 0.0) -> float:
+    """num / (x**2 + plus); past x = 1.34e154, where x**2 overflows, num / x / x."""
+    try:
+        return num / (x**2 + plus)
+    except OverflowError:
+        return num / x / x
+
+
 def _criterion_terms(values: list[complex], criterion: str) -> np.ndarray:
     if criterion == "classical":
         for k, s in enumerate(values):
@@ -715,9 +847,9 @@ def _criterion_terms(values: list[complex], criterion: str) -> np.ndarray:
                 raise WrongCriterionError(
                     f"real criterion needs real exponents, got s_{k} = {s}"
                 )
-        return np.array([(2 * s.real + 1) / ((2 * s.real + 1) ** 2 + 1) for s in values])
+        return np.array([_over_square(2 * s.real + 1, 2 * s.real + 1, 1) for s in values])
     if criterion == "complex":
-        return np.array([(2 * s.real + 1) / abs(s + 1) ** 2 for s in values])
+        return np.array([_over_square(2 * s.real + 1, abs(s + 1)) for s in values])
     raise DomainError(f"unknown criterion {criterion!r}; expected one of {_CRITERIA}")
 
 

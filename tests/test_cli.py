@@ -79,6 +79,32 @@ def test_muntz_geometric_not_dense(capsys):
     assert payload["verdict"] == "not-dense"
 
 
+_GEOMETRIC_1E100 = '{"kind":"geometric","ratio":1e100}'
+
+
+@pytest.mark.parametrize("seq, criterion, reason", [
+    (_GEOMETRIC_1E100, "complex", "geometric majorant: terms decay like 1e-100^k"),
+    (_GEOMETRIC_1E100, "real", "geometric majorant: terms decay like 1e-100^k"),
+    ("[1, 2e154]", "complex", "geometric majorant: consecutive term ratios <= 1.33e-154"),
+    ("[1, 2e154]", "real", "geometric majorant: consecutive term ratios <= 8.33e-155"),
+])
+def test_muntz_terms_past_1e154_do_not_overflow(capsys, seq, criterion, reason):
+    # the series terms divide by |s + 1|^2 or (2 s + 1)^2, which overflow past 1.34e154
+    payload = run_json(capsys, ["muntz", "--criterion", criterion, "--seq", seq])
+    validate("muntz", payload)
+    assert (payload["verdict"], payload["reason"]) == ("not-dense", reason)
+
+
+@pytest.mark.parametrize("seq, nmax", [("[1, 2e154]", 1), (_GEOMETRIC_1E100, 2)])
+def test_converge_on_terms_past_1e154(capsys, seq, nmax):
+    payload = run_json(capsys, ["converge", "--family", "muntz", "--f", "chi:0.5",
+                                "--nmax", str(nmax), "--seq", seq])
+    validate("converge", payload)
+    assert payload["density_verdict"] == "not-dense"
+    # x^s for s >= 1e100 adds nothing to x's share of chi_[1/2,1]: d^2 = 1/2 - 3 (3/8)^2
+    assert payload["distance"] == [pytest.approx(math.sqrt(0.5 - 3 * 0.375**2), rel=1e-14)] * nmax
+
+
 def test_sarason_eval_monomial(capsys):
     payload = run_json(
         capsys, ["sarason", "eval", "--f", '{"kind":"monomial","s":[1,0]}', "--z", "0.3,0.2"]
@@ -692,10 +718,12 @@ def test_constant_family_curve_solves_once(capsys, monkeypatch):
     set_json = '{"exponents":[{"re":1},{"re":2.5},{"re":4}]}'
     point = distance(PiecewiseMonomial.indicator(0.5), MonomialSet.from_json(json.loads(set_json)))
     calls = []
-    monkeypatch.setattr(cv, "distance", lambda *a, **k: calls.append(a) or distance(*a, **k))
+    solve, cond = np.linalg.solve, np.linalg.cond
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append("solve") or solve(*a))
+    monkeypatch.setattr(np.linalg, "cond", lambda *a: calls.append("cond") or cond(*a))
     payload = run_json(capsys, ["converge", "--family", "constant", "--set", set_json,
                                 "--f", "chi:0.5", "--nmax", "6"])
-    assert len(calls) == 1
+    assert calls == ["cond", "solve"]  # one Gram condition estimate and one solve for six points
     assert payload["distance"] == [point.distance] * 6
     assert payload["condition_estimate"] == [point.condition_estimate] * 6
 

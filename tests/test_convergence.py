@@ -3,10 +3,12 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
 
+import monospan.core as core
 from monospan.convergence import (
     ConvergenceReport,
     SubspaceSequence,
@@ -18,7 +20,7 @@ from monospan.convergence import (
     muntz_limit_experiment,
 )
 from monospan.core import AffineSequence, Exponent, MonomialSet, PiecewiseMonomial, distance
-from monospan.errors import ConvergenceWarning, DomainError
+from monospan.errors import ConvergenceWarning, DomainError, NumericalError, SizeLimitError
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +298,115 @@ def test_distance_curve_handles_singular_points():
     assert curve[0] == pytest.approx(0.25, abs=1e-12)
     assert math.isnan(curve[1])
     assert math.isnan(curve[2])
+
+
+def _per_point_curve(f, seq, n_max, precision="double"):
+    """The loop that distance_curve replaced: one core.distance call per point.
+
+    A point whose set object is the previous one repeats that point.
+    """
+    f = PiecewiseMonomial.from_spec(f)
+    dists, conds = np.empty(n_max), np.empty(n_max)
+    prev_S = None
+    for n in range(1, n_max + 1):
+        S = seq.set_at(n)
+        if S is not prev_S:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    res = distance(f, S, precision=precision)
+                d, c = res.distance, res.condition_estimate
+            except NumericalError:
+                d, c = math.nan, math.inf
+            prev_S = S
+        dists[n - 1], conds[n - 1] = d, c
+    return dists, conds
+
+
+def _oracle_cases():
+    """Seeded (family factory, n_max) pairs: interval, muntz and constant families."""
+    rng = np.random.default_rng(15)
+    for rho in rng.uniform(0.16, 0.5, 3):
+        yield (lambda rho=rho: interval_family(float(rho))), int(rng.integers(6, 17))
+    a, b = rng.uniform(0.5, 1.5), rng.uniform(0.0, 0.5)
+    yield (lambda: muntz_family({"kind": "affine", "a": a, "b": b})), 12
+    yield (lambda: muntz_family({"kind": "affine", "a": [0.6, 0.3], "b": 0.1})), 10
+    base, ratio = rng.uniform(0.5, 1.5), rng.uniform(1.5, 2.5)
+    yield (lambda: muntz_family({"kind": "geometric", "base": base, "ratio": ratio})), 16
+    # coinciding nodes: 1e-200 and 0 at every rung, 1e-40 and 0 at 34 digits
+    yield (lambda: muntz_family([0, 1, 1e-200, 2])), 3
+    yield (lambda: muntz_family([0.5, 1.5, 0, 2.5, 1e-40, 3.5])), 5
+    explicit = rng.uniform(-0.4, 6.0, 9).tolist()
+    yield (lambda: muntz_family(explicit)), 8
+    S = MonomialSet(np.sort(rng.uniform(0.0, 8.0, 6)))
+    yield (lambda: constant_family(S)), 5
+    # prefixes that shrink, repeat by value (new objects) and grow again: 4, 3, 2, 1, 1, 1, 2, 3
+    vals = rng.uniform(0.0, 5.0, 4).tolist()
+    yield (lambda: SubspaceSequence(lambda n: MonomialSet(vals[:max(1, abs(5 - n))]))), 8
+    yield (lambda: constant_family(MonomialSet([0.5, 0.5, 2.0], [0, 1, 0]))), 4
+
+
+_ORACLE_TARGETS = (
+    "chi:0.37",
+    "const",
+    "monomial:0.7,1.3",
+    {"terms": [{"coeff": [1.0, 0.5], "t": [0.3, 0.0], "a": 0.25, "logpow": 1},
+               {"coeff": [-2.0, 0.0], "t": [1.5, 0.2], "a": 0.0},
+               {"coeff": [0.5, 0.0], "t": [0.0, 0.0], "a": 0.6}]},
+)
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("f", _ORACLE_TARGETS, ids=["chi", "const", "monomial", "terms"])
+def test_distance_curve_matches_the_per_point_loop(f, precision):
+    for family, n_max in _oracle_cases():
+        d, c = distance_curve(f, family(), n_max, precision=precision)
+        d_ref, c_ref = _per_point_curve(f, family(), n_max, precision)
+        assert np.array_equal(d, d_ref, equal_nan=True), (family().description, d, d_ref)
+        assert np.array_equal(c, c_ref, equal_nan=True), (family().description, c, c_ref)
+
+
+def test_distance_curve_keeps_the_size_limit_error():
+    # a non-monomial muntz curve fails where its set passes 64 entries, as the loop did
+    for curve in (distance_curve, _per_point_curve):
+        with pytest.raises(SizeLimitError, match="^monomial set has 65 entries, limit is 64$"):
+            curve("chi:0.5", muntz_family({"kind": "affine", "a": 1.0}), 70)
+
+
+def test_interval_curve_pairs_f_once_per_node_and_precision(monkeypatch):
+    calls = []
+    pairing = PiecewiseMonomial.pairing
+
+    def counted(self, s, logpow=0):
+        calls.append((s, logpow, mp.mp.prec))
+        return pairing(self, s, logpow)
+
+    monkeypatch.setattr(PiecewiseMonomial, "pairing", counted)
+    fam = interval_family(0.2)
+    d, _ = distance_curve("chi:0.4", fam, 10, precision="extended")
+    assert len(calls) == len(set(calls))
+    assert {s for s, _, _ in calls} == {s for n in range(1, 11) for s in fam.set_at(n).values.tolist()}
+    per_point = len(calls)
+    calls.clear()
+    d_ref, _ = _per_point_curve("chi:0.4", fam, 10, "extended")
+    assert np.array_equal(d, d_ref)
+    assert len(calls) > 2 * per_point  # the loop paired every node of every point at every rung
+
+
+def test_nested_curve_runs_one_schur_pass_per_rung(monkeypatch):
+    passes = []
+    rung = core._schur_rung
+    monkeypatch.setattr(core, "_schur_rung",
+                        lambda S, memo, end=None: passes.append(mp.mp.dps) or rung(S, memo, end))
+    fam = muntz_family({"kind": "affine", "a": 1.0, "b": 0.5})
+    d, _ = distance_curve("chi:0.5", fam, 12, precision="extended")
+    assert len(passes) >= 2
+    assert passes == sorted(set(passes))  # one pass per rung, rungs in ladder order
+    rungs = len(passes)
+    passes.clear()
+    d_ref, _ = _per_point_curve("chi:0.5", fam, 12, "extended")
+    assert np.array_equal(d, d_ref)
+    assert len(passes) >= 12 * 2 > rungs
 
 
 def test_distance_curve_with_conditions():

@@ -395,13 +395,13 @@ def _lu_rung(S, f):
 
 def test_schur_recursion_matches_lu_solve():
     # the extended route on logpow-0 sets is the Schur recursion; the LU rung
-    # at the precision it accepted is the independent oracle
+    # at 150 digits is the independent oracle (at the precision the ladder
+    # accepted, LU keeps fewer digits than the recursion it checks)
     rng = np.random.default_rng(7)
     for S in _schur_test_sets(rng):
         f = PiecewiseMonomial.indicator(rng.uniform(0.2, 0.8))
         r = distance_to_span(f, S, precision="extended")
-        dps = int(r.precision[len("extended(dps="):-1])
-        with mp.workdps(dps):
+        with mp.workdps(150):
             d_lu = float(mp.sqrt(_lu_rung(S, f)))
         assert abs(r.distance - d_lu) <= 1e-12 * d_lu + 1e-15
 
@@ -520,7 +520,7 @@ def test_logpow0_extended_solve_builds_no_matrix(monkeypatch):
 
 def test_clamped_rungs_do_not_agree(monkeypatch):
     def rung_from(d2_by_dps):
-        return lambda S, f: mp.mpf(d2_by_dps[mp.mp.dps])
+        return lambda S, memo, end: [mp.mpf(d2_by_dps[mp.mp.dps])] * end  # d^2 of every prefix
 
     # every rung clamps: no distance is supported, so no 0.0 is returned
     clamped = dict.fromkeys((34, 50, 80, 120, 160), -1e-40)

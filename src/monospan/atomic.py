@@ -27,7 +27,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ExponentLike, as_exponent, complex_field, list_field, real_field, required_field
+from .core import (
+    ExponentLike,
+    _over_square,
+    as_exponent,
+    complex_field,
+    list_field,
+    real_field,
+    required_field,
+)
 from .errors import (
     ConvergenceWarning,
     DomainError,
@@ -191,14 +199,6 @@ class InnerFunction:
             acc *= cmath.exp(-w * (tau + zv) / (tau - zv))
         return acc
 
-    def modulus(self, z) -> float:
-        """|S(z)| = exp(-sum w_k Re((tau_k+z)/(tau_k-z))), without the phase."""
-        zv = as_disk(z)
-        expo = 0.0
-        for tau, w in self.measure.atoms:
-            expo -= w * ((tau + zv) / (tau - zv)).real
-        return math.exp(expo)
-
     def taylor(self, N: int) -> np.ndarray:
         """First N Taylor coefficients of the product over all atoms."""
         if not self.measure.atoms:
@@ -326,13 +326,22 @@ def model_space_distance(f: LaguerreExpansion, mu: AtomicMeasure, N: int = 4096)
 def kernel_distance(mu: AtomicMeasure, s: ExponentLike) -> float:
     """Exact distance from x^s to the atomic space of mu: |phi(alpha)| / sqrt(2 Re s + 1).
 
-    The projection of k_alpha onto phi H^2 is conj(phi(alpha)) phi k_alpha.
+    The projection of k_alpha onto phi H^2 is conj(phi(alpha)) phi k_alpha,
+    alpha = conj(s)/(conj(s) + 1), and -log |phi(alpha)| sums
+    w Re((tau + alpha)/(tau - alpha)) = w (2 Re s + 1)/|tau + (tau - 1) conj(s)|^2
+    over the atoms, which holds for |tau| = 1.  alpha itself is never formed:
+    for |s| above about 1e16 it rounds onto the circle.  Every term is >= 0, so
+    the result never exceeds 1/sqrt(2 Re s + 1), even for an atom that is
+    unimodular only to rounding.
     """
     e = as_exponent(s)
     if e.logpow != 0:
         raise DomainError("kernel formula requires logpow = 0")
-    alpha = e.s.conjugate() / (e.s.conjugate() + 1)
-    return InnerFunction(mu).modulus(alpha) / math.sqrt(2 * e.re + 1)
+    num, sb = 2 * e.re + 1, e.s.conjugate()
+    expo = 0.0
+    for tau, w in mu.atoms:
+        expo -= w * _over_square(num, abs(tau + (tau - 1) * sb))
+    return math.exp(expo) / math.sqrt(num)
 
 
 @dataclass(frozen=True)

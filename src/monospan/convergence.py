@@ -34,6 +34,8 @@ import numpy as np
 from .core import (
     MonomialSet,
     PiecewiseMonomial,
+    _check_entries,
+    _duplicate_error,
     as_monomial_set,
     distances,
     muntz_verdict,
@@ -84,15 +86,23 @@ def muntz_family(seq) -> SubspaceSequence:
     """Nested sets S_n = {s_0, ..., s_n} from an exponent sequence spec.
 
     The terms are computed once, into one prefix that grows with the largest
-    n asked for.
+    n asked for, and each is checked once, when a set first holds it: a term
+    outside the half-plane, then a repeated one, raises the DomainError that
+    MonomialSet raises for the first set holding it.
     """
-    terms, prefix = sequence_terms(sequence_from_spec(seq)), []
+    terms, prefix, seen = sequence_terms(sequence_from_spec(seq)), [], {}
 
     def gen(n: int) -> MonomialSet:
         prefix.extend(itertools.islice(terms, max(0, n + 1 - len(prefix))))
         if len(prefix) < n + 1:
             raise DomainError(f"sequence exhausted before index {n}")
-        return MonomialSet(prefix[:max(0, n + 1)])
+        new = prefix[len(seen):max(0, n + 1)]
+        _check_entries(np.array(new, dtype=complex), np.zeros(len(new), dtype=np.int64))
+        for s in new:
+            if s in seen:
+                raise _duplicate_error(s, 0)
+            seen[s] = None  # insertion-ordered: the first len(seen) terms passed
+        return MonomialSet._checked(prefix[:max(0, n + 1)])
 
     return SubspaceSequence(gen, "muntz")
 

@@ -25,7 +25,10 @@ monomial_distance_closed_form.  distance() takes that closed-form product
 when f is a single uncut monomial and distance_to_span otherwise; both
 return a DistanceResult.  distances() gives distance() for a sequence of
 sets in one call: after k nodes the recursion's mass is the projection onto
-the first k kernels, so nested sets share one pass per rung.
+the first k kernels, so nested sets share one pass per rung.  The rungs run
+on real data in real arithmetic: a real node or pairing is an mpf, and only
+complex ones are mpc, so real sets with real targets never pay for complex
+multiplies and divides.
 """
 
 from __future__ import annotations
@@ -123,6 +126,16 @@ class MonomialSet:
         return map(Exponent, v.real.tolist(), v.imag.tolist(), self.logpows.tolist())
 
     @classmethod
+    def _checked(cls, values) -> "MonomialSet":
+        """The logpow-0 set of `values`, which the caller has checked: valid and distinct."""
+        S = cls.__new__(cls)
+        v = np.array(values, dtype=complex)
+        k = np.zeros(v.shape, dtype=np.int64)
+        v.flags.writeable = k.flags.writeable = False
+        S.values, S.logpows = v, k
+        return S
+
+    @classmethod
     def from_exponents(cls, values: Iterable[ExponentLike]) -> "MonomialSet":
         es = [as_exponent(v) for v in values]
         return cls([e.s for e in es], [e.logpow for e in es])
@@ -158,6 +171,10 @@ def _check_entries(v: np.ndarray, k: np.ndarray) -> None:
         Exponent(v.real[i].item(), v.imag[i].item(), k[i].item())
 
 
+def _duplicate_error(z: complex, j: int) -> DomainError:
+    return DomainError(f"duplicate exponent entry (s={z}, logpow={j})")
+
+
 def _check_set(v: np.ndarray, k: np.ndarray) -> None:
     """Raise on a bad entry, a repeated entry, or log powers of one s that do not run 0..m-1."""
     if np.count_nonzero(k):
@@ -177,7 +194,7 @@ def _check_set(v: np.ndarray, k: np.ndarray) -> None:
     powers: dict[complex, set[int]] = {}
     for z, j in zip(v.tolist(), k.astype(np.int64).tolist()):
         if j in powers.setdefault(z, set()):
-            raise DomainError(f"duplicate exponent entry (s={z}, logpow={j})")
+            raise _duplicate_error(z, j)
         powers[z].add(j)
     z, js = next((z, sorted(js)) for z, js in powers.items() if max(js) >= len(js))
     raise DomainError(f"log powers for s={z.real}+{z.imag}j must be contiguous from 0, got {js}")
@@ -212,12 +229,16 @@ def cauchy_moment(t: complex, s: complex, m: int = 0, a: float = 0.0, c=1):
     integration-by-parts recurrence I_0 = (1 - a^p)/p,
     I_m = -(a^p (ln a)^m + m I_(m-1))/p.  Under an mpmath working precision
     above double (as set by the extended solve ladder) the operands are
-    lifted to mpmath and the result is a full-precision mpc, so
-    ill-conditioned Gram solves are not capped by double-rounded entries.
+    lifted to mpmath and the result is a full-precision mpmath number, so
+    ill-conditioned Gram solves are not capped by double-rounded entries:
+    an mpf when t, s and c are real, an mpc otherwise.
     """
     if mp.mp.dps > 25:
-        p = 1 + mp.mpc(t.real, t.imag) + mp.mpc(s.real, -s.imag)
-        c, factorial, power, log = mp.mpc(c), mp.factorial, mp.power, mp.log
+        if t.imag == s.imag == c.imag == 0:  # real data stays real: mpf arithmetic is cheaper
+            p, c = 1 + mp.mpf(t.real) + mp.mpf(s.real), mp.mpf(c.real)
+        else:
+            p, c = 1 + mp.mpc(t.real, t.imag) + mp.mpc(s.real, -s.imag), mp.mpc(c)
+        factorial, power, log = mp.factorial, mp.power, mp.log
     else:
         p = 1 + t + s.conjugate()
         factorial, power, log = math.factorial, pow, math.log
@@ -401,11 +422,17 @@ class _Memo:
         return self._once(("norm", mp.mp.prec), lambda: self.f.norm_sq)
 
     def node(self, z: complex, m: int):
-        """w = conj(z) + 1/2 and a new list of F_j = <f, x^z (ln x)^j> / j!, j < m, in mpmath."""
-        w, F = self._once(("node", mp.mp.prec, z, m), lambda: (
-            mp.mpc(mp.mpf(z.real) + mp.mpf(1) / 2, -mp.mpf(z.imag)),
-            [mp.mpc(self.pairing(z))]
-            + [mp.mpc(self.pairing(z, j)) / math.factorial(j) for j in range(1, m)]))
+        """w = conj(z) + 1/2 and a new list of F_j = <f, x^z (ln x)^j> / j!, j < m, in mpmath.
+
+        w is an mpf for real z and an mpc otherwise; each F_j keeps its
+        pairing's type, an mpf when the pairing is real.
+        """
+        def make():
+            w = mp.mpf(z.real) + mp.mpf(1) / 2
+            return (w if z.imag == 0 else mp.mpc(w, -mp.mpf(z.imag)),
+                    [self.pairing(z)] + [self.pairing(z, j) / math.factorial(j) for j in range(1, m)])
+
+        w, F = self._once(("node", mp.mp.prec, z, m), make)
         return w, list(F)
 
 
@@ -428,7 +455,9 @@ def _schur_rung(S: MonomialSet, memo: _Memo, end: int | None = None) -> list:
     before the first node that coincides with an earlier one at this
     precision, since no prefix holding both can be solved.  The nodes are
     built in mpmath; rounded to double first, nearby nodes lose the digits
-    the divisions need.
+    the divisions need.  Real nodes and data are mpf and stay mpf through
+    every update; a complex node or pairing is an mpc, and mixed operands
+    meet in complex arithmetic.
     """
     nodes = itertools.islice(collections.Counter(S.values.tolist()).items(), end)
     w, F = map(list, zip(*(memo.node(z, m) for z, m in nodes)))

@@ -100,7 +100,7 @@ def test_proj_norm_sq_is_one_atom_complement():
         w = rng.uniform(0.1, 2.0)
         s = complex(rng.uniform(-0.3, 3.0), rng.uniform(-2.0, 2.0))
         alpha = s.conjugate() / (s.conjugate() + 1)
-        phi = at.InnerFunction(at.AtomicMeasure.single(tau, w)).modulus(alpha)
+        phi = abs(at.InnerFunction(at.AtomicMeasure.single(tau, w)).evaluate(alpha))
         complement = (1 - phi**2) / (1 + 2 * s.real)
         assert at.proj_norm_sq(at.AtomicSpaceParams(tau, w), s) == pytest.approx(complement, rel=1e-14)
 
@@ -182,14 +182,16 @@ def test_inner_function_contractive_and_modulus():
         z = 0.95 * rng.uniform(0, 1) * cmath.exp(1j * rng.uniform(0, 2 * np.pi))
         val = F.evaluate(z)
         assert abs(val) < 1.0
-        assert abs(F.modulus(z) - abs(val)) < 1e-12
+        # |S(z)| is the kernel formula's numerator at the s with alpha = z
+        s = (z / (1 - z)).conjugate()
+        assert abs(at.kernel_distance(mu, s) * math.sqrt(2 * s.real + 1) - abs(val)) < 1e-12
 
 
 def test_inner_function_radial_limit_off_atoms():
     F = at.InnerFunction(at.AtomicMeasure.single(1.0, 0.5))
     # approaching the circle away from the atom, the modulus climbs to 1
-    assert F.modulus(-0.999) > 0.99
-    assert F.modulus(0.999j * 1.0) > 0.99
+    assert abs(F.evaluate(-0.999)) > 0.99
+    assert abs(F.evaluate(0.999j * 1.0)) > 0.99
 
 
 def test_inner_function_atom_collision():
@@ -274,14 +276,19 @@ def test_model_space_distance_against_closed_form():
     assert abs(d - math.sqrt(exact_sq)) < 0.01 * math.sqrt(exact_sq)
 
 
-def _kernel_distance_mp(mu, s):
-    """|phi(alpha)| / sqrt(2 Re s + 1) at 40 digits, alpha = conj(s)/(conj(s)+1)."""
-    with mp.workdps(40):
+def _kernel_distance_mp(mu, s, dps=40):
+    """|phi(alpha)| / sqrt(2 Re s + 1) at dps digits, alpha = conj(s)/(conj(s)+1).
+
+    Each atom is taken as tau/|tau|: a float atom is unimodular only to rounding,
+    and the measure it stands for has its atoms on the circle.
+    """
+    with mp.workdps(dps):
         sm = mp.mpc(s.real, s.imag)
         alpha = mp.conj(sm) / (mp.conj(sm) + 1)
         log_phi = mp.mpc(0)
         for tau, w in mu.atoms:
             t = mp.mpc(tau.real, tau.imag)
+            t /= abs(t)
             log_phi -= mp.mpf(w) * (t + alpha) / (t - alpha)
         return mp.exp(mp.re(log_phi)) / mp.sqrt(2 * mp.re(sm) + 1)
 
@@ -302,6 +309,29 @@ def test_kernel_distance_against_mpmath():
         at.kernel_distance(mu, Exponent(0.5, 0.0, 1))
     with pytest.raises(DomainError):
         at.kernel_distance(mu, -0.6)
+
+
+def test_kernel_distance_for_large_exponents():
+    # alpha = conj(s)/(conj(s)+1) rounds onto the circle in double for |s| >= 1e16;
+    # the distance stays finite, and the reference forms alpha at enough digits
+    rng = np.random.default_rng(17)
+    mu = at.AtomicMeasure(((cmath.exp(-0.3j), 0.3), (1j, 0.5), (cmath.exp(2.5j), 1.2)))
+    for e in (8, 16, 17, 40, 150, 200, 300):
+        for s in (10.0 ** e, complex(10.0 ** e, -(10.0 ** e)), complex(rng.uniform(-0.4, 2.0), 10.0 ** e)):
+            ref = _kernel_distance_mp(mu, s, dps=e + 40)
+            assert abs(at.kernel_distance(mu, s) - ref) <= 1e-13 * ref, s
+
+
+def test_kernel_distance_for_large_exponents_near_an_atom_inside_the_circle():
+    # |tau| = 1 - 5e-13 passes the unimodular check; the distance never exceeds
+    # 1/sqrt(2 Re s + 1), as for an atom on the circle.  It depends on tau - 1 (about
+    # 1e-8i), which the floats carry to about 5e-9 relative, so it agrees with the
+    # tau/|tau| reference to that much and no further
+    mu = at.AtomicMeasure(((complex(0.9999999999995, 1e-8), 1.0),))
+    for s in (1e16, 1e17, 1e20, complex(1e17, 1e17), complex(0.3, 1e17), 1e300):
+        d, ref = at.kernel_distance(mu, s), _kernel_distance_mp(mu, s, dps=340)
+        assert 0 < d <= 1 / math.sqrt(2 * s.real + 1), s
+        assert abs(d - ref) <= 1e-8 * ref, s
 
 
 def test_model_space_distance_monotone_from_below():

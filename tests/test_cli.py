@@ -195,6 +195,19 @@ def test_atomic_dist(capsys):
         assert payload["total_mass"] == 0.5
 
 
+def test_atomic_dist_past_1e16(capsys):
+    # alpha = conj(s)/(conj(s)+1) rounds to 1 here, which exited 3 with "|z| = 1.0 is not
+    # inside the open disk"; the distance is e^(-w Re((tau+alpha)/(tau-alpha))) / sqrt(2s + 1)
+    payload = run_json(capsys, ["atomic", "dist", "--measure", '{"atoms":[{"tau":[0,1],"w":0.5}]}',
+                                "--s", "1e17", "--n", "256"])
+    validate("atomic", payload)
+    assert payload["distance"] == pytest.approx(2.2360679774997897e-09, rel=1e-14)
+    # an atom near 1 with |tau| < 1 (inside the unimodular check's 1e-12) stays below 1/sqrt(2s + 1)
+    payload = run_json(capsys, ["atomic", "dist", "--measure", '{"atoms":[{"tau":[0.9999999999995,1e-8],"w":1}]}',
+                                "--s", "1e17", "--n", "256"])
+    assert 0 < payload["distance"] <= 1 / math.sqrt(2e17 + 1)
+
+
 def test_converge_interval_json(capsys):
     payload = run_json(
         capsys,

@@ -1,5 +1,6 @@
 """Tests for distance curves, limit membership, and density experiments."""
 
+import itertools
 import math
 import warnings
 
@@ -196,17 +197,59 @@ def test_muntz_family_nesting_and_exhaustion():
 
 
 def test_muntz_family_computes_each_term_once(monkeypatch):
-    calls = []
-    term = AffineSequence.term
+    calls, checks = [], []
+    term, check = AffineSequence.term, core._check_set
     monkeypatch.setattr(AffineSequence, "term", lambda self, k: calls.append(k) or term(self, k))
+    monkeypatch.setattr(core, "_check_set", lambda v, k: checks.append(len(v)) or check(v, k))
     fam = muntz_family({"kind": "affine", "a": 1.0})
     curve, _ = distance_curve("chi:0.5", fam, 24)
     assert sorted(calls) == list(range(25))
+    assert checks == []  # each term was checked once, as it entered; no set was checked whole
     assert [e.re for e in fam.set_at(3)] == [0.0, 1.0, 2.0, 3.0]  # an earlier n reads the prefix
     f = PiecewiseMonomial.indicator(0.5)
     assert curve[3] == distance(f, MonomialSet([0, 1, 2, 3, 4])).distance
     with pytest.raises(DomainError, match="^sequence exhausted before index 3$"):
         muntz_family({"kind": "geometric", "ratio": 1e200}).set_at(3)
+
+
+def _fully_checked_family(seq):
+    """muntz_family's generator as a per-prefix oracle: every set takes MonomialSet's full check."""
+    terms, prefix = core.sequence_terms(core.sequence_from_spec(seq)), []
+
+    def gen(n):
+        prefix.extend(itertools.islice(terms, max(0, n + 1 - len(prefix))))
+        if len(prefix) < n + 1:
+            raise DomainError(f"sequence exhausted before index {n}")
+        return MonomialSet(prefix[:max(0, n + 1)])
+
+    return gen
+
+
+def _set_or_error(gen, n):
+    try:
+        S = gen(n)
+    except DomainError as e:
+        return str(e)
+    return S.values.tobytes(), S.logpows.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    [0.0, 1.0, -0.7, 2.0],
+    [0.0, 1.0, 2.0, 1.0, 3.0],
+    [[0.0, 1.0], [1.0, 0.0], [-0.0, 1.0]],
+    [1.0, 1.0, -0.6, 2.0],
+    [2.0, 0.5, -0.5, 0.5],
+    {"kind": "affine", "a": 0.0, "b": 1.0},
+    {"kind": "affine", "a": -0.3},
+    {"kind": "geometric", "ratio": 1.0},
+    {"kind": "geometric", "base": -0.4, "ratio": 1.5},
+    {"kind": "affine", "a": [0.5, 1.0]},
+])
+def test_muntz_family_checks_each_term_once_with_the_same_errors(spec):
+    # a bad or repeated term raises the error, and at the n, of a full check of every prefix
+    for order in (range(-1, 8), (5, 2, 0, 7, 3, 3, 1, 6), (3, -2, 1)):
+        gen, oracle = muntz_family(spec).generator, _fully_checked_family(spec)
+        assert [_set_or_error(gen, n) for n in order] == [_set_or_error(oracle, n) for n in order]
 
 
 def test_constant_family():

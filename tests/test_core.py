@@ -22,8 +22,10 @@ from monospan import (
     as_exponent,
     distance_to_span,
     gram_build,
+    interval_family,
     monomial_distance_closed_form,
     monomial_inner,
+    muntz_family,
     muntz_verdict,
     sequence_from_spec,
 )
@@ -531,6 +533,131 @@ def test_clamped_rungs_do_not_agree(monkeypatch):
     monkeypatch.setattr(core, "_schur_rung", rung_from({34: 0.25, 50: 0.0, 80: 0.25, 120: 0.25}))
     r = distance_to_span(monomial(0), [1, 2], precision="extended")
     assert (r.distance, r.precision) == (0.5, "extended(dps=120)")
+
+
+_REAL_MOMENT = core.cauchy_moment
+
+
+def _complex_moment(t, s, m=0, a=0.0, c=1):
+    """cauchy_moment with every extended-precision operand lifted to mpc, real data too."""
+    if mp.mp.dps <= 25:
+        return _REAL_MOMENT(t, s, m, a, c)
+    p, c = 1 + mp.mpc(t.real, t.imag) + mp.mpc(s.real, -s.imag), mp.mpc(c)
+    if a == 0.0:
+        return c * (-1) ** m * mp.factorial(m) / p ** (m + 1)
+    ap = mp.power(a, p)
+    acc = c * (1 - ap) / p
+    for k in range(1, m + 1):
+        acc = -(c * ap * mp.log(a) ** k + k * acc) / p
+    return acc
+
+
+def _complex_node(memo, z, m):
+    """_Memo.node with w and every F_j an mpc, real data too."""
+    w, F = memo._once(("node", mp.mp.prec, z, m), lambda: (
+        mp.mpc(mp.mpf(z.real) + mp.mpf(1) / 2, -mp.mpf(z.imag)),
+        [mp.mpc(memo.pairing(z))]
+        + [mp.mpc(memo.pairing(z, j)) / math.factorial(j) for j in range(1, m)]))
+    return w, list(F)
+
+
+@pytest.fixture
+def complex_path(monkeypatch):
+    """Calls fn(*args) with all extended data held as mpc, the oracle for the real path."""
+    def run(fn, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(core, "cauchy_moment", _complex_moment)
+            m.setattr(core._Memo, "node", _complex_node)
+            return fn(*args, **kwargs)
+
+    return run
+
+
+def _real_oracle_cases():
+    """Seeded real sets and targets: interval sets, nested muntz chains and large spaced sets."""
+    rng = np.random.default_rng(16)
+    chains = []
+    for rho in rng.uniform(0.16, 0.5, 3):
+        chains.append([interval_family(float(rho)).set_at(n) for n in range(1, 17)])
+    for spec in ({"kind": "affine", "a": rng.uniform(0.5, 2.0), "b": rng.uniform(0.0, 1.0)},
+                 {"kind": "geometric", "base": rng.uniform(0.5, 1.5), "ratio": rng.uniform(1.5, 2.5)}):
+        chains.append([muntz_family(spec).set_at(n) for n in range(1, 21)])
+    for size in (24, 28, 32):
+        gaps = rng.uniform(0.5, 1.0, size)
+        chains.append([MonomialSet(np.cumsum(gaps) - gaps[0])])
+    targets = [PiecewiseMonomial.from_spec(f"chi:{rng.uniform(0.2, 0.8)!r}"), PiecewiseMonomial.constant(),
+               PiecewiseMonomial(((1.0, Exponent(rng.uniform(0.1, 2.0)), 0.0, 2),))]
+    return chains, targets
+
+
+def test_real_rung_matches_the_complex_path(complex_path):
+    # real data runs the rung in mpf, and the all-mpc arithmetic is the oracle.
+    # The rung amplifies rounding by up to 1e20 units in the last place of
+    # ||f||^2 on these sets, on both paths alike: each prefix's two d^2 agree
+    # within a few units plus a few times the complex path's own error, and
+    # over a chain the real path's worst error is within twice the complex
+    # path's.  The 120-digit rung measures the errors
+    chains, targets = _real_oracle_cases()
+    for chain in chains:
+        longest = chain[-1]
+        for f in targets:
+            with mp.workdps(120):
+                ref = complex_path(core._schur_rung, longest, core._Memo(f))
+            for dps in (34, 50):
+                with mp.workdps(dps):
+                    real = core._schur_rung(longest, core._Memo(f))
+                    cplx = complex_path(core._schur_rung, longest, core._Memo(f))
+                    assert isinstance(f.norm_sq, mp.mpf) and all(isinstance(v, mp.mpf) for v in real)
+                    ulp = mp.mpf(2) ** -mp.mp.prec * f.norm_sq
+                    assert len(real) == len(cplx) == len(ref)
+                    err_real = [abs(a - r.real) for a, r in zip(real, ref)]
+                    err_cplx = [abs(b.real - r.real) for b, r in zip(cplx, ref)]
+                    for a, b, e in zip(real, cplx, err_cplx):
+                        assert abs(a - b.real) <= 16 * ulp + 4 * e, (dps, len(longest))
+                    assert max(err_real) <= 16 * ulp + 2 * max(err_cplx), (dps, len(longest))
+            for precision in ("double", "extended"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", IllConditioningWarning)
+                    got = core.distances(f, chain, precision=precision)
+                    want = complex_path(core.distances, f, chain, precision=precision)
+                assert got == want
+
+
+def _mixed_cases(rng):
+    """(f, sets) with complex data somewhere: coefficient, exponents, conjugate pairs, log powers."""
+    real = MonomialSet(np.cumsum(rng.uniform(0.5, 1.0, 12)))
+    cf = PiecewiseMonomial(((complex(rng.normal(), rng.normal()), Exponent(0.0), rng.uniform(0.2, 0.8)),
+                            (1.0, Exponent(rng.uniform(0.1, 2.0)), 0.0, 1)))
+    yield cf, [real]  # complex F, real w
+    z = rng.uniform(0.0, 4.0, 10) + 1j * rng.uniform(-2.0, 2.0, 10)
+    yield PiecewiseMonomial.indicator(rng.uniform(0.2, 0.8)), [MonomialSet(z)]  # real f, complex w
+    pairs = rng.uniform(0.0, 4.0, 5) + 1j * rng.uniform(0.1, 2.0, 5)
+    s = np.concatenate([pairs, pairs.conj(), rng.uniform(0.0, 4.0, 3)])
+    yield PiecewiseMonomial.from_spec("const"), [MonomialSet(s[:k]) for k in range(1, len(s) + 1)]
+    v = np.cumsum(rng.uniform(0.8, 1.6, 5))
+    conf = MonomialSet(np.repeat(v, 2), np.tile([0, 1], 5))
+    yield PiecewiseMonomial(((1.0, Exponent(rng.uniform(0.2, 3.0)), 0.0, 1),)), [conf]  # confluent, real
+    yield cf, [conf]
+
+
+def test_mixed_data_matches_the_complex_path(complex_path):
+    f = PiecewiseMonomial.indicator(0.4)
+    with mp.workdps(34):
+        w, F = core._Memo(f).node(1.5, 2)
+        assert isinstance(w, mp.mpf) and all(isinstance(v, mp.mpf) for v in F)
+        assert isinstance(f.norm_sq, mp.mpf)
+        w, F = core._Memo(f).node(1.5 + 0.5j, 1)
+        assert isinstance(w, mp.mpc) and isinstance(F[0], mp.mpc)
+        g = PiecewiseMonomial(((1j, Exponent(0.0), 0.4),))
+        w, F = core._Memo(g).node(1.5, 1)
+        assert isinstance(w, mp.mpf) and isinstance(F[0], mp.mpc)
+        assert isinstance(g.norm_sq, mp.mpf)
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        for f, sets in _mixed_cases(rng):
+            got = core.distances(f, sets, precision="extended")
+            assert got == complex_path(core.distances, f, sets, precision="extended")
+            assert not any(isinstance(r, NumericalError) for r in got)
 
 
 def test_closed_form_input_validation():

@@ -11,24 +11,25 @@ every Gram entry is
 
 the (j+k)-fold derivative of the Cauchy kernel 1/(1 + a + conj(b)).  Gram
 matrices of monomial sets are therefore Cauchy-structured, Hermitian positive
-definite, and exponentially ill-conditioned; solves fall back to extended
-precision (mpmath) when the condition estimate passes EXTENDED_THRESHOLD.
+definite, and exponentially ill-conditioned; solves fall back to an
+extended-precision ladder when the condition estimate passes EXTENDED_THRESHOLD.
 
 A target f is a PiecewiseMonomial, a sum of c x^t (ln x)^k chi_[a,1]
 terms whose pairings and norm are sums of cauchy_moment values.  The
-extended solve is a ladder of mpmath precisions (34 to 160 digits) whose
-rungs are one O(n^2) Schur (Nevanlinna-Pick) recursion for every set: x^s
-is the half-plane Szego kernel at w = conj(s) + 1/2, x^s (ln x)^k its k-th
+extended solve is a ladder of precisions (34 to 160 digits) whose rungs are
+one O(n^2) Schur (Nevanlinna-Pick) recursion for every set: x^s is the
+half-plane Szego kernel at w = conj(s) + 1/2, x^s (ln x)^k its k-th
 derivative, so the Gram matrix is a (confluent) Cauchy matrix and each step
 divides by one Blaschke factor (z - w_k)/(z + conj w_k), the factors of
 monomial_distance_closed_form.  distance() takes that closed-form product
 when f is a single uncut monomial and distance_to_span otherwise; both
 return a DistanceResult.  distances() gives distance() for a sequence of
 sets in one call: after k nodes the recursion's mass is the projection onto
-the first k kernels, so nested sets share one pass per rung.  The rungs run
-on real data in real arithmetic: a real node or pairing is an mpf, and only
-complex ones are mpc, so real sets with real targets never pay for complex
-multiplies and divides.
+the first k kernels, so nested sets share one pass per rung.  A rung holds
+one scalar type: when the set's exponents and every term of f are real, it
+runs in the standard library's decimal.Decimal (the C library libmpdec) at
+dps + 3 digits, in a decimal context of its own; otherwise it runs in
+mpmath's mpc at dps digits.
 """
 
 from __future__ import annotations
@@ -36,11 +37,13 @@ from __future__ import annotations
 import cmath
 import collections
 import contextlib
+import decimal
 import itertools
 import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Iterable, Iterator, Union
 
 import mpmath as mp
@@ -227,17 +230,19 @@ def cauchy_moment(t: complex, s: complex, m: int = 0, a: float = 0.0, c=1):
 
     At a = 0 this is c (-1)^m m! / p^(m+1); at a > 0 it follows the
     integration-by-parts recurrence I_0 = (1 - a^p)/p,
-    I_m = -(a^p (ln a)^m + m I_(m-1))/p.  Under an mpmath working precision
-    above double (as set by the extended solve ladder) the operands are
-    lifted to mpmath and the result is a full-precision mpmath number, so
-    ill-conditioned Gram solves are not capped by double-rounded entries:
-    an mpf when t, s and c are real, an mpc otherwise.
+    I_m = -(a^p (ln a)^m + m I_(m-1))/p.  The operands are lifted exactly
+    from their floats, so ill-conditioned Gram solves are not capped by
+    double-rounded entries.  The result's type follows the precision in
+    force: inside a real rung's decimal context (_RealRung; t, s and c real)
+    a Decimal in that context, under an mpmath working precision above
+    double (as set by the extended ladder) an mpc at that precision, and in
+    double a complex.  ln a is formed only when the recurrence or a^p needs it.
     """
-    if mp.mp.dps > 25:
-        if t.imag == s.imag == c.imag == 0:  # real data stays real: mpf arithmetic is cheaper
-            p, c = 1 + mp.mpf(t.real) + mp.mpf(s.real), mp.mpf(c.real)
-        else:
-            p, c = 1 + mp.mpc(t.real, t.imag) + mp.mpc(s.real, -s.imag), mp.mpc(c)
+    if _in_real_rung():
+        p, c = 1 + Decimal(t.real) + Decimal(s.real), Decimal(c.real)
+        factorial, power, log = math.factorial, _decimal_power, _decimal_ln
+    elif mp.mp.dps > 25:
+        p, c = 1 + mp.mpc(t.real, t.imag) + mp.mpc(s.real, -s.imag), mp.mpc(c)
         factorial, power, log = mp.factorial, mp.power, mp.log
     else:
         p = 1 + t + s.conjugate()
@@ -246,9 +251,33 @@ def cauchy_moment(t: complex, s: complex, m: int = 0, a: float = 0.0, c=1):
         return c * (-1) ** m * factorial(m) / p ** (m + 1)
     ap = power(a, p)
     acc = c * (1 - ap) / p
-    for k in range(1, m + 1):
-        acc = -(c * ap * log(a) ** k + k * acc) / p
+    if m:
+        ln_a = log(a)
+        for k in range(1, m + 1):
+            acc = -(c * ap * ln_a ** k + k * acc) / p
     return acc
+
+
+def _decimal_ln(a: float) -> Decimal:
+    """ln a in the current decimal context widened by 6 guard digits."""
+    wide = decimal.getcontext().copy()
+    wide.prec += 6
+    return Decimal(a).ln(wide)
+
+
+def _decimal_power(a: float, p: Decimal) -> Decimal:
+    """a^p as a^floor(p) exp(frac(p) ln a), with 6 guard digits.
+
+    decimal's own power takes about 1 us for a whole exponent and over 100 us
+    for any other.
+    """
+    wide = decimal.getcontext().copy()
+    wide.prec += 6
+    whole = p.to_integral_value(decimal.ROUND_FLOOR)
+    ap = wide.power(Decimal(a), whole)
+    if p != whole:
+        ap = wide.multiply(ap, wide.multiply(p - whole, _decimal_ln(a)).exp(wide))
+    return ap
 
 
 def monomial_inner(a: ExponentLike, b: ExponentLike) -> complex:
@@ -288,8 +317,8 @@ class PiecewiseMonomial:
     has logpow 0.  The log power lives only in the fourth field, so a term
     whose exponent carries one is rejected rather than read two ways.  Its
     pairings and norm are sums of cauchy_moment values, so they follow the
-    working precision: floats in double, full-precision mpmath numbers on
-    the extended ladder.
+    working precision: floats in double, and on the extended ladder
+    full-precision mpmath numbers, or Decimals in a real rung's context.
     """
 
     terms: tuple[tuple[complex, Exponent, float, int], ...]
@@ -362,12 +391,12 @@ class PiecewiseMonomial:
         return len(self.terms) == 1 and self.terms[0][2] == 0.0
 
     def pairing(self, s: complex, logpow: int = 0):
-        """<f, x^s (ln x)^logpow>, exact in either precision regime."""
+        """<f, x^s (ln x)^logpow>, exact in each precision regime."""
         return sum(cauchy_moment(t.s, s, k + logpow, a, c) for c, t, a, k in self.terms)
 
     @property
     def norm_sq(self):
-        """||f||^2, exact in either precision regime: a float, or an mpf on the ladder."""
+        """||f||^2, exact in each precision regime: a float, an mpf on an mpc rung, a Decimal on a real rung."""
         acc = sum(
             cauchy_moment(ti.s, tj.s, ki + kj, max(ai, aj), ci * cj.conjugate())
             for ci, ti, ai, ki in self.terms
@@ -399,40 +428,76 @@ class DistanceResult:
     precision: str
 
 
+class _RealRung(decimal.Context):
+    """The decimal context of a real rung at dps digits, built whole: no field comes from the caller.
+
+    It holds dps + 3 digits.  mpmath's dps digits carry about 0.9 more (34
+    digits are 116 bits), and base-10 rounding wobbles by a digit; at dps + 1
+    a 32-entry indicator distance moved from the 50-digit rung to the 80-digit one.
+    `with _RealRung(dps):` makes this object itself the current decimal
+    context (decimal.localcontext would install a plain copy), so that
+    cauchy_moment and _Memo produce Decimals inside it; the caller's context
+    comes back on exit.
+    """
+
+    def __init__(self, dps: int) -> None:
+        traps = [decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow]
+        super().__init__(prec=dps + 3, rounding=decimal.ROUND_HALF_EVEN, Emin=-999999, Emax=999999,
+                         capitals=1, clamp=0, flags=[], traps=traps)
+
+    def __enter__(self) -> _RealRung:
+        self._caller = decimal.getcontext()
+        decimal.setcontext(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        decimal.setcontext(self._caller)
+
+
+def _in_real_rung() -> bool:
+    """Whether a real rung's decimal context is the current one."""
+    return isinstance(decimal.getcontext(), _RealRung)
+
+
 class _Memo:
     """What the sets of one distances() call share, each computed once.
 
-    f's pairings, its norm and its Schur node data, at each working
-    precision.  A memo lives for one call.
+    f's pairings, its norm and its Schur node data, keyed by scalar type and
+    precision: a real rung's digits, or mpmath's working precision (53 bits
+    is double).  A memo lives for one call.
     """
 
     def __init__(self, f: PiecewiseMonomial) -> None:
         self.f, self._values = f, {}
+        self.real = all(c.imag == 0 and t.im == 0 for c, t, _, _ in f.terms)
 
     def _once(self, key: tuple, make, *args):
+        key += ("decimal", decimal.getcontext().prec) if _in_real_rung() else ("mpmath", mp.mp.prec)
         value = self._values.get(key)
         if value is None:
             value = self._values[key] = make(*args)
         return value
 
     def pairing(self, s: complex, j: int = 0):
-        return self._once(("pairing", mp.mp.prec, s, j), self.f.pairing, s, j)
+        return self._once(("pairing", s, j), self.f.pairing, s, j)
 
     def norm_sq(self):
-        return self._once(("norm", mp.mp.prec), lambda: self.f.norm_sq)
+        return self._once(("norm",), lambda: self.f.norm_sq)
 
     def node(self, z: complex, m: int):
-        """w = conj(z) + 1/2 and a new list of F_j = <f, x^z (ln x)^j> / j!, j < m, in mpmath.
+        """w = conj(z) + 1/2 and a new list of F_j = <f, x^z (ln x)^j> / j!, j < m.
 
-        w is an mpf for real z and an mpc otherwise; each F_j keeps its
-        pairing's type, an mpf when the pairing is real.
+        Decimals on a real rung (z and f real), and mpc at mpmath's working
+        precision otherwise.
         """
         def make():
-            w = mp.mpf(z.real) + mp.mpf(1) / 2
-            return (w if z.imag == 0 else mp.mpc(w, -mp.mpf(z.imag)),
-                    [self.pairing(z)] + [self.pairing(z, j) / math.factorial(j) for j in range(1, m)])
+            if _in_real_rung():
+                w = Decimal(z.real) + Decimal("0.5")
+            else:
+                w = mp.mpc(mp.mpf(z.real) + mp.mpf(1) / 2, -mp.mpf(z.imag))
+            return w, [self.pairing(z)] + [self.pairing(z, j) / math.factorial(j) for j in range(1, m)]
 
-        w, F = self._once(("node", mp.mp.prec, z, m), make)
+        w, F = self._once(("node", z, m), make)
         return w, list(F)
 
 
@@ -453,27 +518,27 @@ def _schur_rung(S: MonomialSet, memo: _Memo, end: int | None = None) -> list:
     shorter.  After k nodes q is the projection of f onto their kernels, so
     one O(n^2) pass gives d^2 for every prefix of the nodes.  The list stops
     before the first node that coincides with an earlier one at this
-    precision, since no prefix holding both can be solved.  The nodes are
-    built in mpmath; rounded to double first, nearby nodes lose the digits
-    the divisions need.  Real nodes and data are mpf and stay mpf through
-    every update; a complex node or pairing is an mpc, and mixed operands
-    meet in complex arithmetic.
+    precision (d = 0), since no prefix holding both can be solved.  The
+    nodes are built at the rung's precision; rounded to double first, nearby
+    nodes lose the digits the divisions need.  Inside a real rung's decimal
+    context (S and f real) every value is a Decimal; otherwise every value is
+    an mpc at mpmath's working precision.  The update is the same code for
+    both types.
     """
     nodes = itertools.islice(collections.Counter(S.values.tolist()).items(), end)
     w, F = map(list, zip(*(memo.node(z, m) for z, m in nodes)))
-    norm, q, out = memo.norm_sq(), mp.mpf(0), []
+    norm, q, out = memo.norm_sq(), 0, []
     for k, (wk, Fk) in enumerate(zip(w, F)):
-        two_re, wbk = 2 * wk.real, mp.conj(wk)
+        two_re, wbk = 2 * wk.real, wk.conjugate()
         while Fk:
             alpha = two_re * Fk[0]
             q += two_re * (Fk[0].real ** 2 + Fk[0].imag ** 2)
             for j, (wj, V) in enumerate(zip(w[k + 1:], F[k + 1:]), k + 1):
                 c, d = wj + wbk, wj - wk
-                try:
-                    old, V[0] = V[0], (V[0] * c - alpha) / d
-                except ZeroDivisionError:  # w_j = w_k at this precision
+                if not d:  # w_j = w_k at this precision
                     del w[j:], F[j:]
                     break
+                old, V[0] = V[0], (V[0] * c - alpha) / d
                 for i in range(1, len(V)):
                     old, V[i] = V[i], (V[i] * c + old - V[i - 1]) / d
             Fk[:] = [two_re * b + a for a, b in zip(Fk, Fk[1:])]
@@ -486,25 +551,29 @@ def _solve_extended(S: MonomialSet, memo: _Memo, ends: list[int]) -> list:
 
     The distance comes from an escalating-precision ladder.  Each rung is one
     pass of the Schur recursion (`_schur_rung`) over the longest prefix still
-    on the ladder; it evaluates f's pairings and its norm inside its own
-    precision context, so d^2 = ||f||^2 - q keeps the digits the rung works
-    with.  A prefix stops when two consecutive rungs agree on its distance; a
-    rung whose d^2 is not positive (clamped) does not count toward that
-    agreement, and a rung on which two of its nodes coincide fails it.
+    on the ladder; it evaluates f's pairings and its norm at its own
+    precision, so d^2 = ||f||^2 - q keeps the digits the rung works with.
+    When S's exponents and every term of f are real, the rung at dps runs
+    in Decimal, in its own context of dps + 3 digits (_RealRung);
+    otherwise in mpc at dps digits.  A prefix stops when two consecutive
+    rungs agree on its distance; a rung whose d^2 is not positive (clamped)
+    does not count toward that agreement, and a rung on which two of its
+    nodes coincide fails it.
     """
+    real = memo.real and not S.values.imag.any()
     out, prev = [None] * len(ends), [None] * len(ends)
     for dps in _EXTENDED_DPS_LADDER:
         todo = [i for i, r in enumerate(out) if r is None]
         if not todo:
             break
-        with mp.workdps(dps):
+        with _RealRung(dps) if real else mp.workdps(dps):
             d2s = _schur_rung(S, memo, max(ends[i] for i in todo))
             for i in todo:
                 if len(d2s) < ends[i]:
                     out[i] = NumericalError(f"Schur recursion failed: nodes coincide at {dps} digits")
                     continue
                 d2 = d2s[ends[i] - 1]
-                dist = float(mp.sqrt(d2)) if d2 > 0 else None
+                dist = float(d2.sqrt() if isinstance(d2, Decimal) else mp.sqrt(d2)) if d2 > 0 else None
                 if dist is not None and prev[i] is not None and abs(dist - prev[i]) <= 1e-13 * (1.0 + dist):
                     out[i] = dist, dps
                 prev[i] = dist

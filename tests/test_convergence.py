@@ -1,5 +1,6 @@
 """Tests for distance curves, limit membership, and density experiments."""
 
+import decimal
 import itertools
 import math
 import warnings
@@ -420,8 +421,8 @@ def test_interval_curve_pairs_f_once_per_node_and_precision(monkeypatch):
     calls = []
     pairing = PiecewiseMonomial.pairing
 
-    def counted(self, s, logpow=0):
-        calls.append((s, logpow, mp.mp.prec))
+    def counted(self, s, logpow=0):  # a real rung's precision is its decimal context's
+        calls.append((s, logpow, decimal.getcontext().prec if core._in_real_rung() else mp.mp.prec))
         return pairing(self, s, logpow)
 
     monkeypatch.setattr(PiecewiseMonomial, "pairing", counted)
@@ -439,8 +440,8 @@ def test_interval_curve_pairs_f_once_per_node_and_precision(monkeypatch):
 def test_nested_curve_runs_one_schur_pass_per_rung(monkeypatch):
     passes = []
     rung = core._schur_rung
-    monkeypatch.setattr(core, "_schur_rung",
-                        lambda S, memo, end=None: passes.append(mp.mp.dps) or rung(S, memo, end))
+    monkeypatch.setattr(core, "_schur_rung", lambda S, memo, end: passes.append(
+        decimal.getcontext().prec if core._in_real_rung() else mp.mp.dps) or rung(S, memo, end))
     fam = muntz_family({"kind": "affine", "a": 1.0, "b": 0.5})
     d, _ = distance_curve("chi:0.5", fam, 12, precision="extended")
     assert len(passes) >= 2

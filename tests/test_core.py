@@ -1,6 +1,10 @@
+import collections
+import decimal
+import itertools
 import json
 import math
 import warnings
+from decimal import Decimal
 
 import mpmath as mp
 import numpy as np
@@ -521,8 +525,8 @@ def test_logpow0_extended_solve_builds_no_matrix(monkeypatch):
 
 
 def test_clamped_rungs_do_not_agree(monkeypatch):
-    def rung_from(d2_by_dps):
-        return lambda S, memo, end: [mp.mpf(d2_by_dps[mp.mp.dps])] * end  # d^2 of every prefix
+    def rung_from(d2_by_dps):  # d^2 of every prefix; a real rung holds dps + 3 digits
+        return lambda S, memo, end: [Decimal(d2_by_dps[decimal.getcontext().prec - 3])] * end
 
     # every rung clamps: no distance is supported, so no 0.0 is returned
     clamped = dict.fromkeys((34, 50, 80, 120, 160), -1e-40)
@@ -535,14 +539,17 @@ def test_clamped_rungs_do_not_agree(monkeypatch):
     assert (r.distance, r.precision) == (0.5, "extended(dps=120)")
 
 
-_REAL_MOMENT = core.cauchy_moment
+_DOUBLE_MOMENT = core.cauchy_moment
 
 
-def _complex_moment(t, s, m=0, a=0.0, c=1):
-    """cauchy_moment with every extended-precision operand lifted to mpc, real data too."""
+def _mpf_moment(t, s, m=0, a=0.0, c=1):
+    """cauchy_moment on the mpf ladder: real data as mpf, complex as mpc."""
     if mp.mp.dps <= 25:
-        return _REAL_MOMENT(t, s, m, a, c)
-    p, c = 1 + mp.mpc(t.real, t.imag) + mp.mpc(s.real, -s.imag), mp.mpc(c)
+        return _DOUBLE_MOMENT(t, s, m, a, c)
+    if t.imag == s.imag == c.imag == 0:
+        p, c = 1 + mp.mpf(t.real) + mp.mpf(s.real), mp.mpf(c.real)
+    else:
+        p, c = 1 + mp.mpc(t.real, t.imag) + mp.mpc(s.real, -s.imag), mp.mpc(c)
     if a == 0.0:
         return c * (-1) ** m * mp.factorial(m) / p ** (m + 1)
     ap = mp.power(a, p)
@@ -552,22 +559,72 @@ def _complex_moment(t, s, m=0, a=0.0, c=1):
     return acc
 
 
-def _complex_node(memo, z, m):
-    """_Memo.node with w and every F_j an mpc, real data too."""
-    w, F = memo._once(("node", mp.mp.prec, z, m), lambda: (
-        mp.mpc(mp.mpf(z.real) + mp.mpf(1) / 2, -mp.mpf(z.imag)),
-        [mp.mpc(memo.pairing(z))]
-        + [mp.mpc(memo.pairing(z, j)) / math.factorial(j) for j in range(1, m)]))
+def _mpf_node(memo, z, m):
+    """_Memo.node on the mpf ladder: w an mpf for real z, each F_j of its pairing's type."""
+    def make():
+        w = mp.mpf(z.real) + mp.mpf(1) / 2
+        return (w if z.imag == 0 else mp.mpc(w, -mp.mpf(z.imag)),
+                [memo.pairing(z)] + [memo.pairing(z, j) / math.factorial(j) for j in range(1, m)])
+
+    w, F = memo._once(("node", z, m), make)
     return w, list(F)
+
+
+def _mpf_rung(S, memo, end=None):
+    """_schur_rung on the mpf ladder: mpf and mpc operands, mixed as they meet."""
+    nodes = itertools.islice(collections.Counter(S.values.tolist()).items(), end)
+    w, F = map(list, zip(*(memo.node(z, m) for z, m in nodes)))
+    norm, q, out = memo.norm_sq(), mp.mpf(0), []
+    for k, (wk, Fk) in enumerate(zip(w, F)):
+        two_re, wbk = 2 * wk.real, mp.conj(wk)
+        while Fk:
+            alpha = two_re * Fk[0]
+            q += two_re * (Fk[0].real ** 2 + Fk[0].imag ** 2)
+            for j, (wj, V) in enumerate(zip(w[k + 1:], F[k + 1:]), k + 1):
+                c, d = wj + wbk, wj - wk
+                try:
+                    old, V[0] = V[0], (V[0] * c - alpha) / d
+                except ZeroDivisionError:
+                    del w[j:], F[j:]
+                    break
+                for i in range(1, len(V)):
+                    old, V[i] = V[i], (V[i] * c + old - V[i - 1]) / d
+            Fk[:] = [two_re * b + a for a, b in zip(Fk, Fk[1:])]
+        out.append(norm - q)
+    return out
+
+
+def _mpc_memo(monkeypatch):
+    """Make every new _Memo take its rungs in mpmath, real data too."""
+    init = core._Memo.__init__
+
+    def mpmath_only(memo, f):
+        init(memo, f)
+        memo.real = False
+
+    monkeypatch.setattr(core._Memo, "__init__", mpmath_only)
 
 
 @pytest.fixture
 def complex_path(monkeypatch):
-    """Calls fn(*args) with all extended data held as mpc, the oracle for the real path."""
+    """Calls fn(*args) with every rung in mpc, real data too: the oracle for the Decimal rungs."""
     def run(fn, *args, **kwargs):
         with monkeypatch.context() as m:
-            m.setattr(core, "cauchy_moment", _complex_moment)
-            m.setattr(core._Memo, "node", _complex_node)
+            _mpc_memo(m)
+            return fn(*args, **kwargs)
+
+    return run
+
+
+@pytest.fixture
+def mpf_path(monkeypatch):
+    """Calls fn(*args) on the mpf ladder, real data in mpf: the reference for the Decimal rungs."""
+    def run(fn, *args, **kwargs):
+        with monkeypatch.context() as m:
+            _mpc_memo(m)
+            m.setattr(core, "cauchy_moment", _mpf_moment)
+            m.setattr(core._Memo, "node", _mpf_node)
+            m.setattr(core, "_schur_rung", _mpf_rung)
             return fn(*args, **kwargs)
 
     return run
@@ -590,30 +647,44 @@ def _real_oracle_cases():
     return chains, targets
 
 
+def _exact(x):
+    """An mpf of a Decimal or an mpmath number, exact to the precision in force."""
+    return mp.mpf(str(x)) if isinstance(x, Decimal) else mp.re(x)
+
+
 def test_real_rung_matches_the_complex_path(complex_path):
-    # real data runs the rung in mpf, and the all-mpc arithmetic is the oracle.
+    # real data runs the rung in Decimal, and the all-mpc arithmetic is the oracle.
     # The rung amplifies rounding by up to 1e20 units in the last place of
     # ||f||^2 on these sets, on both paths alike: each prefix's two d^2 agree
     # within a few units plus a few times the complex path's own error, and
-    # over a chain the real path's worst error is within twice the complex
-    # path's.  The 120-digit rung measures the errors
+    # over a chain the Decimal path's worst error is within twice the complex
+    # path's.  The paths round independently (base 10 against base 2), so a
+    # prefix where the complex path happens to err little bounds the Decimal
+    # path tightly: on the 28-entry set with x^t (ln x)^2 at 50 digits the
+    # complex path's error at prefixes 21-23 is 100 times below its error at
+    # 167 or 171 bits, and there the two d^2 differ by 7.5 times it, while the
+    # Decimal error there falls about 10-fold a digit.  The 120-digit rung
+    # measures the errors
     chains, targets = _real_oracle_cases()
     for chain in chains:
         longest = chain[-1]
         for f in targets:
             with mp.workdps(120):
-                ref = complex_path(core._schur_rung, longest, core._Memo(f))
+                ref = core._schur_rung(longest, core._Memo(f))
             for dps in (34, 50):
-                with mp.workdps(dps):
+                with core._RealRung(dps):
                     real = core._schur_rung(longest, core._Memo(f))
-                    cplx = complex_path(core._schur_rung, longest, core._Memo(f))
-                    assert isinstance(f.norm_sq, mp.mpf) and all(isinstance(v, mp.mpf) for v in real)
+                    assert isinstance(f.norm_sq, Decimal) and all(isinstance(v, Decimal) for v in real)
+                with mp.workdps(dps):
+                    cplx = core._schur_rung(longest, core._Memo(f))
                     ulp = mp.mpf(2) ** -mp.mp.prec * f.norm_sq
-                    assert len(real) == len(cplx) == len(ref)
-                    err_real = [abs(a - r.real) for a, r in zip(real, ref)]
-                    err_cplx = [abs(b.real - r.real) for b, r in zip(cplx, ref)]
+                assert all(isinstance(v, mp.mpf) for v in cplx)  # d^2 is real on either path
+                assert len(real) == len(cplx) == len(ref)
+                with mp.workdps(120):
+                    err_real = [abs(_exact(a) - r) for a, r in zip(real, ref)]
+                    err_cplx = [abs(b - r) for b, r in zip(cplx, ref)]
                     for a, b, e in zip(real, cplx, err_cplx):
-                        assert abs(a - b.real) <= 16 * ulp + 4 * e, (dps, len(longest))
+                        assert abs(_exact(a) - b) <= 16 * ulp + 8 * e, (dps, len(longest))
                     assert max(err_real) <= 16 * ulp + 2 * max(err_cplx), (dps, len(longest))
             for precision in ("double", "extended"):
                 with warnings.catch_warnings():
@@ -621,6 +692,20 @@ def test_real_rung_matches_the_complex_path(complex_path):
                     got = core.distances(f, chain, precision=precision)
                     want = complex_path(core.distances, f, chain, precision=precision)
                 assert got == want
+
+
+def test_real_rung_matches_the_mpf_path(mpf_path):
+    # the Decimal rungs give the floats and labels that the mpf rungs gave
+    chains, targets = _real_oracle_cases()
+    for chain in chains:
+        for f in targets:
+            for precision in ("double", "extended"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", IllConditioningWarning)
+                    got = core.distances(f, chain, precision=precision)
+                    want = mpf_path(core.distances, f, chain, precision=precision)
+                assert got == want
+                assert not any(isinstance(r, NumericalError) for r in got)
 
 
 def _mixed_cases(rng):
@@ -640,24 +725,90 @@ def _mixed_cases(rng):
     yield cf, [conf]
 
 
-def test_mixed_data_matches_the_complex_path(complex_path):
+def test_mixed_data_matches_the_complex_path(complex_path, monkeypatch):
     f = PiecewiseMonomial.indicator(0.4)
-    with mp.workdps(34):
+    with core._RealRung(34):
         w, F = core._Memo(f).node(1.5, 2)
-        assert isinstance(w, mp.mpf) and all(isinstance(v, mp.mpf) for v in F)
-        assert isinstance(f.norm_sq, mp.mpf)
+        assert isinstance(w, Decimal) and all(isinstance(v, Decimal) for v in F)
+        assert isinstance(f.norm_sq, Decimal)
+    with mp.workdps(34):
         w, F = core._Memo(f).node(1.5 + 0.5j, 1)
         assert isinstance(w, mp.mpc) and isinstance(F[0], mp.mpc)
         g = PiecewiseMonomial(((1j, Exponent(0.0), 0.4),))
         w, F = core._Memo(g).node(1.5, 1)
-        assert isinstance(w, mp.mpf) and isinstance(F[0], mp.mpc)
+        assert isinstance(w, mp.mpc) and isinstance(F[0], mp.mpc)
         assert isinstance(g.norm_sq, mp.mpf)
-    rng = np.random.default_rng(23)
+    rungs, rung = [], core._schur_rung  # whether each rung ran in Decimal
+    monkeypatch.setattr(core, "_schur_rung",
+                        lambda S, memo, end: rungs.append(core._in_real_rung()) or rung(S, memo, end))
+    rng, kinds = np.random.default_rng(23), set()
     for _ in range(3):
         for f, sets in _mixed_cases(rng):
+            rungs.clear()
             got = core.distances(f, sets, precision="extended")
+            real = all(c.imag == 0 and t.im == 0 for c, t, _, _ in f.terms) and not any(
+                S.values.imag.any() for S in sets)
+            assert all(r == real for r in rungs)
+            kinds.update(rungs)
             assert got == complex_path(core.distances, f, sets, precision="extended")
             assert not any(isinstance(r, NumericalError) for r in got)
+    assert kinds == {True, False}  # a real confluent case takes Decimal rungs
+
+
+def test_nodes_apart_at_the_rung_digits_are_solved():
+    # w = 1/2 and 1/2 + 1e-36 coincide in mpmath's 116 bits at 34 digits but not in
+    # the 37 digits of the Decimal rung; a 150-digit LU solve gives 0.360398039007497437
+    f, S = PiecewiseMonomial.indicator(0.5), MonomialSet([0.0, 1e-36])
+    r = distance_to_span(f, S, precision="extended")
+    assert (r.distance, r.precision) == (0.36039803900749745, "extended(dps=80)")
+    with mp.workdps(150):
+        assert r.distance == pytest.approx(float(mp.sqrt(_lu_rung(S, f))), rel=1e-15, abs=0)
+    # 1e-40 is below the last of those 37 digits
+    with pytest.raises(NumericalError, match="^Schur recursion failed: nodes coincide at 34 digits$"):
+        distance_to_span(f, MonomialSet([0.0, 1e-40]), precision="extended")
+
+
+def test_ladder_ignores_the_callers_decimal_context():
+    chains, targets = _real_oracle_cases()
+    want = [core.distances(f, chain, precision="extended") for chain in chains[::3] for f in targets]
+    with decimal.localcontext() as caller:
+        caller.prec = 5
+        caller.clear_traps()
+        caller.rounding = decimal.ROUND_DOWN
+        got = [core.distances(f, chain, precision="extended") for chain in chains[::3] for f in targets]
+        assert decimal.getcontext().prec == 5  # and the caller's context is left as it was
+    assert got == want
+
+
+def test_decimal_moments_match_mpmath():
+    # real exponents with integral and fractional p = 1 + t + s, log powers 0..3, cutoffs 0
+    # and 1e-6..0.99, and exponents up to 2e154, against cauchy_moment's mpc branch at 60
+    # digits.  The recurrence cancels near a = 1, so the error is measured against the
+    # size of its terms, |c| (m!/p^(m+1) + a^p |ln a|^m / p): within 100 units of the
+    # rung's last digit (at most 21 seen)
+    exponents = [0.0, 1.0, 2.0, 3.5, 0.25, 1e-9, 2.718281828459045, 41.0, 123.456, 1e17, 2e154]
+    cutoffs = [0.0, 1e-6, 0.01, 0.3, 0.5, 0.77, 0.99]
+    for dps in (34, 50):
+        for t, s, m, a, c in itertools.product(exponents, [0.0, 0.4, 7.0, 2e154], range(4), cutoffs, [1.0, -2.5]):
+            with core._RealRung(dps) as ctx:
+                got = core.cauchy_moment(t, s, m, a, c)
+            assert isinstance(got, Decimal)
+            with mp.workdps(60):
+                want = mp.re(core.cauchy_moment(complex(t), complex(s), m, a, complex(c)))
+                p = 1 + mp.mpf(t) + mp.mpf(s)
+                terms = math.factorial(m) / p ** (m + 1) + (mp.power(a, p) * abs(mp.log(a)) ** m / p if a else 0)
+                err = abs(_exact(got) - want)
+                assert err <= 100 * mp.mpf(10) ** -ctx.prec * abs(c) * terms, (t, s, m, a, ctx.prec)
+
+
+def test_no_process_wide_cache():
+    # the ladder's values live in one call's _Memo; core keeps nothing between calls
+    import inspect
+
+    source = inspect.getsource(core)
+    assert "lru_cache" not in source and "functools.cache" not in source
+    assert not [name for name, v in vars(core).items() if isinstance(v, dict) and not name.startswith("__")]
+    assert not [name for name, v in vars(core).items() if hasattr(v, "cache_info")]
 
 
 def test_closed_form_input_validation():

@@ -20,7 +20,10 @@ def test_record_keeps_exit_code_stdout_and_stderr():
 
 
 def test_report_lists_only_the_requests_that_changed(monkeypatch, capsys):
+    sent = []
+
     def side(root, argvs):
+        sent.append(argvs)
         out = [[0, "same\n", ""] for _ in argvs]
         if root == str(_ROOT):  # the head side: the first accept request fails
             out[next(i for i, argv in enumerate(argvs) if argv[0] == "accept")] = [3, "", "mono: error\n"]
@@ -34,3 +37,8 @@ def test_report_lists_only_the_requests_that_changed(monkeypatch, capsys):
     assert lines[1:-1] == ["  exit code: 0", "    -> 3", "  stdout: 'same\\n'", "    -> ''",
                            "  stderr: ''", "    -> 'mono: error\\n'"]
     assert lines[-1].startswith("1 of ") and lines[-1].endswith(" requests changed output")
+    # both sides replay the same list, and it holds every workload's known defects
+    import workloads
+
+    defects = [req["argv"] for name in workloads.WORKLOADS for req in workloads.known_defects_for(name)]
+    assert sent[0] == sent[1] and defects and all(argv in sent[0] for argv in defects)

@@ -3,7 +3,8 @@
     python3 tools/replay_outputs.py BASE_ROOT HEAD_ROOT
 
 BASE_ROOT and HEAD_ROOT are checkouts of this repository.  The request lists
-come from HEAD_ROOT's perfbench/workloads.py, for seeds 1 and 2 of every workload.
+come from HEAD_ROOT's perfbench/workloads.py: seeds 1 and 2 of every workload,
+then each workload's known defects (fixed inputs the program gets wrong).
 Each checkout runs them through monospan.cli.dispatch in its own interpreter,
 with its own src first on the path.  Every request whose exit code, stdout or
 stderr differs is printed with both sides' values, then a count line.  The
@@ -73,6 +74,9 @@ def main(argv=None) -> int:
             for i, req in enumerate(workloads.requests_for(name, seed)):
                 labels.append(f"{name} seed {seed} #{i} {req['kind']}")
                 argvs.append(req["argv"])
+        for req in workloads.known_defects_for(name):
+            labels.append(f"{name} known defect {req['kind']}")
+            argvs.append(req["argv"])
     changed = 0
     for label, argv, old, new in zip(labels, argvs, _side(base, argvs), _side(head, argvs)):
         if old != new:

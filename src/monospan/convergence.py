@@ -6,19 +6,11 @@ core.distances call over the sets S_1..S_n_max, with the values of a
 core.distance call per point.  f is a core.PiecewiseMonomial (a combination
 of indicator-times-monomial terms, each with an optional log power): for
 monomial f a point is the stable closed-form product, and along nested sets
-the curve is the running product of its factors; otherwise it is a Gram
-solve in which every pairing and the norm are sums of the closed moments
-
-    <chi_[a,1] x^t (ln x)^j, x^s (ln x)^k> = integral_a^1 x^(p-1) (ln x)^m dx,
-        p = 1 + t + conj(s),  m = j + k,
-
-which equal (-1)^m m! / p^(m+1) at a = 0 and (1 - a^p)/p at m = 0, with
-the recurrence I_m = -(a^p (ln a)^m + m I_(m-1))/p in between (see
-core.cauchy_moment), so Gram solves never touch quadrature; on the
-extended ladder both are evaluated at each rung's precision, and nested sets
-take one Schur pass per rung for all their points.  Limits are
-never decided by a finite curve; the fitted verdict is three-valued, with
-explicit thresholds and an undetermined fallback.
+the curve is the running product of its factors; otherwise it is the Schur
+recursion on f's closed moment pairings (core.cauchy_moment), never
+quadrature, and nested sets take one pass per precision for all their
+points.  Limits are never decided by a finite curve; the fitted verdict is
+three-valued, with explicit thresholds and an undetermined fallback.
 """
 
 from __future__ import annotations
@@ -132,9 +124,7 @@ def distance_curve(
     f = PiecewiseMonomial.from_spec(f)
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        points = distances(f, map(seq.set_at, range(1, n_max + 1)), precision=precision)
+    points = distances(f, map(seq.set_at, range(1, n_max + 1)), precision=precision)
     ok = [not isinstance(p, NumericalError) for p in points]
     dists = np.array([p.distance if good else math.nan for p, good in zip(points, ok)])
     conds = np.array([p.condition_estimate if good else math.inf for p, good in zip(points, ok)])

@@ -11,25 +11,24 @@ every Gram entry is
 
 the (j+k)-fold derivative of the Cauchy kernel 1/(1 + a + conj(b)).  Gram
 matrices of monomial sets are therefore Cauchy-structured, Hermitian positive
-definite, and exponentially ill-conditioned; solves fall back to an
-extended-precision ladder when the condition estimate passes EXTENDED_THRESHOLD.
+definite, and exponentially ill-conditioned.
 
 A target f is a PiecewiseMonomial, a sum of c x^t (ln x)^k chi_[a,1]
-terms whose pairings and norm are sums of cauchy_moment values.  The
-extended solve is a ladder of precisions (34 to 160 digits) whose rungs are
-one O(n^2) Schur (Nevanlinna-Pick) recursion for every set: x^s is the
-half-plane Szego kernel at w = conj(s) + 1/2, x^s (ln x)^k its k-th
-derivative, so the Gram matrix is a (confluent) Cauchy matrix and each step
-divides by one Blaschke factor (z - w_k)/(z + conj w_k), the factors of
-monomial_distance_closed_form.  distance() takes that closed-form product
-when f is a single uncut monomial and distance_to_span otherwise; both
-return a DistanceResult.  distances() gives distance() for a sequence of
-sets in one call: after k nodes the recursion's mass is the projection onto
-the first k kernels, so nested sets share one pass per rung.  A rung holds
-one scalar type: when the set's exponents and every term of f are real, it
-runs in the standard library's decimal.Decimal (the C library libmpdec) at
-dps + 3 digits, in a decimal context of its own; otherwise it runs in
-mpmath's mpc at dps digits.
+terms whose pairings and norm are sums of cauchy_moment values.  Every
+distance without a closed form is one O(n^2) Schur (Nevanlinna-Pick)
+recursion: x^s is the half-plane Szego kernel at w = conj(s) + 1/2,
+x^s (ln x)^k its k-th derivative, so the Gram matrix is a (confluent) Cauchy
+matrix and each step divides by one Blaschke factor (z - w_k)/(z + conj w_k),
+the factors of monomial_distance_closed_form.  It runs in complex128 when
+the set has no log powers and the Blaschke growth g of its nodes (_growth)
+is at most 4 decades, and otherwise on a ladder of precisions (34 to 160
+digits); 10^g is the condition estimate.  distance() takes the closed-form
+product when f is a single uncut monomial and distance_to_span otherwise,
+each giving a DistanceResult; distances() gives them for a sequence of sets
+in one call, where nested sets share one pass per precision.  A ladder rung
+on real data runs in the standard library's decimal.Decimal (the C library
+libmpdec) at dps + 3 digits, in a decimal context of its own, and otherwise
+in mpmath's mpc at dps digits.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ import decimal
 import itertools
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterable, Iterator, Union
@@ -51,14 +49,13 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    IllConditioningWarning,
     NumericalError,
     SizeLimitError,
     WrongCriterionError,
 )
 
 HALF_PLANE_EDGE = -0.5
-EXTENDED_THRESHOLD = 1e12
+_DOUBLE_GROWTH_MAX = 4.0  # the largest Blaschke growth, in decades, that the double pass takes
 _EXTENDED_DPS_LADDER = (34, 50, 80, 120, 160)
 _GRAM_N_MAX = 64
 
@@ -231,8 +228,8 @@ def cauchy_moment(t: complex, s: complex, m: int = 0, a: float = 0.0, c=1):
     At a = 0 this is c (-1)^m m! / p^(m+1); at a > 0 it follows the
     integration-by-parts recurrence I_0 = (1 - a^p)/p,
     I_m = -(a^p (ln a)^m + m I_(m-1))/p.  The operands are lifted exactly
-    from their floats, so ill-conditioned Gram solves are not capped by
-    double-rounded entries.  The result's type follows the precision in
+    from their floats, so extended solves are not capped by double-rounded
+    entries.  The result's type follows the precision in
     force: inside a real rung's decimal context (_RealRung; t, s and c real)
     a Decimal in that context, under an mpmath working precision above
     double (as set by the extended ladder) an mpc at that precision, and in
@@ -286,15 +283,20 @@ def monomial_inner(a: ExponentLike, b: ExponentLike) -> complex:
     return cauchy_moment(ea.s, eb.s, ea.logpow + eb.logpow)
 
 
-def gram_build(S) -> GramSystem:
-    """Assemble the Hermitian Gram matrix of a monomial set of at most 64 entries."""
-    S = as_monomial_set(S)
+def _check_gram_size(S: MonomialSet) -> None:
+    """Raise on an empty set and on a set past the 64 entries a Gram route takes."""
     if len(S) == 0:
         raise DomainError("cannot build the Gram system of an empty set")
     if len(S) > _GRAM_N_MAX:
         raise SizeLimitError(f"monomial set has {len(S)} entries, limit is {_GRAM_N_MAX}")
+
+
+def gram_build(S) -> GramSystem:
+    """Assemble the Hermitian Gram matrix of a monomial set of at most 64 entries."""
+    S = as_monomial_set(S)
+    _check_gram_size(S)
     n = len(S)
-    # scalar closed forms, bit for bit: the solves downstream amplify a last-bit change
+    # each entry is monomial_inner's scalar closed form, bit for bit
     s, k = S.values.tolist(), S.logpows.tolist()
     G = np.empty((n, n), dtype=complex)
     for i in range(n):
@@ -419,8 +421,11 @@ class PiecewiseMonomial:
 class DistanceResult:
     """A distance, its condition estimate, and the route that produced it.
 
-    precision is "double" or "extended(dps=N)" for a Gram solve, and
-    "closed-form" for the exact product of monomial_distance_closed_form.
+    precision is "double" or "extended(dps=N)" for the Schur recursion in
+    complex128 or on the ladder's rung of N digits, and "closed-form" for
+    the exact product of monomial_distance_closed_form, whose condition
+    estimate is 1.0.  Otherwise it is 10^g, g the Blaschke growth of the
+    nodes (_growth); a double d^2 is, as measured, within 16 * 10^g * 2^-52 * ||f||^2.
     """
 
     distance: float
@@ -487,14 +492,16 @@ class _Memo:
     def node(self, z: complex, m: int):
         """w = conj(z) + 1/2 and a new list of F_j = <f, x^z (ln x)^j> / j!, j < m.
 
-        Decimals on a real rung (z and f real), and mpc at mpmath's working
-        precision otherwise.
+        Decimals on a real rung (z and f real), mpc at an mpmath working
+        precision above double, and complex in double.
         """
         def make():
             if _in_real_rung():
                 w = Decimal(z.real) + Decimal("0.5")
-            else:
+            elif mp.mp.dps > 25:
                 w = mp.mpc(mp.mpf(z.real) + mp.mpf(1) / 2, -mp.mpf(z.imag))
+            else:
+                w = complex(z.real + 0.5, -z.imag)
             return w, [self.pairing(z)] + [self.pairing(z, j) / math.factorial(j) for j in range(1, m)]
 
         w, F = self._once(("node", z, m), make)
@@ -521,9 +528,9 @@ def _schur_rung(S: MonomialSet, memo: _Memo, end: int | None = None) -> list:
     precision (d = 0), since no prefix holding both can be solved.  The
     nodes are built at the rung's precision; rounded to double first, nearby
     nodes lose the digits the divisions need.  Inside a real rung's decimal
-    context (S and f real) every value is a Decimal; otherwise every value is
-    an mpc at mpmath's working precision.  The update is the same code for
-    both types.
+    context (S and f real) every value is a Decimal, under an mpmath working
+    precision above double an mpc, and in double a complex.  The update is
+    the same code for every type.
     """
     nodes = itertools.islice(collections.Counter(S.values.tolist()).items(), end)
     w, F = map(list, zip(*(memo.node(z, m) for z, m in nodes)))
@@ -547,7 +554,7 @@ def _schur_rung(S: MonomialSet, memo: _Memo, end: int | None = None) -> list:
 
 
 def _solve_extended(S: MonomialSet, memo: _Memo, ends: list[int]) -> list:
-    """(distance, dps), or a NumericalError, for the first `end` nodes of S, for each end.
+    """(distance, precision label), or a NumericalError, for the first `end` nodes of S, for each end.
 
     The distance comes from an escalating-precision ladder.  Each rung is one
     pass of the Schur recursion (`_schur_rung`) over the longest prefix still
@@ -560,13 +567,12 @@ def _solve_extended(S: MonomialSet, memo: _Memo, ends: list[int]) -> list:
     does not count toward that agreement, and a rung on which two of its
     nodes coincide fails it.
     """
-    real = memo.real and not S.values.imag.any()
     out, prev = [None] * len(ends), [None] * len(ends)
     for dps in _EXTENDED_DPS_LADDER:
         todo = [i for i, r in enumerate(out) if r is None]
         if not todo:
             break
-        with _RealRung(dps) if real else mp.workdps(dps):
+        with _RealRung(dps) if memo.real and not S.values.imag.any() else mp.workdps(dps):
             d2s = _schur_rung(S, memo, max(ends[i] for i in todo))
             for i in todo:
                 if len(d2s) < ends[i]:
@@ -575,15 +581,32 @@ def _solve_extended(S: MonomialSet, memo: _Memo, ends: list[int]) -> list:
                 d2 = d2s[ends[i] - 1]
                 dist = float(d2.sqrt() if isinstance(d2, Decimal) else mp.sqrt(d2)) if d2 > 0 else None
                 if dist is not None and prev[i] is not None and abs(dist - prev[i]) <= 1e-13 * (1.0 + dist):
-                    out[i] = dist, dps
+                    out[i] = dist, f"extended(dps={dps})"
                 prev[i] = dist
-    for i, r in enumerate(out):
-        if r is None:
-            last = "d^2 <= 0" if prev[i] is None else f"distance {prev[i]}"
-            out[i] = NumericalError(
-                f"Gram solve did not stabilize on the extended-precision ladder (last rung: {last})"
-            )
-    return out
+    last = ["d^2 <= 0" if p is None else f"distance {p}" for p in prev]
+    return [r or NumericalError(f"Gram solve did not stabilize on the extended-precision ladder (last rung: {x})")
+            for r, x in zip(out, last)]
+
+
+def _growth(S: MonomialSet) -> list[float]:
+    """g_k for the first k nodes of S, k = 1, 2, ...: the Blaschke growth of the recursion, in decades.
+
+    g_k = max over j <= k of sum over i < j of m_i (-log10 |b_i(w_j)|), with
+    the nodes w = conj(s) + 1/2 in double, in order of first appearance, m_i
+    the multiplicity of node i and b_i(z) = (z - w_i)/(z + conj w_i).  It
+    needs the nodes alone and never saturates; nodes that coincide in double
+    give inf.  Row j reads nodes 0..j only, so a prefix's values are its own.
+    """
+    nodes = collections.Counter(S.values.tolist())
+    w = [complex(z.real + 0.5, -z.imag) for z in nodes]
+    rows = []
+    for j, wj in enumerate(w):
+        row = 0.0
+        for wi, mi in zip(w[:j], nodes.values()):
+            b = abs((wj - wi) / (wj + wi.conjugate()))
+            row += mi * -math.log10(b) if b else math.inf
+        rows.append(row)
+    return list(itertools.accumulate(rows, max))
 
 
 def _chain(chains: list, S: MonomialSet, member: tuple, settle) -> None:
@@ -608,17 +631,26 @@ def _distances(f: PiecewiseMonomial, sets: Iterable, precision: str, closed_form
     c, t, _, k = f.terms[0]
     closed_form = closed_form and f.is_single_monomial and k == 0
 
-    def settle_ladder(base, members):  # members: (slot, nodes, condition estimate)
-        for (slot, _, cond), res in zip(members, _solve_extended(base, memo, [m[1] for m in members])):
-            slot[0] = res if isinstance(res, NumericalError) else DistanceResult(
-                res[0], cond, f"extended(dps={res[1]})")
+    def settle_gram(base, members):  # members: (slot, nodes)
+        g = _growth(base)
+        # in double, the prefixes of growth at most _DOUBLE_GROWTH_MAX (g never falls) take one pass
+        double = precision == "double" and not base.confluent
+        cut = sum(x <= _DOUBLE_GROWTH_MAX for x in g) if double else 0
+        end = max([n for _, n in members if n <= cut], default=0)
+        d2s = _schur_rung(base, memo, end) if end else []
+        slow = [n for _, n in members if n > cut]
+        ladder = iter(_solve_extended(base, memo, slow) if slow else ())
+        cond = [10.0 ** x if x <= 308 else math.inf for x in g]  # inf past the float range
+        for slot, n in members:
+            res = (math.sqrt(d2s[n - 1]) if d2s[n - 1] > 0 else 0.0, "double") if n <= cut else next(ladder)
+            slot[0] = res if isinstance(res, NumericalError) else DistanceResult(res[0], cond[n - 1], res[1])
 
     def settle_prods(base, members):  # members: (slot, size)
         d = _closed_form_prefixes(t.s, base.values)
         for slot, size in members:
             slot[0] = DistanceResult(abs(c) * float(d[size]), 1.0, "closed-form")
 
-    slots, last, ladder, prods = [], None, [], []  # a set equal to the one before shares its slot
+    slots, last, gram, prods = [], None, [], []  # a set equal to the one before shares its slot
     for S in sets:
         S = as_monomial_set(S)
         if S is last or (last is not None and len(S) == len(last) and S.values.tobytes()
@@ -632,26 +664,10 @@ def _distances(f: PiecewiseMonomial, sets: Iterable, precision: str, closed_form
             continue
         if precision not in ("double", "extended"):
             raise DomainError(f"unknown precision mode {precision!r}")
-        gram = gram_build(S)
-        cond = gram.condition_estimate
-        if precision == "double" and cond > EXTENDED_THRESHOLD:
-            warnings.warn(
-                f"Gram condition estimate {cond:.2e} exceeds {EXTENDED_THRESHOLD:.0e}; "
-                "switching to extended precision",
-                IllConditioningWarning,
-                stacklevel=3,
-            )
-        if precision == "extended" or cond > EXTENDED_THRESHOLD:
-            _chain(ladder, S, (slot, len(dict.fromkeys(S.values.tolist())), cond), settle_ladder)
-            continue
-        r = np.array([complex(memo.pairing(*e)) for e in zip(S.values.tolist(), S.logpows.tolist())])
-        # <f - sum c_j m_j, m_i> = 0 gives conj(G) c = r with G[i,j] = <m_i, m_j>
-        coef = np.conj(np.linalg.solve(gram.matrix, np.conj(r)))
-        q = float(np.real(np.vdot(coef, r)))  # vdot conjugates its first argument
-        d2 = memo.norm_sq() - q
-        slot[0] = DistanceResult(math.sqrt(d2) if d2 > 0 else 0.0, cond, "double")
-    for chain in ladder:
-        settle_ladder(*chain)
+        _check_gram_size(S)
+        _chain(gram, S, (slot, len(dict.fromkeys(S.values.tolist()))), settle_gram)
+    for chain in gram:
+        settle_gram(*chain)
     for chain in prods:
         settle_prods(*chain)
     return [slot[0] for slot in slots]
@@ -666,7 +682,7 @@ def distances(f: PiecewiseMonomial, sets: Iterable, *, precision: str = "double"
     it.  A set equal to the one before it is solved once; f's pairings,
     norm and Schur node data at each precision are computed once;
     consecutive sets without log powers that nest (each a prefix of
-    the next, or the next of it) share one Schur pass per ladder rung, or
+    the next, or the next of it) share one Schur pass per precision, or
     for a monomial f one running product of the closed-form factors.
     """
     return _distances(f, sets, precision, closed_form=True)
@@ -679,13 +695,13 @@ def _one(results: list) -> DistanceResult:
 
 
 def distance_to_span(f: PiecewiseMonomial, S, *, precision: str = "double") -> DistanceResult:
-    """Distance from f to the span of a monomial set via Gram normal equations.
+    """Distance from f to the span of a monomial set by the Schur recursion on its Gram system.
 
-    The returned distance is sqrt(max(0, ||f||^2 - quadratic form)).  With
-    precision="double" the solve runs in float64 and falls back to mpmath
-    once the condition estimate passes EXTENDED_THRESHOLD (a warning is
-    issued); precision="extended" forces the mpmath path, where each rung
-    evaluates f's pairings and norm at its own precision.
+    The returned distance is sqrt(max(0, ||f||^2 - q)), q the mass the
+    recursion projects.  With precision="double" a set without log powers
+    whose Blaschke growth g is at most 4 takes one complex128 pass; every
+    other set, and every set under precision="extended", takes the ladder,
+    where each rung evaluates f's pairings and norm at its own precision.
     """
     return _one(_distances(f, [S], precision, closed_form=False))
 

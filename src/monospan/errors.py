@@ -26,7 +26,7 @@ class NumericalError(MonomialError, RuntimeError):
 
 
 class IllConditioningWarning(UserWarning):
-    """A Gram system's condition estimate exceeds the safe threshold."""
+    """A Pick-matrix kernel's condition estimate exceeds the safe threshold."""
 
 
 class TruncationWarning(UserWarning):

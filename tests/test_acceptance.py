@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines, or `mono accept --suite primary` for the JSON/CSV report.
 """
 
+import pytest
+
 from monospan import acceptance
 
 
@@ -51,6 +53,13 @@ def test_criterion_09_bessel_inverse():
 
 def test_criterion_10_randomized_properties():
     _report(acceptance.criterion_10(acceptance.DEFAULT_SEED))
+
+
+@pytest.mark.parametrize("seed", [7, 23, 24, 27, 31, 34, 36, 42, 52, 59, 63])
+def test_criterion_10_passes_on_seeds_with_ill_conditioned_sets(seed):
+    # each seed draws a set on which a float64 LU solve of the Gram system misses the
+    # closed form by more than 1e-8; the Schur recursion in complex128 meets it
+    _report(acceptance.criterion_10(seed))
 
 
 def test_criterion_03_evaluates_each_node_array_once(monkeypatch):

@@ -17,7 +17,6 @@ from monospan import (
     DomainError,
     Exponent,
     GeometricSequence,
-    IllConditioningWarning,
     MonomialSet,
     NumericalError,
     PiecewiseMonomial,
@@ -364,8 +363,7 @@ def test_distance_monotone_in_set():
 
 def test_extended_precision_recovers_ill_conditioned_gap():
     S = list(range(31, 61))
-    with pytest.warns(IllConditioningWarning):
-        r = distance_to_span(monomial(0), S)
+    r = distance_to_span(monomial(0), S)
     assert r.precision.startswith("extended")
     assert abs(r.distance - 31 / 61) < 1e-10
 
@@ -502,8 +500,7 @@ def test_confluent_extended_distance_matches_cholesky_reference():
         rhs = mp.matrix([inner(t, 1, e.re, e.logpow) for e in S])
         q = (rhs.T * mp.cholesky_solve(G, rhs))[0]
         expect = float(mp.sqrt(2 / (1 + 2 * mp.mpf(t)) ** 3 - q))
-    with pytest.warns(IllConditioningWarning):
-        r = distance_to_span(monomial(Exponent(t, 0.0, 1)), S)
+    r = distance_to_span(monomial(Exponent(t, 0.0, 1)), S)
     assert r.distance == pytest.approx(expect, rel=1e-12, abs=0)
     assert expect == pytest.approx(4.0159501959515e-06, rel=1e-12, abs=0)
 
@@ -522,6 +519,69 @@ def test_logpow0_extended_solve_builds_no_matrix(monkeypatch):
     monkeypatch.undo()
     with mp.workdps(50):
         assert r.distance == pytest.approx(float(mp.sqrt(_lu_rung(S, f))), rel=1e-12, abs=0)
+
+
+def _double_pass_cases():
+    """Seeded logpow-0 chains: interval sets, affine and geometric muntz prefixes, random and clustered sets."""
+    rng = np.random.default_rng(19)
+    for rho in rng.uniform(0.16, 0.5, 4):
+        yield from ([interval_family(float(rho)).set_at(n)] for n in range(1, 17))
+    for spec in ({"kind": "affine", "a": rng.uniform(0.5, 2.0), "b": rng.uniform(0.0, 1.0)},
+                 {"kind": "affine", "a": [rng.uniform(0.2, 1.0), rng.uniform(0.1, 0.5)], "b": 0.1},
+                 {"kind": "geometric", "base": rng.uniform(0.5, 1.5), "ratio": rng.uniform(1.5, 2.5)}):
+        yield [muntz_family(spec).set_at(n) for n in range(1, 17)]
+    for _ in range(40):  # as criterion 10 draws them
+        n = int(rng.integers(1, 9))
+        yield [MonomialSet(rng.uniform(-0.45, 3.0, n) + 1j * rng.uniform(-3.0, 3.0, n))]
+    for _ in range(8):
+        c = complex(rng.uniform(0.0, 2.0), rng.uniform(-1.0, 1.0))
+        z = c + rng.uniform(0.0, 0.3, 8) + 1j * rng.uniform(-0.3, 0.3, 8)
+        yield [MonomialSet(z[:n]) for n in range(1, 9)]
+
+
+def _growth_reference(S):
+    """g of S's nodes by its formula in 50-digit mpmath, from the nodes w = conj(s) + 1/2 in double."""
+    w = [mp.mpc(complex(z.real + 0.5, -z.imag)) for z in dict.fromkeys(S.values.tolist())]
+    with mp.workdps(50):
+        rows = [mp.fsum(-mp.log10(abs((wj - wi) / (wj + mp.conj(wi)))) for wi in w[:j])
+                for j, wj in enumerate(w)]
+        return float(max(rows))
+
+
+@pytest.mark.parametrize("f", ["chi:0.37", "const", "monomial:0.7,1.3", {"terms": [
+    {"coeff": [1.0, 0.5], "t": [0.3, 0.0], "a": 0.25, "logpow": 1},
+    {"coeff": [-2.0, 0.0], "t": [1.5, 0.2], "a": 0.0}, {"coeff": [0.5, 0.0], "t": [0.0, 0.0], "a": 0.6}]}],
+    ids=["chi", "const", "monomial", "terms"])
+def test_double_pass_is_gated_by_the_growth_and_meets_its_bound(f):
+    # a set takes the complex128 pass exactly when g <= 4, and its d^2 is then within
+    # 16 * 10^g * 2^-52 * ||f||^2 of the recursion at 60 digits
+    f = PiecewiseMonomial.from_spec(f)
+    routes = collections.Counter()
+    for chain in _double_pass_cases():
+        g = core._growth(chain[-1])
+        got = core._distances(f, chain, "double", closed_form=False)
+        with mp.workdps(60):
+            ref = core._schur_rung(chain[-1], core._Memo(f))
+        for S, r in zip(chain, got):
+            gS = core._growth(S)
+            assert gS == g[:len(S)]  # a prefix's values are its own
+            assert r.condition_estimate == 10.0 ** gS[-1]
+            routes[r.precision] += 1
+            assert (r.precision == "double") == (gS[-1] <= 4), (S.values, gS[-1], r)
+            if r.precision == "double":
+                assert abs(r.distance ** 2 - ref[len(S) - 1]) <= 16 * r.condition_estimate * 2.0 ** -52 * f.norm_sq
+    assert routes["double"] > 50 and sum(routes.values()) > routes["double"] + 50
+
+
+def test_growth_matches_its_formula_at_50_digits():
+    for chain in _double_pass_cases():
+        for S in chain:
+            assert core._growth(S)[-1] == pytest.approx(_growth_reference(S), rel=1e-12, abs=1e-14)
+    # nodes that coincide in double have infinite growth: the ladder solves them, with no condition figure
+    S = MonomialSet([0.0, 1e-17, 1.0])
+    assert core._growth(S) == [0.0, math.inf, math.inf]
+    r = distance_to_span(PiecewiseMonomial.indicator(0.5), S)
+    assert r.precision.startswith("extended") and r.condition_estimate == math.inf
 
 
 def test_clamped_rungs_do_not_agree(monkeypatch):
@@ -687,10 +747,8 @@ def test_real_rung_matches_the_complex_path(complex_path):
                         assert abs(_exact(a) - b) <= 16 * ulp + 8 * e, (dps, len(longest))
                     assert max(err_real) <= 16 * ulp + 2 * max(err_cplx), (dps, len(longest))
             for precision in ("double", "extended"):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", IllConditioningWarning)
-                    got = core.distances(f, chain, precision=precision)
-                    want = complex_path(core.distances, f, chain, precision=precision)
+                got = core.distances(f, chain, precision=precision)
+                want = complex_path(core.distances, f, chain, precision=precision)
                 assert got == want
 
 
@@ -700,10 +758,8 @@ def test_real_rung_matches_the_mpf_path(mpf_path):
     for chain in chains:
         for f in targets:
             for precision in ("double", "extended"):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", IllConditioningWarning)
-                    got = core.distances(f, chain, precision=precision)
-                    want = mpf_path(core.distances, f, chain, precision=precision)
+                got = core.distances(f, chain, precision=precision)
+                want = mpf_path(core.distances, f, chain, precision=precision)
                 assert got == want
                 assert not any(isinstance(r, NumericalError) for r in got)
 

@@ -69,7 +69,7 @@ def interval_family(rho: float) -> SubspaceSequence:
         if n < 1:
             raise DomainError("sequence index starts at 1")
         N = max(1, round(ratio * n))
-        return MonomialSet(np.arange(n + 1, n + N + 1))
+        return MonomialSet._checked(np.arange(n + 1, n + N + 1))  # distinct positive integers
 
     return SubspaceSequence(gen, f"interval(rho={rho})")
 

@@ -27,8 +27,10 @@ product when f is a single uncut monomial and distance_to_span otherwise,
 each giving a DistanceResult; distances() gives them for a sequence of sets
 in one call, where nested sets share one pass per precision.  A ladder rung
 on real data runs in the standard library's decimal.Decimal (the C library
-libmpdec) at dps + 3 digits, in a decimal context of its own, and otherwise
-in mpmath's mpc at dps digits.
+libmpdec) at dps + 3 digits, and otherwise in mpmath's mpc at dps digits;
+either way the rung's own decimal context (_Rung) is current while it
+runs, and nothing else, a caller's mpmath precision included, moves the
+arithmetic off double.
 """
 
 from __future__ import annotations
@@ -206,22 +208,6 @@ def as_monomial_set(values) -> MonomialSet:
     return MonomialSet.from_exponents(values)
 
 
-@dataclass(frozen=True)
-class GramSystem:
-    """Gram matrix of a monomial set with a condition estimate.
-
-    Entry convention: matrix[i, j] = <m_i, m_j> (conjugation on the column
-    entry), so for logpow-0 sets matrix[i, j] = 1/(1 + s_i + conj(s_j)).
-    The matrix is Hermitian positive definite.  condition_estimate is the
-    2-norm condition number from a double-precision SVD; for matrices that
-    are singular at working precision it saturates near 1/eps and should be
-    read as "at least this large".
-    """
-
-    matrix: np.ndarray
-    condition_estimate: float
-
-
 def cauchy_moment(t: complex, s: complex, m: int = 0, a: float = 0.0, c=1):
     """c times the moment integral over [a, 1] of x^(p-1) (ln x)^m, p = 1 + t + conj(s).
 
@@ -229,21 +215,20 @@ def cauchy_moment(t: complex, s: complex, m: int = 0, a: float = 0.0, c=1):
     integration-by-parts recurrence I_0 = (1 - a^p)/p,
     I_m = -(a^p (ln a)^m + m I_(m-1))/p.  The operands are lifted exactly
     from their floats, so extended solves are not capped by double-rounded
-    entries.  The result's type follows the precision in
-    force: inside a real rung's decimal context (_RealRung; t, s and c real)
-    a Decimal in that context, under an mpmath working precision above
-    double (as set by the extended ladder) an mpc at that precision, and in
-    double a complex.  ln a is formed only when the recurrence or a^p needs it.
+    entries.  The result's type follows the rung in force (_rung): on a
+    real rung (t, s and c real) a Decimal in its context, on a complex rung
+    an mpc at its digits, and outside the ladder a complex.  c may also be
+    a value of the rung's own type.  ln a is formed only when the recurrence
+    or a^p needs it.
     """
-    if _in_real_rung():
-        p, c = 1 + Decimal(t.real) + Decimal(s.real), Decimal(c.real)
-        factorial, power, log = math.factorial, _decimal_power, _decimal_ln
-    elif mp.mp.dps > 25:
-        p, c = 1 + mp.mpc(t.real, t.imag) + mp.mpc(s.real, -s.imag), mp.mpc(c)
-        factorial, power, log = mp.factorial, mp.power, mp.log
-    else:
+    rung = _rung()
+    if rung is None:
         p = 1 + t + s.conjugate()
         factorial, power, log = math.factorial, pow, math.log
+    else:
+        p, c = 1 + rung.lift(t) + rung.lift(s).conjugate(), rung.lift(c)
+        factorial, power, log = (math.factorial, _decimal_power, _decimal_ln) if rung.real else (
+            mp.factorial, mp.power, mp.log)
     if a == 0.0:
         return c * (-1) ** m * factorial(m) / p ** (m + 1)
     ap = power(a, p)
@@ -291,8 +276,11 @@ def _check_gram_size(S: MonomialSet) -> None:
         raise SizeLimitError(f"monomial set has {len(S)} entries, limit is {_GRAM_N_MAX}")
 
 
-def gram_build(S) -> GramSystem:
-    """Assemble the Hermitian Gram matrix of a monomial set of at most 64 entries."""
+def gram_build(S) -> np.ndarray:
+    """The Hermitian Gram matrix G[i, j] = <m_i, m_j> of a monomial set of at most 64 entries.
+
+    The column entry is conjugated, so for logpow-0 sets G[i, j] = 1/(1 + s_i + conj(s_j)).
+    """
     S = as_monomial_set(S)
     _check_gram_size(S)
     n = len(S)
@@ -302,13 +290,7 @@ def gram_build(S) -> GramSystem:
     for i in range(n):
         G[i, :i] = G[:i, i].conj()
         G[i, i:] = [cauchy_moment(s[i], s[j], k[i] + k[j]) for j in range(i, n)]
-    try:
-        cond = float(np.linalg.cond(G))
-    except np.linalg.LinAlgError:
-        cond = math.inf
-    if not math.isfinite(cond):
-        cond = math.inf
-    return GramSystem(matrix=G, condition_estimate=cond)
+    return G
 
 
 @dataclass(frozen=True)
@@ -319,7 +301,7 @@ class PiecewiseMonomial:
     has logpow 0.  The log power lives only in the fourth field, so a term
     whose exponent carries one is rejected rather than read two ways.  Its
     pairings and norm are sums of cauchy_moment values, so they follow the
-    working precision: floats in double, and on the extended ladder
+    rung in force: floats in double, and on the extended ladder
     full-precision mpmath numbers, or Decimals in a real rung's context.
     """
 
@@ -398,11 +380,17 @@ class PiecewiseMonomial:
 
     @property
     def norm_sq(self):
-        """||f||^2, exact in each precision regime: a float, an mpf on an mpc rung, a Decimal on a real rung."""
+        """||f||^2, exact in each precision regime: a float, an mpf on an mpc rung, a Decimal on a real rung.
+
+        On a rung each coefficient is lifted before the products c_i conj(c_j),
+        which a double product would round to 53 bits.
+        """
+        rung = _rung()
+        cs = [c if rung is None else rung.lift(c) for c, _, _, _ in self.terms]
         acc = sum(
             cauchy_moment(ti.s, tj.s, ki + kj, max(ai, aj), ci * cj.conjugate())
-            for ci, ti, ai, ki in self.terms
-            for cj, tj, aj, kj in self.terms
+            for ci, (_, ti, ai, ki) in zip(cs, self.terms)
+            for cj, (_, tj, aj, kj) in zip(cs, self.terms)
         )
         return acc.real
 
@@ -433,43 +421,52 @@ class DistanceResult:
     precision: str
 
 
-class _RealRung(decimal.Context):
-    """The decimal context of a real rung at dps digits, built whole: no field comes from the caller.
+class _Rung(decimal.Context):
+    """A ladder rung of dps digits, real (in Decimal) or complex (in mpc), as a decimal context built whole.
 
-    It holds dps + 3 digits.  mpmath's dps digits carry about 0.9 more (34
-    digits are 116 bits), and base-10 rounding wobbles by a digit; at dps + 1
-    a 32-entry indicator distance moved from the 50-digit rung to the 80-digit one.
-    `with _RealRung(dps):` makes this object itself the current decimal
-    context (decimal.localcontext would install a plain copy), so that
-    cauchy_moment and _Memo produce Decimals inside it; the caller's context
-    comes back on exit.
+    It holds dps + 3 digits, and no field comes from the caller.  mpmath's
+    dps digits carry about 0.9 more (34 digits are 116 bits), and base-10
+    rounding wobbles by a digit; at dps + 1 a 32-entry indicator distance
+    moved from the 50-digit rung to the 80-digit one.  `with _Rung(dps,
+    real):` makes this object itself the current decimal context
+    (decimal.localcontext would install a plain copy) and sets mpmath's
+    working precision to dps digits; cauchy_moment and _Memo read the
+    context (_rung) to pick Decimal, mpc or double.  The caller's decimal
+    context and mpmath precision come back on exit.
     """
 
-    def __init__(self, dps: int) -> None:
+    def __init__(self, dps: int, real: bool) -> None:
         traps = [decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow]
         super().__init__(prec=dps + 3, rounding=decimal.ROUND_HALF_EVEN, Emin=-999999, Emax=999999,
                          capitals=1, clamp=0, flags=[], traps=traps)
+        self.real, self._mp = real, mp.workdps(dps)
 
-    def __enter__(self) -> _RealRung:
+    def lift(self, z):
+        """z exactly, as a Decimal (its real part) on a real rung and an mpc on a complex one."""
+        return Decimal(z.real) if self.real else mp.mpc(z)
+
+    def __enter__(self) -> _Rung:
         self._caller = decimal.getcontext()
         decimal.setcontext(self)
+        self._mp.__enter__()
         return self
 
     def __exit__(self, *exc) -> None:
+        self._mp.__exit__(*exc)
         decimal.setcontext(self._caller)
 
 
-def _in_real_rung() -> bool:
-    """Whether a real rung's decimal context is the current one."""
-    return isinstance(decimal.getcontext(), _RealRung)
+def _rung() -> _Rung | None:
+    """The ladder rung whose decimal context is current, or None in double."""
+    ctx = decimal.getcontext()
+    return ctx if type(ctx) is _Rung else None
 
 
 class _Memo:
     """What the sets of one distances() call share, each computed once.
 
-    f's pairings, its norm and its Schur node data, keyed by scalar type and
-    precision: a real rung's digits, or mpmath's working precision (53 bits
-    is double).  A memo lives for one call.
+    f's pairings, its norm and its Schur node data, keyed by the rung in
+    force: its kind and digits, or none in double.  A memo lives for one call.
     """
 
     def __init__(self, f: PiecewiseMonomial) -> None:
@@ -477,7 +474,8 @@ class _Memo:
         self.real = all(c.imag == 0 and t.im == 0 for c, t, _, _ in f.terms)
 
     def _once(self, key: tuple, make, *args):
-        key += ("decimal", decimal.getcontext().prec) if _in_real_rung() else ("mpmath", mp.mp.prec)
+        rung = _rung()
+        key += (None,) if rung is None else (rung.real, rung.prec)
         value = self._values.get(key)
         if value is None:
             value = self._values[key] = make(*args)
@@ -492,16 +490,12 @@ class _Memo:
     def node(self, z: complex, m: int):
         """w = conj(z) + 1/2 and a new list of F_j = <f, x^z (ln x)^j> / j!, j < m.
 
-        Decimals on a real rung (z and f real), mpc at an mpmath working
-        precision above double, and complex in double.
+        Decimals on a real rung (z and f real), mpc on a complex rung, and
+        complex in double.
         """
         def make():
-            if _in_real_rung():
-                w = Decimal(z.real) + Decimal("0.5")
-            elif mp.mp.dps > 25:
-                w = mp.mpc(mp.mpf(z.real) + mp.mpf(1) / 2, -mp.mpf(z.imag))
-            else:
-                w = complex(z.real + 0.5, -z.imag)
+            rung = _rung()
+            w = complex(z.real + 0.5, -z.imag) if rung is None else rung.lift(z).conjugate() + rung.lift(0.5)
             return w, [self.pairing(z)] + [self.pairing(z, j) / math.factorial(j) for j in range(1, m)]
 
         w, F = self._once(("node", z, m), make)
@@ -527,9 +521,9 @@ def _schur_rung(S: MonomialSet, memo: _Memo, end: int | None = None) -> list:
     before the first node that coincides with an earlier one at this
     precision (d = 0), since no prefix holding both can be solved.  The
     nodes are built at the rung's precision; rounded to double first, nearby
-    nodes lose the digits the divisions need.  Inside a real rung's decimal
-    context (S and f real) every value is a Decimal, under an mpmath working
-    precision above double an mpc, and in double a complex.  The update is
+    nodes lose the digits the divisions need.  On a real rung (S and f real)
+    every value is a Decimal, on a complex rung an mpc, and outside the
+    ladder a complex.  The update is
     the same code for every type.
     """
     nodes = itertools.islice(collections.Counter(S.values.tolist()).items(), end)
@@ -561,8 +555,8 @@ def _solve_extended(S: MonomialSet, memo: _Memo, ends: list[int]) -> list:
     on the ladder; it evaluates f's pairings and its norm at its own
     precision, so d^2 = ||f||^2 - q keeps the digits the rung works with.
     When S's exponents and every term of f are real, the rung at dps runs
-    in Decimal, in its own context of dps + 3 digits (_RealRung);
-    otherwise in mpc at dps digits.  A prefix stops when two consecutive
+    in Decimal, in its own context of dps + 3 digits, and otherwise in mpc
+    at dps digits (_Rung).  A prefix stops when two consecutive
     rungs agree on its distance; a rung whose d^2 is not positive (clamped)
     does not count toward that agreement, and a rung on which two of its
     nodes coincide fails it.
@@ -572,7 +566,7 @@ def _solve_extended(S: MonomialSet, memo: _Memo, ends: list[int]) -> list:
         todo = [i for i, r in enumerate(out) if r is None]
         if not todo:
             break
-        with _RealRung(dps) if memo.real and not S.values.imag.any() else mp.workdps(dps):
+        with _Rung(dps, memo.real and not S.values.imag.any()):
             d2s = _schur_rung(S, memo, max(ends[i] for i in todo))
             for i in todo:
                 if len(d2s) < ends[i]:

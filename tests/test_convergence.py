@@ -5,7 +5,6 @@ import itertools
 import math
 import warnings
 
-import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -421,8 +420,8 @@ def test_interval_curve_pairs_f_once_per_node_and_precision(monkeypatch):
     calls = []
     pairing = PiecewiseMonomial.pairing
 
-    def counted(self, s, logpow=0):  # a real rung's precision is its decimal context's
-        calls.append((s, logpow, decimal.getcontext().prec if core._in_real_rung() else mp.mp.prec))
+    def counted(self, s, logpow=0):  # a rung's precision is its decimal context's
+        calls.append((s, logpow, decimal.getcontext().prec))
         return pairing(self, s, logpow)
 
     monkeypatch.setattr(PiecewiseMonomial, "pairing", counted)
@@ -441,7 +440,7 @@ def test_nested_curve_runs_one_schur_pass_per_rung(monkeypatch):
     passes = []
     rung = core._schur_rung
     monkeypatch.setattr(core, "_schur_rung", lambda S, memo, end: passes.append(
-        decimal.getcontext().prec if core._in_real_rung() else mp.mp.dps) or rung(S, memo, end))
+        decimal.getcontext().prec) or rung(S, memo, end))
     fam = muntz_family({"kind": "affine", "a": 1.0, "b": 0.5})
     d, _ = distance_curve("chi:0.5", fam, 12, precision="extended")
     assert len(passes) >= 2

@@ -1,6 +1,9 @@
-"""Every name a library module imports is used there or re-exported in its __all__."""
+"""Every name a library module imports is used there or re-exported in its __all__, and the runtime needs no scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parent.parent / "src" / "monospan"
@@ -37,3 +40,22 @@ def test_library_modules_have_no_unused_imports():
     assert len(paths) > 5
     found = {p.name: unused_imports(p.read_text()) for p in paths}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter with this checkout's src first on the path."""
+    path = os.pathsep.join(p for p in (str(_SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_cli_import_loads_neither_scipy_nor_f2py():
+    r = _run_fresh("import sys, monospan.cli\n"
+                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.f2py')))")
+    assert (r.returncode, r.stdout, r.stderr) == (0, "[]\n", "")
+
+
+def test_accept_passes_with_scipy_unimportable():
+    r = _run_fresh("import sys\nsys.modules['scipy'] = None  # import scipy raises ImportError\n"
+                   "from monospan import cli\nsys.exit(cli.dispatch(['accept', '--suite', 'primary']))")
+    assert r.returncode == 0, r.stdout + r.stderr

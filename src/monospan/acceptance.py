@@ -47,7 +47,7 @@ from .laguerre import (
     expand_monomial,
 )
 from .operators import AutomorphismParams, hat_matrix, monomial_operator, unitary_from_automorphism
-from .quadrature import integrate
+from .quadrature import integrate_family
 from .sarason import (
     forward_indicator,
     forward_monomial,
@@ -98,38 +98,27 @@ def criterion_1() -> CriterionResult:
 
 
 def criterion_2() -> CriterionResult:
-    """Indicator transform: closed inner-function form vs adaptive quadrature."""
+    """Indicator transform: closed inner-function form vs one forward_quadrature family per indicator."""
     t0 = time.perf_counter()
     zs = [(0.15 + 0.7 * k / 19) * cmath.exp(2j * math.pi * k / 20) for k in range(20)]
-    dev = 0.0
-    for s in (0.1, 0.5, 0.9):
-        F = forward_indicator(s)
-        samp = indicator_function(s)
-        for z in zs:
-            q = forward_quadrature(samp, z)
-            dev = max(dev, abs(F.evaluate(z) - q.value))
+    dev = max(abs(forward_indicator(s).evaluate(z) - q.value)
+              for s in (0.1, 0.5, 0.9) for z, q in zip(zs, forward_quadrature(indicator_function(s), zs)))
     checks = [(dev < 1e-8, f"max closed-form vs quadrature deviation {dev:.3e} (tol 1e-8)")]
     return _finish(2, "indicator transform", t0, checks, budget=10.0)
 
 
 def criterion_3() -> CriterionResult:
-    """Basis orthonormality by quadrature, and the J operator's two routes."""
+    """Basis orthonormality by one quadrature family of the 66 e_i e_j, and the J operator's two routes."""
     t0 = time.perf_counter()
     n_basis = 11
-    # the 66 integrals bisect alike and meet the same node arrays again
-    rows: dict[bytes, np.ndarray] = {}
+    i, j = np.triu_indices(n_basis)
 
-    def basis(x: np.ndarray) -> np.ndarray:
-        key = x.tobytes()
-        if key not in rows:
-            rows[key] = eval_basis(n_basis - 1, x)
-        return rows[key]
+    def products(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+        rows, cols = eval_basis(n_basis - 1, x), np.arange(len(x))
+        return rows[i[k], cols] * rows[j[k], cols]
 
-    dev_orth = 0.0
-    for i in range(n_basis):
-        for j in range(i, n_basis):
-            val = integrate(lambda x: basis(x)[i] * basis(x)[j], 0.0, 1.0, tol=1e-10).value
-            dev_orth = max(dev_orth, abs(val - (1.0 if i == j else 0.0)))
+    vals = integrate_family(products, 0.0, 1.0, [()] * len(i), tol=1e-10)
+    dev_orth = max(abs(r.value - (1.0 if a == b else 0.0)) for a, b, r in zip(i, j, vals))
     dev_j = 0.0
     for s in (1.0 + 0.0j, 1.0j, 0.3 + 0.7j):
         c, e = apply_J_monomial(s)

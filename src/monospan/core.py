@@ -219,7 +219,7 @@ def cauchy_moment(t: complex, s: complex, m: int = 0, a: float = 0.0, c=1):
     real rung (t, s and c real) a Decimal in its context, on a complex rung
     an mpc at its digits, and outside the ladder a complex.  c may also be
     a value of the rung's own type.  ln a is formed only when the recurrence
-    or a^p needs it.
+    or a^p needs it, and on a real rung once per cutoff (_Rung.ln).
     """
     rung = _rung()
     if rung is None:
@@ -227,7 +227,7 @@ def cauchy_moment(t: complex, s: complex, m: int = 0, a: float = 0.0, c=1):
         factorial, power, log = math.factorial, pow, math.log
     else:
         p, c = 1 + rung.lift(t) + rung.lift(s).conjugate(), rung.lift(c)
-        factorial, power, log = (math.factorial, _decimal_power, _decimal_ln) if rung.real else (
+        factorial, power, log = (math.factorial, _decimal_power, rung.ln) if rung.real else (
             mp.factorial, mp.power, mp.log)
     if a == 0.0:
         return c * (-1) ** m * factorial(m) / p ** (m + 1)
@@ -258,7 +258,7 @@ def _decimal_power(a: float, p: Decimal) -> Decimal:
     whole = p.to_integral_value(decimal.ROUND_FLOOR)
     ap = wide.power(Decimal(a), whole)
     if p != whole:
-        ap = wide.multiply(ap, wide.multiply(p - whole, _decimal_ln(a)).exp(wide))
+        ap = wide.multiply(ap, wide.multiply(p - whole, _rung().ln(a)).exp(wide))
     return ap
 
 
@@ -439,7 +439,13 @@ class _Rung(decimal.Context):
         traps = [decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow]
         super().__init__(prec=dps + 3, rounding=decimal.ROUND_HALF_EVEN, Emin=-999999, Emax=999999,
                          capitals=1, clamp=0, flags=[], traps=traps)
-        self.real, self._mp = real, mp.workdps(dps)
+        self.real, self._mp, self._ln = real, mp.workdps(dps), {}
+
+    def ln(self, a: float) -> Decimal:
+        """_decimal_ln(a), formed once per cutoff a while this rung lives."""
+        if a not in self._ln:
+            self._ln[a] = _decimal_ln(a)
+        return self._ln[a]
 
     def lift(self, z):
         """z exactly, as a Decimal (its real part) on a real rung and an mpc on a complex one."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import Exponent, ExponentLike, as_exponent
 from .errors import DomainError, SeriesWarning
-from .quadrature import QuadResult, integrate
+from .quadrature import QuadResult, integrate, integrate_family
 
 DEFAULT_TAYLOR_N = 512
 
@@ -173,21 +173,21 @@ def forward_indicator(s: float) -> DiskFunction:
     return DiskFunction("inner-singular", tau=1.0, w=-0.5 * math.log(s), scale=math.sqrt(s))
 
 
-def forward_quadrature(f: SampledFunction, z, *, tol: float = 1e-11) -> QuadResult:
+def forward_quadrature(f: SampledFunction, z, *, tol: float = 1e-11) -> QuadResult | list[QuadResult]:
     """Uf(z) = (1/(1-z)) * integral of f(x) x^(z/(1-z)) dx, adaptively.
 
     Returns the value together with a conservative error estimate; raises
-    when the adaptive scheme cannot meet its tolerance.
+    when the adaptive scheme cannot meet its tolerance.  A list of points gives the
+    list of their results, each bit for bit its point's, from one integrate_family.
     """
-    zv = as_disk(z)
-    wexp = zv / (1 - zv)
-
-    def integrand(x):
-        return f.evaluator(x) * x**wexp
-
-    res = integrate(integrand, 0.0, 1.0, tol=tol, breakpoints=f.breakpoints)
-    c = 1 / (1 - zv)
-    return QuadResult(c * res.value, abs(c) * res.error)
+    many = isinstance(z, list)
+    zs = [as_disk(v) for v in (z if many else [z])]
+    wexp = np.array([v / (1 - v) for v in zs])
+    integrand = lambda x, k: f.evaluator(x) * x ** wexp[k]
+    res = integrate_family(integrand, 0.0, 1.0, [f.breakpoints] * len(zs), tol=tol) if many else [
+        integrate(lambda x: integrand(x, 0), 0.0, 1.0, tol=tol, breakpoints=f.breakpoints)]
+    out = [QuadResult(c * r.value, abs(c) * r.error) for c, r in zip([1 / (1 - v) for v in zs], res)]
+    return out if many else out[0]
 
 
 def inverse_kernel(alpha) -> tuple[complex, Exponent]:

@@ -6,7 +6,7 @@ lines, or `mono accept --suite primary` for the JSON/CSV report.
 
 import pytest
 
-from monospan import acceptance
+from monospan import acceptance, quadrature
 
 
 def _report(result):
@@ -62,18 +62,22 @@ def test_criterion_10_passes_on_seeds_with_ill_conditioned_sets(seed):
     _report(acceptance.criterion_10(seed))
 
 
+def test_criterion_02_detail():
+    result = acceptance.criterion_2()
+    assert result.detail == (
+        "max closed-form vs quadrature deviation 2.434e-12 (tol 1e-8); runtime within 10 s budget"
+    )
+
+
 def test_criterion_03_evaluates_each_node_array_once(monkeypatch):
-    # the 66 integrals share node arrays; the basis rows are computed once per array
-    seen = []
-    eval_basis = acceptance.eval_basis
-
-    def counting(n, x):
-        seen.append(x.tobytes())
-        return eval_basis(n, x)
-
-    monkeypatch.setattr(acceptance, "eval_basis", counting)
+    # the 66 integrals run as one lockstep family: each round evaluates the basis
+    # once, on the nodes of every cell the round bisects, whichever members own them
+    calls, rounds = [], []
+    eval_basis, gk15 = acceptance.eval_basis, quadrature._gk15
+    monkeypatch.setattr(acceptance, "eval_basis", lambda n, x: calls.append(len(x)) or eval_basis(n, x))
+    monkeypatch.setattr(quadrature, "_gk15", lambda f, cells: rounds.append(len(cells)) or gk15(f, cells))
     result = acceptance.criterion_3()
-    assert seen and len(seen) == len(set(seen))
+    assert calls == [15 * n for n in rounds] and len(rounds) == 107
     assert result.detail == (
         "max orthonormality defect 2.704e-11 (tol 1e-8); max J route deviation 2.001e-16 (tol 1e-10)"
     )

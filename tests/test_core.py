@@ -823,6 +823,26 @@ def test_nodes_apart_at_the_rung_digits_are_solved():
         distance_to_span(f, MonomialSet([0.0, 1e-40]), precision="extended")
 
 
+def test_real_rung_forms_ln_once_per_cutoff(monkeypatch):
+    # every Decimal pairing with a cutoff a needs ln a (for a^p, and for the log
+    # power's recurrence); the rung in force forms it once per cutoff
+    f = PiecewiseMonomial(((1.0, Exponent(0.2), 0.3, 1), (-2.0, Exponent(0.7), 0.6), (0.5, Exponent(1.1), 0.3)))
+    v = np.cumsum(np.random.default_rng(5).uniform(0.3, 0.9, 6))
+    sets = [MonomialSet(v[:k]) for k in range(1, 7)]
+    seen, ln = [], core._decimal_ln
+    monkeypatch.setattr(core, "_decimal_ln", lambda a: seen.append((core._rung(), a)) or ln(a))
+    got = core.distances(f, sets, precision="extended")
+    rungs = {id(r): r for r, _ in seen}
+    assert rungs and all(r.real for r in rungs.values())
+    assert sorted((id(r), a) for r, a in seen) == sorted((i, a) for i in rungs for a in (0.3, 0.6))
+    # forming ln a at every pairing, as before, gives the same bits from more evaluations
+    cached = len(seen)
+    seen.clear()
+    monkeypatch.setattr(core._Rung, "ln", lambda self, a: core._decimal_ln(a))
+    assert core.distances(f, sets, precision="extended") == got
+    assert len(seen) > 10 * cached
+
+
 def test_ladder_ignores_the_callers_decimal_context():
     chains, targets = _real_oracle_cases()
     want = [core.distances(f, chain, precision="extended") for chain in chains[::3] for f in targets]

@@ -6,7 +6,7 @@ import pytest
 import scipy.integrate
 
 from monospan import NumericalError, integrate
-from monospan.quadrature import _G7_WEIGHTS, _K15_NODES, _K15_WEIGHTS, _gk15
+from monospan.quadrature import _G7_WEIGHTS, _K15_NODES, _K15_WEIGHTS, _gk15, integrate_family
 
 
 def test_polynomial_is_exact():
@@ -88,10 +88,19 @@ def _reference_integrate(f, a, b, *, tol=1e-11, limit=20000, breakpoints=()):
         total_err += err
         count += 1
     while total_err > tol:
-        assert count < limit
+        if count >= limit:
+            raise NumericalError(
+                f"quadrature did not converge: error estimate {total_err:.3e} "
+                f"above tolerance {tol:.1e} after {count} cells"
+            )
         neg_err, _, lo, hi, _ = heapq.heappop(heap)
         total_err += neg_err
         mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            raise NumericalError(
+                f"quadrature cell [{lo}, {hi}] cannot be bisected further "
+                f"(error estimate {-neg_err:.3e})"
+            )
         for l2, h2 in ((lo, mid), (mid, hi)):
             val, err = gk15(l2, h2)
             heapq.heappush(heap, (-err, count, l2, h2, val))
@@ -141,3 +150,99 @@ def test_nonfinite_message_names_first_bad_cell(f, breakpoints):
     with pytest.raises(NumericalError) as got:
         integrate(f, 0.0, 1.0, breakpoints=breakpoints)
     assert str(got.value) == str(ref.value)
+
+
+def _family(members):
+    """f(x, k) of integrate_family for the list of one-argument members."""
+
+    def f(x, k):
+        k = np.broadcast_to(k, x.shape)
+        out = np.empty(x.shape, dtype=complex)
+        for m, g in enumerate(members):
+            out[k == m] = g(x[k == m])
+        return out
+
+    return f
+
+
+def _message(run):
+    with pytest.raises(NumericalError) as err:
+        run()
+    return str(err.value)
+
+
+def test_family_members_equal_their_single_integrals():
+    # from 1 cell (the polynomial) to over 100 (the endpoint singularities),
+    # each member with breakpoints of its own
+    members = [
+        (lambda x: x**7 - 3 * x**4 + 2 + 0j, ()),
+        (lambda x: np.exp(-x) * np.cos(20 * x), ()),
+        (lambda x: x**-0.3 * np.cos(40 * x), (0.5,)),
+        (lambda x: np.log(x) ** 3 * x ** (0.2 + 3j), ()),
+        (lambda x: np.where(x >= 0.3, np.abs(x - 0.6), 0.0) * x ** (0.5j), (0.3, 0.6)),
+        (lambda x: np.where(x < 0.25, 1.0, x**2) + 0j, (0.25, 0.5, 0.75)),
+    ]
+    got = integrate_family(_family([g for g, _ in members]), 0.0, 1.0, [bp for _, bp in members])
+    for (g, bp), res in zip(members, got):
+        assert (res.value, res.error) == _reference_integrate(g, 0.0, 1.0, breakpoints=bp)
+        assert res == integrate(g, 0.0, 1.0, breakpoints=bp)
+
+
+def _reciprocal(c):
+    return lambda x: 1.0 / (x - c)
+
+
+# [0.5, 0.5 + ulp] holds no float to split at; all its nodes round to one float,
+# where 1e30 makes the K15 and G7 weight sums (2 and 2 - 2^-52) disagree
+_ULP_CELL = (0.5, float(np.nextafter(0.5, 1.0)))
+_on_ulp_cell = lambda x: np.where((x >= _ULP_CELL[0]) & (x <= _ULP_CELL[1]), 1e30, 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "g, breakpoints, limit",
+    [
+        (lambda x: x**-0.4999, (), 50),  # the cell limit
+        (_on_ulp_cell, _ULP_CELL, 20000),  # a cell that cannot be bisected
+        (lambda x: 1.0 / (x - 0.3) + 1.0 / (x - 0.8), (0.1, 0.3, 0.8), 20000),  # not finite
+    ],
+)
+def test_failing_member_raises_its_single_integral_error(g, breakpoints, limit):
+    smooth = lambda x: np.exp(-x) * np.cos(20 * x)
+    alone = _message(lambda: _reference_integrate(g, 0.0, 1.0, limit=limit, breakpoints=breakpoints))
+    family = _family([smooth, g, smooth])
+    got = _message(lambda: integrate_family(family, 0.0, 1.0, [(), breakpoints, (0.5,)], limit=limit))
+    assert got == alone
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_first_failure_met_wins():
+    # Of two failing members the error is the one the lockstep loop meets first:
+    # an earlier round beats a later one, whatever the member order; in one round
+    # the cell-limit and bisection checks (in member order) come before the
+    # round's one evaluation; of non-finite cells in one evaluation, the first
+    # in member order is named.
+    def first(members, breakpoints, limit=20000):
+        f = _family(members)
+        return _message(lambda: integrate_family(f, 0.0, 1.0, breakpoints, limit=limit))
+
+    def alone(g, breakpoints, limit=20000):
+        return _message(lambda: _reference_integrate(g, 0.0, 1.0, limit=limit, breakpoints=breakpoints))
+
+    # non-finite on the initial mesh (round 0) against a cell found unsplittable in round 1
+    early = lambda x: 1.0 / ((x - 0.25) * (x - 0.75))
+    assert "cannot be bisected" in alone(_on_ulp_cell, _ULP_CELL)
+    assert first([_on_ulp_cell, early], [_ULP_CELL, (0.5,)]) == alone(early, (0.5,))
+    # both non-finite on the initial mesh: the lower member names its cell
+    a, b = _reciprocal(0.25), _reciprocal(0.75)
+    assert first([a, b], [(0.5,), (0.5,)]) == alone(a, (0.5,))
+    assert first([b, a], [(0.5,), (0.5,)]) == alone(b, (0.5,))
+    # both over the cell limit of 1 in round 1: the lower member's check comes first
+    a, b = lambda x: x**-0.4999, lambda x: np.log(x) ** 3
+    assert first([a, b], [(), (0.5,)], limit=1) == alone(a, (), limit=1)
+    assert first([b, a], [(0.5,), ()], limit=1) == alone(b, (0.5,), limit=1) != alone(a, (), limit=1)
+    # round 2: member 0 bisects [0, 0.5], whose half [0, 0.25] has the node 0.125,
+    # but member 1 reaches the cell limit of 4 in the same round, before that evaluation
+    a, b = _reciprocal(0.125), lambda x: x**-0.4999
+    assert "[0.0, 0.25]" in alone(a, (), limit=4)
+    assert first([a, b], [(), (0.5,)], limit=4) == alone(b, (0.5,), limit=4)

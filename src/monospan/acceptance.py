@@ -36,6 +36,7 @@ from .core import (
     distance_to_span,
     gram_build,
     monomial_distance_closed_form,
+    monomial_inner,
     muntz_verdict,
 )
 from .errors import NumericalError, TruncationWarning
@@ -344,8 +345,6 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
 
     uni_ok = 0
     n_uni = 100
-    from .core import monomial_inner
-
     for _ in range(n_uni):
         a = float(rng.uniform(0.5, 2.0))
         b = float(rng.uniform(-1.0, 1.0))

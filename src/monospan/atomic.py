@@ -1,4 +1,4 @@
-"""Atomic subspaces, singular inner functions, and model-space projections.
+"""Disk points, atomic subspaces, singular inner functions, and model-space projections.
 
 A boundary atom tau (|tau| = 1) of mass w determines the singular inner
 function S_{tau,w}(z) = exp(-w (tau+z)/(tau-z)) and an atomic subspace of
@@ -16,6 +16,14 @@ k_alpha / (s+1) under the transform, k_alpha the Szego kernel at
 alpha = conj(s)/(conj(s)+1), so its squared distance to the atomic space is
 |phi(alpha)|^2 / (1+2u) exactly (kernel_distance).  Truncated Toeplitz
 projections T_phi T_phibar serve Laguerre-coefficient input and the tests.
+
+InnerFunction(measure, scale) is every singular inner function times a
+constant; sarason.forward_indicator(s) is the one with one atom at 1 of mass
+-ln(s)/2 and scale sqrt(s).  A factor exp(-w (tau+z)/(tau-z)) whose exponent
+is not finite or has a positive real part is no value of S (|S| <= 1 in the
+disk), so evaluate raises NumericalError; near an atom on the circle the
+factor underflows to 0, its value.  DiskPoint lives here, so that sarason
+imports atomic and not the other way round.
 """
 
 from __future__ import annotations
@@ -44,12 +52,28 @@ from .errors import (
     TruncationWarning,
 )
 from .laguerre import LaguerreExpansion
-from .sarason import as_disk
 
 _MODEL_N_MAX = 8192
 _ATOM_COLLISION = 1e-14
 _SENSITIVITY_TOL = 0.01
 _MOMENT_ORDER = 8
+
+
+@dataclass(frozen=True)
+class DiskPoint:
+    """A point of the open unit disk."""
+
+    z: complex
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "z", complex(self.z))
+        if not abs(self.z) < 1:
+            raise DomainError(f"|z| = {abs(self.z)} is not inside the open disk")
+
+
+def as_disk(z) -> complex:
+    """z as a complex number in the open unit disk, checked as DiskPoint checks it."""
+    return z.z if isinstance(z, DiskPoint) else DiskPoint(z).z
 
 
 def _check_unimodular(tau: complex) -> complex:
@@ -185,31 +209,36 @@ def singular_inner_taylor(tau: complex, w: float, N: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InnerFunction:
-    """The singular inner function attached to a finitely atomic measure."""
+    """scale times the singular inner function of a finitely atomic measure."""
 
     measure: AtomicMeasure
+    scale: complex = 1.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "scale", complex(self.scale))
 
     def evaluate(self, z) -> complex:
         zv = as_disk(z)
-        for tau, _ in self.measure.atoms:
-            if abs(zv - tau) < _ATOM_COLLISION:
-                raise NumericalError(f"evaluation point {zv} collides with the atom {tau}")
-        acc = 1.0 + 0j
+        acc = self.scale
         for tau, w in self.measure.atoms:
-            acc *= cmath.exp(-w * (tau + zv) / (tau - zv))
+            x = -w * (tau + zv) / (tau - zv) if tau != zv else complex(math.inf)
+            if not (cmath.isfinite(x) and x.real <= 0):
+                raise NumericalError(f"no value at {zv}: the factor of the atom {tau} is exp({x})")
+            acc *= cmath.exp(x)
         return acc
 
     def taylor(self, N: int) -> np.ndarray:
-        """First N Taylor coefficients of the product over all atoms."""
-        if not self.measure.atoms:
-            out = np.zeros(max(N, 1), dtype=complex)
-            out[0] = 1.0
-            return out
+        """First N Taylor coefficients of scale times the product over all atoms."""
+        if N < 1:
+            raise DomainError("need at least one Taylor coefficient")
         acc = None
         for tau, w in self.measure.atoms:
             part = singular_inner_taylor(tau, w, N)
             acc = part if acc is None else np.convolve(acc, part)[:N]
-        return acc
+        if acc is None:  # no atoms: S = 1
+            acc = np.zeros(N, dtype=complex)
+            acc[0] = 1.0
+        return acc if self.scale == 1 else self.scale * acc
 
 
 def conjugation_identity_check(c: float, wp: float, z_grid) -> tuple[float, complex]:

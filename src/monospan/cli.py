@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .acceptance import DEFAULT_SEED
+from .acceptance import DEFAULT_SEED, run_suite
 from .atomic import AtomicMeasure, AtomicSpaceParams, check_order, kernel_distance, proj_norm_sq
 from .convergence import (
     constant_family, interval_family, limit_membership_test, muntz_limit_experiment,
@@ -388,8 +388,6 @@ def _run_converge(v: dict, precision: str, seed) -> tuple[dict, int]:
 
 
 def _run_accept(v: dict, precision: str, seed) -> tuple[dict, int]:
-    from .acceptance import run_suite
-
     seed = DEFAULT_SEED if seed is None else int_field(seed, "seed")
     results = run_suite(seed=seed)
     payload = {

@@ -26,8 +26,7 @@ import numpy as np
 from .core import (
     MonomialSet,
     PiecewiseMonomial,
-    _check_entries,
-    _duplicate_error,
+    _check_set,
     as_monomial_set,
     distances,
     muntz_verdict,
@@ -82,18 +81,14 @@ def muntz_family(seq) -> SubspaceSequence:
     outside the half-plane, then a repeated one, raises the DomainError that
     MonomialSet raises for the first set holding it.
     """
-    terms, prefix, seen = sequence_terms(sequence_from_spec(seq)), [], {}
+    terms, prefix, table = sequence_terms(sequence_from_spec(seq)), [], {}
 
     def gen(n: int) -> MonomialSet:
         prefix.extend(itertools.islice(terms, max(0, n + 1 - len(prefix))))
         if len(prefix) < n + 1:
             raise DomainError(f"sequence exhausted before index {n}")
-        new = prefix[len(seen):max(0, n + 1)]
-        _check_entries(np.array(new, dtype=complex), np.zeros(len(new), dtype=np.int64))
-        for s in new:
-            if s in seen:
-                raise _duplicate_error(s, 0)
-            seen[s] = None  # insertion-ordered: the first len(seen) terms passed
+        # the table holds the first len(table) terms, distinct, each with log power 0
+        _check_set(zip(prefix[len(table):max(0, n + 1)], itertools.repeat(0)), table)
         return MonomialSet._checked(prefix[:max(0, n + 1)])
 
     return SubspaceSequence(gen, "muntz")

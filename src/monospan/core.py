@@ -111,7 +111,7 @@ class MonomialSet:
         k = np.zeros(v.shape, dtype=np.int64) if logpows is None else np.array(logpows)
         if v.ndim != 1 or k.shape != v.shape:
             raise DomainError(f"values and logpows need one 1-D shape, got {v.shape}, {k.shape}")
-        _check_set(v, k)
+        _check_set(zip(v.tolist(), k.tolist()))
         k = k.astype(np.int64, copy=False)
         v.flags.writeable = k.flags.writeable = False
         self.values, self.logpows = v, k
@@ -128,11 +128,11 @@ class MonomialSet:
         return map(Exponent, v.real.tolist(), v.imag.tolist(), self.logpows.tolist())
 
     @classmethod
-    def _checked(cls, values) -> "MonomialSet":
-        """The logpow-0 set of `values`, which the caller has checked: valid and distinct."""
+    def _checked(cls, values, logpows=None) -> "MonomialSet":
+        """The set of `values` and `logpows` (default 0), which the caller has checked."""
         S = cls.__new__(cls)
         v = np.array(values, dtype=complex)
-        k = np.zeros(v.shape, dtype=np.int64)
+        k = np.zeros(v.shape, dtype=np.int64) if logpows is None else np.array(logpows, dtype=np.int64)
         v.flags.writeable = k.flags.writeable = False
         S.values, S.logpows = v, k
         return S
@@ -146,60 +146,52 @@ class MonomialSet:
     def from_json(cls, payload: dict) -> "MonomialSet":
         raw = required_field(payload, "exponents", "monomial set JSON")
         values, logpows = [], []
-        for e in list_field(raw, "monomial set exponents"):
-            try:
+
+        def read():  # each entry is checked as it is read, so its field errors keep set order
+            for e in list_field(raw, "monomial set exponents"):
                 if not isinstance(e, dict):
                     raise DomainError(f"monomial set exponent must be an object, got {e!r}")
-                s = complex(real_field(e.get("re", 0.0), "exponent re"),
-                            real_field(e.get("im", 0.0), "exponent im"))
+                values.append(complex(real_field(e.get("re", 0.0), "exponent re"),
+                                      real_field(e.get("im", 0.0), "exponent im")))
                 logpows.append(int_field(e.get("logpow", 0), "exponent logpow"))
-            except DomainError:  # an earlier entry's own error comes first, as read in order
-                _check_entries(np.array(values, dtype=complex), np.array(logpows, dtype=np.int64))
-                raise
-            values.append(s)
-        return cls(values, logpows)
+                yield values[-1], logpows[-1]
+
+        _check_set(read())
+        return cls._checked(values, logpows)
 
     def to_json(self) -> dict:
         return {"exponents": [e.to_json() for e in self]}
 
 
-def _check_entries(v: np.ndarray, k: np.ndarray) -> None:
-    """Raise the Exponent error of the first entry that is no valid exponent on its own."""
-    ok = np.isfinite(v) & (v.real > HALF_PLANE_EDGE)
-    if np.count_nonzero(k):  # log powers are whole numbers >= 0: a cast would read 1.5 as 1
-        with np.errstate(invalid="ignore"):  # inf % 1 is NaN, and no whole number
-            ok &= (k >= 0) & (k % 1 == 0)
-    for i in np.flatnonzero(~ok).tolist():
-        Exponent(v.real[i].item(), v.imag[i].item(), k[i].item())
+def _check_set(entries: Iterable[tuple[complex, int]], table: dict | None = None) -> None:
+    """Check (s, logpow) entries in set order: an entry's own error, then a repeat, then a gap.
 
-
-def _duplicate_error(z: complex, j: int) -> DomainError:
-    return DomainError(f"duplicate exponent entry (s={z}, logpow={j})")
-
-
-def _check_set(v: np.ndarray, k: np.ndarray) -> None:
-    """Raise on a bad entry, a repeated entry, or log powers of one s that do not run 0..m-1."""
-    if np.count_nonzero(k):
-        _check_entries(v, k)
-        order = np.lexsort((k, v.imag, v.real))
-        s, ks = v[order], k[order]
-        # sorted, each s starts at log power 0 and steps by 1; a repeat or a gap breaks the run
-        bad = ks - np.concatenate(([0], (ks[:-1] + 1) * (s[1:] == s[:-1])))
-    else:  # sorted, the smallest real part comes first and a repeated s sits by its twin
-        s = np.sort(v)
-        if np.count_nonzero(np.isfinite(s)) < len(s) or (len(s) and s[0].real <= HALF_PLANE_EDGE):
-            _check_entries(v, k)
-        bad = s[1:] == s[:-1]
-    if not np.count_nonzero(bad):
-        return
-    # the error is the one an entry-by-entry scan in set order meets first
+    An entry that is no valid Exponent raises that error as it is read; after
+    the last entry, the first repeated entry raises, then the first s whose
+    log powers do not run 0..m-1.  table maps the s of earlier, checked
+    entries to their log powers: a repeat of one of those counts, and the
+    entries join the table when they all pass.
+    """
+    earlier = {} if table is None else table
     powers: dict[complex, set[int]] = {}
-    for z, j in zip(v.tolist(), k.astype(np.int64).tolist()):
-        if j in powers.setdefault(z, set()):
-            raise _duplicate_error(z, j)
-        powers[z].add(j)
-    z, js = next((z, sorted(js)) for z, js in powers.items() if max(js) >= len(js))
-    raise DomainError(f"log powers for s={z.real}+{z.imag}j must be contiguous from 0, got {js}")
+    repeat, confluent = None, False
+    for z, j in entries:
+        if not (z.real > HALF_PLANE_EDGE and cmath.isfinite(z) and j >= 0 and j % 1 == 0):
+            Exponent(z.real, z.imag, j)  # raises the entry's own error
+        js = powers.setdefault(z, set())
+        if repeat is None and (j in js or j in earlier.get(z, ())):
+            repeat = DomainError(f"duplicate exponent entry (s={z}, logpow={int(j)})")
+        js.add(j)
+        confluent = confluent or j != 0
+    if repeat is not None:
+        raise repeat
+    for z, js in powers.items() if confluent else ():
+        js.update(earlier.get(z, ()))
+        if max(js) >= len(js):  # distinct whole numbers >= 0 run 0..m-1 iff the largest is m-1
+            ks = sorted(map(int, js))
+            raise DomainError(f"log powers for s={z.real}+{z.imag}j must be contiguous from 0, got {ks}")
+    if table is not None:
+        table.update(powers)
 
 
 def as_monomial_set(values) -> MonomialSet:
@@ -998,9 +990,11 @@ def muntz_verdict(seq: SequenceLike, criterion: str = "complex") -> DensityVerdi
     harmonic-type lower bound k*t_k >= 0.01 holding flat over the last 64
     terms), "not-dense" when a convergent majorant matches (consecutive term
     ratios <= 0.98, or a p-series log-log slope <= -1.1 over those 64 terms),
-    and "undetermined" otherwise.  A finite machine cannot decide series
-    divergence; these are heuristic certificates and the third value is the
-    honest fallback.
+    and "undetermined" otherwise.  An explicit list is a prefix of an
+    infinite sequence, so the numeric certificates need at least a full tail
+    window of 64 series terms; a shorter list is "undetermined".  A finite
+    machine cannot decide series divergence; these are heuristic certificates
+    and the third value is the honest fallback.
     """
     if criterion not in _CRITERIA:
         raise DomainError(f"unknown criterion {criterion!r}; expected one of {_CRITERIA}")
@@ -1026,14 +1020,20 @@ def muntz_verdict(seq: SequenceLike, criterion: str = "complex") -> DensityVerdi
         verdict, reason = symbolic
         return DensityVerdict(verdict, partial, criterion, reason)
 
+    if len(terms) < _TAIL_WINDOW:
+        return DensityVerdict(
+            "undetermined", partial, criterion,
+            f"{len(terms)} series terms are fewer than the {_TAIL_WINDOW}-term tail window "
+            "that a numeric certificate needs",
+        )
     if partial[-1] >= _SUM_BOUND:
         return DensityVerdict(
             "dense", partial, criterion,
             f"partial sums exceeded the configured bound {_SUM_BOUND:g} with positive terms",
         )
-    window = terms[-min(_TAIL_WINDOW, len(terms)):]
-    k_idx = np.arange(len(terms) - len(window), len(terms)) + 1.0
-    if len(window) >= 2 and np.all(window > 0):
+    window = terms[-_TAIL_WINDOW:]
+    k_idx = np.arange(len(terms) - _TAIL_WINDOW, len(terms)) + 1.0
+    if np.all(window > 0):
         kt = k_idx * window
         log_k = np.log(k_idx)
         # slope of log(k t_k) against log k: ~0 for harmonic-type tails

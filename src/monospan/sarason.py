@@ -5,11 +5,13 @@ f(x) x^(z/(1-z)) over [0,1]; monomials go to reproducing-kernel multiples,
 
     U x^beta = (1/(beta+1)) k_alpha,   alpha = conj(beta)/(conj(beta)+1),
 
-indicators of [0, s] go to sqrt(s) times a singular inner function with
-atom at 1, and the inverse carries kernels back to monomials.  The module
-provides those closed forms, an adaptive-quadrature route for general
-functions, the moment/value dictionary on the interpolation points
-n/(n+1), and the inverse power series from derivatives at 1.
+held as a DiskFunction (a finite sum of Szego kernels), and indicators of
+[0, s] go to sqrt(s) times the singular inner function with one atom at 1 of
+mass -ln(s)/2, held as an atomic.InnerFunction with scale sqrt(s); the
+inverse carries kernels back to monomials.  The module provides those closed
+forms, an adaptive-quadrature route for general functions, the moment/value
+dictionary on the interpolation points n/(n+1), and the inverse power series
+from derivatives at 1.
 """
 
 from __future__ import annotations
@@ -22,87 +24,49 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .atomic import AtomicMeasure, DiskPoint, InnerFunction, as_disk
 from .core import Exponent, ExponentLike, as_exponent
 from .errors import DomainError, SeriesWarning
+from .laguerre import apply_J_monomial
 from .quadrature import QuadResult, integrate, integrate_family
 
 DEFAULT_TAYLOR_N = 512
 
 
 @dataclass(frozen=True)
-class DiskPoint:
-    """A point of the open unit disk."""
-
-    z: complex
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "z", complex(self.z))
-        if not abs(self.z) < 1:
-            raise DomainError(f"|z| = {abs(self.z)} is not inside the open disk")
-
-
-def as_disk(z) -> complex:
-    """z as a complex number in the open unit disk, checked as DiskPoint checks it."""
-    return z.z if isinstance(z, DiskPoint) else DiskPoint(z).z
-
-
-@dataclass(frozen=True)
 class DiskFunction:
-    """A Hardy-space function in one of two representations.
+    """A finite combination sum c_i k_{alpha_i} of Szego kernels in the Hardy space.
 
-    kind "kernel": a finite combination sum c_i k_{alpha_i} of Szego
-    kernels k_alpha(z) = 1/(1 - conj(alpha) z), stored as (c_i, alpha_i)
-    pairs with |alpha_i| < 1.  kind "inner-singular":
-    scale * exp(-w (tau + z)/(tau - z)), a constant multiple of the singular
-    inner function with a single boundary atom at tau of mass w.  Closed
-    forms are always preferred; Taylor coefficients are derived on demand.
+    k_alpha(z) = 1/(1 - conj(alpha) z); the terms are (c_i, alpha_i) pairs
+    with |alpha_i| < 1.  Closed forms are always preferred; Taylor
+    coefficients are derived on demand.
     """
 
-    kind: str
     terms: tuple[tuple[complex, complex], ...] = ()
-    tau: complex = 1.0
-    w: float = 0.0
-    scale: complex = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind == "kernel":
-            clean = tuple((complex(c), complex(a)) for c, a in self.terms)
-            for _, a in clean:
-                if not abs(a) < 1:
-                    raise DomainError(f"kernel parameter |alpha| = {abs(a)} not in the disk")
-            object.__setattr__(self, "terms", clean)
-        elif self.kind == "inner-singular":
-            object.__setattr__(self, "tau", complex(self.tau))
-            object.__setattr__(self, "scale", complex(self.scale))
-            if abs(abs(self.tau) - 1) > 1e-12:
-                raise DomainError("singular inner atom must sit on the unit circle")
-            if self.w < 0:
-                raise DomainError("singular inner mass must be nonnegative")
-        else:
-            raise DomainError(f"unknown representation kind {self.kind!r}")
+        clean = tuple((complex(c), complex(a)) for c, a in self.terms)
+        for _, a in clean:
+            if not abs(a) < 1:
+                raise DomainError(f"kernel parameter |alpha| = {abs(a)} not in the disk")
+        object.__setattr__(self, "terms", clean)
 
-    def evaluate(self, z) -> complex:
+    def evaluate(self, z: DiskPoint | complex) -> complex:
         zv = as_disk(z)
-        if self.kind == "kernel":
-            return sum(c / (1 - a.conjugate() * zv) for c, a in self.terms)
-        return self.scale * cmath.exp(-self.w * (self.tau + zv) / (self.tau - zv))
+        return sum(c / (1 - a.conjugate() * zv) for c, a in self.terms)
 
     def taylor(self, N: int = DEFAULT_TAYLOR_N) -> np.ndarray:
         """First N Taylor coefficients at 0 (length-N array)."""
         if N < 1:
             raise DomainError("need at least one Taylor coefficient")
-        if self.kind == "kernel":
-            out = np.zeros(N, dtype=complex)
-            for c, a in self.terms:
-                out += c * np.conj(a) ** np.arange(N)
-            return out
-        from .atomic import singular_inner_taylor
-
-        return self.scale * singular_inner_taylor(self.tau, self.w, N)
+        out = np.zeros(N, dtype=complex)
+        for c, a in self.terms:
+            out += c * np.conj(a) ** np.arange(N)
+        return out
 
 
-def h2_inner(F: DiskFunction, G: DiskFunction, N: int = DEFAULT_TAYLOR_N) -> complex:
-    """Hardy-space inner product via Taylor truncation at N terms."""
+def h2_inner(F, G, N: int = DEFAULT_TAYLOR_N) -> complex:
+    """Hardy-space inner product via Taylor truncation at N terms, for any F and G with taylor(N)."""
     f, g = F.taylor(N), G.taylor(N)
     return complex(np.vdot(g, f))  # vdot conjugates its first argument
 
@@ -162,18 +126,22 @@ def forward_monomial(beta: ExponentLike) -> DiskFunction:
         )
     b = eb.s
     alpha = b.conjugate() / (b.conjugate() + 1)
-    return DiskFunction("kernel", terms=((1 / (b + 1), alpha),))
+    return DiskFunction(((1 / (b + 1), alpha),))
 
 
-def forward_indicator(s: float) -> DiskFunction:
-    """U of the indicator of [0, s]: sqrt(s) times a singular inner function."""
+def forward_indicator(s: float) -> InnerFunction:
+    """U of the indicator of [0, s]: sqrt(s) times the singular inner function of one atom at 1.
+
+    The atom's mass is -ln(s)/2; at s = 1 it is 0, and the measure has no atoms.
+    """
     s = float(s)
     if not 0 < s <= 1:
         raise DomainError(f"indicator endpoint must lie in (0, 1], got {s}")
-    return DiskFunction("inner-singular", tau=1.0, w=-0.5 * math.log(s), scale=math.sqrt(s))
+    atoms = ((1.0, -0.5 * math.log(s)),) if s < 1 else ()
+    return InnerFunction(AtomicMeasure(atoms), math.sqrt(s))
 
 
-def forward_quadrature(f: SampledFunction, z, *, tol: float = 1e-11) -> QuadResult | list[QuadResult]:
+def forward_quadrature(f: SampledFunction, z) -> QuadResult | list[QuadResult]:
     """Uf(z) = (1/(1-z)) * integral of f(x) x^(z/(1-z)) dx, adaptively.
 
     Returns the value together with a conservative error estimate; raises
@@ -184,13 +152,13 @@ def forward_quadrature(f: SampledFunction, z, *, tol: float = 1e-11) -> QuadResu
     zs = [as_disk(v) for v in (z if many else [z])]
     wexp = np.array([v / (1 - v) for v in zs])
     integrand = lambda x, k: f.evaluator(x) * x ** wexp[k]
-    res = integrate_family(integrand, 0.0, 1.0, [f.breakpoints] * len(zs), tol=tol) if many else [
-        integrate(lambda x: integrand(x, 0), 0.0, 1.0, tol=tol, breakpoints=f.breakpoints)]
+    res = integrate_family(integrand, 0.0, 1.0, [f.breakpoints] * len(zs)) if many else [
+        integrate(lambda x: integrand(x, 0), 0.0, 1.0, breakpoints=f.breakpoints)]
     out = [QuadResult(c * r.value, abs(c) * r.error) for c, r in zip([1 / (1 - v) for v in zs], res)]
     return out if many else out[0]
 
 
-def inverse_kernel(alpha) -> tuple[complex, Exponent]:
+def inverse_kernel(alpha: DiskPoint | complex) -> tuple[complex, Exponent]:
     """U* k_alpha = (1/(1-conj(alpha))) x^(conj(alpha)/(1-conj(alpha)))."""
     av = as_disk(alpha)
     ac = av.conjugate()
@@ -258,23 +226,14 @@ def moment_interpolation(w: Sequence[complex], direction: str) -> list[complex]:
     )
 
 
-def reflected_inverse_as_stated(alpha, x, *, as_stated_suspect: bool = False):
-    """Inverse transform of z -> k_alpha(-z), two candidate routes.
+def reflected_inverse_as_stated(alpha: DiskPoint | complex, x):
+    """Inverse transform of z -> k_alpha(-z), by the coordinate involution J.
 
-    The reliable route composes the inverse with the coordinate involution
-    J (so the result is a monomial with exponent -conj(alpha)/(1+conj(alpha))),
-    and is what this function returns by default.  The alternative reading,
-    "substitute 1/x in the plain inverse", disagrees with the worked kernel
-    case and with the reflection identity; it is kept reachable behind
-    as_stated_suspect=True for side-by-side comparison, and nothing else in
-    the package uses it.
+    Composing the inverse with J gives a monomial with exponent
+    -conj(alpha)/(1+conj(alpha)).  The other reading, "substitute 1/x in the
+    plain inverse", disagrees with the worked kernel case and with the
+    reflection identity.
     """
-    from .laguerre import apply_J_monomial
-
-    av = as_disk(alpha)
-    c0, e0 = inverse_kernel(DiskPoint(av))
-    xv = np.asarray(x, dtype=float)
-    if as_stated_suspect:
-        return c0 * (1.0 / xv) ** e0.s
+    c0, e0 = inverse_kernel(alpha)
     jc, jexp = apply_J_monomial(e0)
-    return c0 * jc * xv**jexp.s
+    return c0 * jc * np.asarray(x, dtype=float) ** jexp.s

@@ -195,9 +195,21 @@ def test_inner_function_radial_limit_off_atoms():
 
 
 def test_inner_function_atom_collision():
-    F = at.InnerFunction(at.AtomicMeasure.single(1.0, 0.5))
-    with pytest.raises(NumericalError):
-        F.evaluate(1.0 - 5e-15)
+    # an atom accepted as unimodular to 1e-12 can lie inside the disk: S has no value there
+    tau = 1.0 - 5e-13
+    F = at.InnerFunction(at.AtomicMeasure.single(tau, 0.5))
+    with pytest.raises(NumericalError, match="no value at"):
+        F.evaluate(tau)
+    # past it, the factor's exponent has a positive real part: |exp| > 1 is no value of S either
+    with pytest.raises(NumericalError, match="no value at"):
+        F.evaluate(1.0 - 1e-13)
+    # a mass so large that the exponent overflows
+    with pytest.raises(NumericalError, match="no value at"):
+        at.InnerFunction(at.AtomicMeasure.single(1.0, 1e306)).evaluate(0.999)
+    # close to an atom on the circle the factor underflows to 0, which is its value
+    G = at.InnerFunction(at.AtomicMeasure.single(1.0, 0.5), scale=0.5)
+    assert G.evaluate(1.0 - 5e-15) == 0
+    assert G.evaluate(0.0) == 0.5 * math.exp(-0.5)
 
 
 def test_two_atoms_multiply():

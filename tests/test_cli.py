@@ -80,13 +80,16 @@ def test_muntz_geometric_not_dense(capsys):
 
 
 _GEOMETRIC_1E100 = '{"kind":"geometric","ratio":1e100}'
+_POWERS_OF_512 = json.dumps([2.0 ** (9 * k) for k in range(64)])  # a full tail window, up to 3e170
 
 
 @pytest.mark.parametrize("seq, criterion, reason", [
     (_GEOMETRIC_1E100, "complex", "geometric majorant: terms decay like 1e-100^k"),
     (_GEOMETRIC_1E100, "real", "geometric majorant: terms decay like 1e-100^k"),
-    ("[1, 2e154]", "complex", "geometric majorant: consecutive term ratios <= 1.33e-154"),
-    ("[1, 2e154]", "real", "geometric majorant: consecutive term ratios <= 8.33e-155"),
+    pytest.param(_POWERS_OF_512, "complex", "geometric majorant: consecutive term ratios <= 0.00519",
+                 id="512^k-complex"),
+    pytest.param(_POWERS_OF_512, "real", "geometric majorant: consecutive term ratios <= 0.00325",
+                 id="512^k-real"),
 ])
 def test_muntz_terms_past_1e154_do_not_overflow(capsys, seq, criterion, reason):
     # the series terms divide by |s + 1|^2 or (2 s + 1)^2, which overflow past 1.34e154
@@ -100,7 +103,8 @@ def test_converge_on_terms_past_1e154(capsys, seq, nmax):
     payload = run_json(capsys, ["converge", "--family", "muntz", "--f", "chi:0.5",
                                 "--nmax", str(nmax), "--seq", seq])
     validate("converge", payload)
-    assert payload["density_verdict"] == "not-dense"
+    # a two-term explicit list is shorter than a tail window: no hard density verdict
+    assert payload["density_verdict"] == ("undetermined" if seq.startswith("[") else "not-dense")
     # x^s for s >= 1e100 adds nothing to x's share of chi_[1/2,1]: d^2 = 1/2 - 3 (3/8)^2
     assert payload["distance"] == [pytest.approx(math.sqrt(0.5 - 3 * 0.375**2), rel=1e-14)] * nmax
 
@@ -112,6 +116,19 @@ def test_sarason_eval_monomial(capsys):
     validate("sarason", payload)
     assert payload["method"] == "closed-form"
     assert payload["error_estimate"] is None
+
+
+@pytest.mark.parametrize("spec, z, value", [
+    ('{"kind":"indicator","s":1}', "0.3,-0.2", "1.0,\n    0.0"),  # mass 0: no atoms
+    ('{"kind":"indicator"}', "-0.5,0.4", "1.0,\n    0.0"),  # s defaults to 1
+    ('{"kind":"indicator","s":0.3}', "0.999999999999999", "0.0,\n    0.0"),  # the factor underflows
+], ids=["s=1", "default-s", "near-1"])
+def test_sarason_eval_indicator_edges(capsys, spec, z, value):
+    code, out, err = run(capsys, ["sarason", "eval", "--f", spec, f"--z={z}"])
+    re, im = (float(v) for v in z.split(",")) if "," in z else (float(z), 0.0)
+    assert (code, err) == (0, "")
+    assert out == (f'{{\n  "error_estimate": null,\n  "method": "closed-form",\n  "value": [\n    {value}\n  ],\n'
+                   f'  "z": [\n    {re!r},\n    {im!r}\n  ]\n}}\n')
 
 
 def test_sarason_eval_combination_quadrature(capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import monospan.convergence as convergence
 import monospan.core as core
 from monospan.convergence import (
     ConvergenceReport,
@@ -197,14 +198,20 @@ def test_muntz_family_nesting_and_exhaustion():
 
 
 def test_muntz_family_computes_each_term_once(monkeypatch):
-    calls, checks = [], []
+    calls, checked = [], []
     term, check = AffineSequence.term, core._check_set
+
+    def counting_check(entries, table=None):
+        return check((checked.append(e) or e for e in entries), table)
+
     monkeypatch.setattr(AffineSequence, "term", lambda self, k: calls.append(k) or term(self, k))
-    monkeypatch.setattr(core, "_check_set", lambda v, k: checks.append(len(v)) or check(v, k))
+    for module in (core, convergence):  # MonomialSet's check and muntz_family's
+        monkeypatch.setattr(module, "_check_set", counting_check)
     fam = muntz_family({"kind": "affine", "a": 1.0})
     curve, _ = distance_curve("chi:0.5", fam, 24)
     assert sorted(calls) == list(range(25))
-    assert checks == []  # each term was checked once, as it entered; no set was checked whole
+    # each term was checked once, as it entered; no set was checked whole
+    assert checked == [(complex(k), 0) for k in range(25)]
     assert [e.re for e in fam.set_at(3)] == [0.0, 1.0, 2.0, 3.0]  # an earlier n reads the prefix
     f = PiecewiseMonomial.indicator(0.5)
     assert curve[3] == distance(f, MonomialSet([0, 1, 2, 3, 4])).distance
@@ -555,7 +562,7 @@ def test_muntz_experiment_disagreement_warns():
 
 def test_muntz_experiment_explicit_list():
     f = PiecewiseMonomial.from_spec("monomial:0.5")
-    report = muntz_limit_experiment([float(k) for k in range(50)], f, 40)
+    report = muntz_limit_experiment([float(k) for k in range(64)], f, 40)  # a full tail window
     assert report.density_verdict == "dense"
     assert report.distances[-1] < report.distances[0]
 

@@ -1001,6 +1001,30 @@ def test_muntz_undetermined_fallback():
     assert v.verdict == "undetermined"
 
 
+def test_muntz_short_explicit_prefix_is_undetermined():
+    # an explicit list is a prefix; three terms certify neither divergence nor convergence
+    v = muntz_verdict([1.0, 2.0, 3.0], "complex")
+    assert (v.verdict, v.reason) == (
+        "undetermined",
+        "3 series terms are fewer than the 64-term tail window that a numeric certificate needs",
+    )
+    # the classical series skips a leading 0, so 64 entries give 63 terms
+    assert muntz_verdict([float(k) for k in range(64)], "classical").verdict == "undetermined"
+    assert muntz_verdict([float(k) for k in range(65)], "classical").verdict == "dense"
+
+
+def test_muntz_seeded_prefixes_get_no_wrong_hard_verdict():
+    # sum over c (k+1)^p of the series terms diverges, and the exponents are dense, iff p = 1
+    rng = np.random.default_rng(17)
+    for i in range(300):
+        p = (1.0, 1.5, 2.0)[i % 3]
+        n, c = int(rng.integers(3, 301)), float(rng.uniform(0.1, 5.0))
+        seq = [c * (k + 1) ** p for k in range(n)]
+        for criterion in ("complex", "real"):
+            verdict = muntz_verdict(seq, criterion).verdict
+            assert verdict in ("undetermined", "dense" if p == 1 else "not-dense"), (p, n, c)
+
+
 def test_muntz_criterion_validation():
     with pytest.raises(WrongCriterionError):
         muntz_verdict([0.5, 1.5], "classical")

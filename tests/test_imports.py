@@ -1,4 +1,5 @@
-"""Every name a library module imports is used there or re-exported in its __all__, and the runtime needs no scipy."""
+"""Every name a library module imports is used there or re-exported in its __all__, imports sit at
+module level without cycles through atomic, and the runtime needs no scipy."""
 
 import ast
 import os
@@ -40,6 +41,45 @@ def test_library_modules_have_no_unused_imports():
     assert len(paths) > 5
     found = {p.name: unused_imports(p.read_text()) for p in paths}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def nested_imports(source: str) -> list[str]:
+    """Import statements inside a function or class body, as 'name (line)'."""
+    found = []
+    for scope in ast.walk(ast.parse(source)):
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += [f"{scope.name} (line {node.lineno})" for node in ast.walk(scope)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))]
+    return sorted(set(found))
+
+
+def imported_modules(source: str) -> set[str]:
+    """The package-relative names of the modules a source imports from or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            base = (node.module or "").removeprefix("monospan.")
+            names |= {base} if base else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {alias.name.removeprefix("monospan.") for alias in node.names}
+    return names
+
+
+def test_nested_import_finder():
+    source = "import os\ndef f():\n    from .a import b\nclass C:\n    def g(self):\n        import re\n"
+    assert nested_imports(source) == ["C (line 6)", "f (line 3)", "g (line 6)"]
+    assert imported_modules("from .sarason import x\nfrom . import core\nimport monospan.cli\n") == {
+        "sarason", "core", "cli"}
+
+
+def test_library_modules_import_at_module_level():
+    found = {p.name: nested_imports(p.read_text()) for p in sorted(_SRC.glob("*.py"))}
+    assert {name: where for name, where in found.items() if where} == {}
+
+
+def test_atomic_does_not_import_sarason():
+    # sarason builds on atomic (the indicator's transform is an InnerFunction), not the other way
+    assert "sarason" not in imported_modules((_SRC / "atomic.py").read_text())
 
 
 def _run_fresh(code: str) -> subprocess.CompletedProcess:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from monospan import atomic as at
 from monospan import laguerre as lg
 from monospan import sarason as sr
 from monospan.core import Exponent, monomial_inner
@@ -63,8 +64,8 @@ def test_isometry_on_random_monomial_pairs():
 
 def test_h2_inner_kernel_closed_form():
     a, g = 0.3 + 0.2j, -0.4 + 0.1j
-    F = sr.DiskFunction("kernel", terms=((1.0, a),))
-    G = sr.DiskFunction("kernel", terms=((1.0, g),))
+    F = sr.DiskFunction(((1.0, a),))
+    G = sr.DiskFunction(((1.0, g),))
     # <k_a, k_g> = k_a(g) = 1/(1 - conj(a) g)
     assert abs(sr.h2_inner(F, G, 512) - 1 / (1 - np.conj(a) * g)) < 1e-12
 
@@ -91,12 +92,36 @@ def test_coordinate_consistency_with_laguerre():
 
 def test_forward_indicator_structure_and_value_at_zero():
     F = sr.forward_indicator(0.25)
-    assert F.kind == "inner-singular"
-    assert abs(F.tau - 1.0) < 1e-15
-    assert abs(F.w - (-0.5 * math.log(0.25))) < 1e-15
-    assert abs(F.scale - 0.5) < 1e-15
+    assert isinstance(F, at.InnerFunction)
+    assert F.measure.atoms == ((1.0, -0.5 * math.log(0.25)),)
+    assert F.scale == 0.5
     # at z = 0 the transform is the plain integral of the indicator
     assert abs(F.evaluate(0.0) - 0.25) < 1e-14
+    # at s = 1 the atom's mass is 0: no atoms, and U chi_[0,1] = 1
+    one = sr.forward_indicator(1.0)
+    assert one.measure.atoms == () and one.evaluate(0.3 - 0.4j) == 1
+
+
+def test_forward_indicator_keeps_the_closed_form_bits():
+    # the oracle is the formula the one-atom closed form evaluated before it was an InnerFunction
+    rng = np.random.default_rng(29)
+    for s in (0.05, 0.3, 0.5, 0.9, 0.999):
+        tau, w, scale = 1 + 0j, -0.5 * math.log(s), complex(math.sqrt(s))
+        F = sr.forward_indicator(s)
+        for _ in range(20):
+            z = complex(*rng.uniform(-0.7, 0.7, 2))
+            assert F.evaluate(z) == scale * cmath.exp(-w * (tau + z) / (tau - z))
+        assert np.array_equal(F.taylor(64), scale * at.singular_inner_taylor(tau, w, 64))
+
+
+def test_indicator_isometry_against_monomials():
+    # <chi_[0,s], x^t> = s^(conj t + 1)/(conj t + 1): the two closed-form images pair as the functions
+    for s in (0.1, 0.5, 0.9, 1.0):
+        for t in (0.0, 0.7, 2.5 + 1j, -0.3 + 0.4j, 4.0):
+            tc = complex(t).conjugate()
+            exact = s ** (tc + 1) / (tc + 1)
+            got = sr.h2_inner(sr.forward_indicator(s), sr.forward_monomial(t), 512)
+            assert abs(got - exact) < 2e-11 * abs(exact), (s, t)
 
 
 def test_forward_indicator_matches_quadrature():
@@ -171,16 +196,24 @@ def test_reflected_inverse_routes():
     ac = np.conj(alpha)
     ref = (1 / (1 + ac)) * x ** (-ac / (1 + ac))
     assert np.max(np.abs(got - ref)) < 1e-12
-    suspect = sr.reflected_inverse_as_stated(alpha, x, as_stated_suspect=True)
+    # the other reading, 1/x substituted in the plain inverse c0 x^e0, disagrees
+    c0, e0 = sr.inverse_kernel(alpha)
+    suspect = c0 * (1.0 / x) ** e0.s
     assert np.max(np.abs(suspect - ref)) > 1e-2
 
 
 def test_disk_function_validation():
     with pytest.raises(DomainError):
-        sr.DiskFunction("kernel", terms=((1.0, 1.2),))
+        sr.DiskFunction(((1.0, 1.2),))
     with pytest.raises(DomainError):
-        sr.DiskFunction("inner-singular", tau=0.5, w=1.0)
+        sr.DiskFunction(((1.0, 0.5), (2.0, 1j)))
     with pytest.raises(DomainError):
-        sr.DiskFunction("inner-singular", tau=1.0, w=-1.0)
+        sr.DiskFunction(((1.0, 0.5),)).taylor(0)
+    for s in (0.5, 1.0):  # the indicator's image, with one atom and with none
+        with pytest.raises(DomainError, match="^need at least one Taylor coefficient$"):
+            sr.forward_indicator(s).taylor(0)
+    # a singular inner factor is an atomic.InnerFunction, whose measure checks its atoms
     with pytest.raises(DomainError):
-        sr.DiskFunction("mystery")
+        at.InnerFunction(at.AtomicMeasure.single(0.5, 1.0))
+    with pytest.raises(DomainError):
+        at.InnerFunction(at.AtomicMeasure.single(1.0, -1.0))

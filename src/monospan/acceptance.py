@@ -50,11 +50,11 @@ from .laguerre import (
 from .operators import AutomorphismParams, hat_matrix, monomial_operator, unitary_from_automorphism
 from .quadrature import integrate_family
 from .sarason import (
+    SampledFunction,
     forward_indicator,
     forward_monomial,
     forward_quadrature,
     h2_inner,
-    indicator_function,
     inverse_analytic,
 )
 
@@ -102,8 +102,10 @@ def criterion_2() -> CriterionResult:
     """Indicator transform: closed inner-function form vs one forward_quadrature family per indicator."""
     t0 = time.perf_counter()
     zs = [(0.15 + 0.7 * k / 19) * cmath.exp(2j * math.pi * k / 20) for k in range(20)]
+    # the indicator of [0, s] sampled as the two terms 1 x^0 and -1 x^0 chi_[s,1]
+    chi = lambda s: SampledFunction.of(PiecewiseMonomial(((1.0, 0.0, 0.0), (-1.0, 0.0, s))))
     dev = max(abs(forward_indicator(s).evaluate(z) - q.value)
-              for s in (0.1, 0.5, 0.9) for z, q in zip(zs, forward_quadrature(indicator_function(s), zs)))
+              for s in (0.1, 0.5, 0.9) for z, q in zip(zs, forward_quadrature(chi(s), zs)))
     checks = [(dev < 1e-8, f"max closed-form vs quadrature deviation {dev:.3e} (tol 1e-8)")]
     return _finish(2, "indicator transform", t0, checks, budget=10.0)
 

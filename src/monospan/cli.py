@@ -43,13 +43,7 @@ from .core import (
 from .errors import DomainError, MonomialError, NumericalError
 from .laguerre import LaguerreExpansion, apply_J_expansion, apply_J_monomial, expand_monomial
 from .operators import PhiSpec, apply_hat, monomial_operator, pick_positivity_check
-from .sarason import (
-    SampledFunction,
-    forward_indicator,
-    forward_monomial,
-    forward_quadrature,
-    monomial_function,
-)
+from .sarason import SampledFunction, forward_indicator, forward_monomial, forward_quadrature
 
 
 class UsageError(Exception):
@@ -212,7 +206,8 @@ def _sarason_eval(spec: dict, z: complex) -> tuple[complex, float | None, str]:
         logpow = int_field(spec.get("logpow", 0), "monomial logpow")
         if logpow == 0:
             return forward_monomial(s).evaluate(z), None, "closed-form"
-        res = forward_quadrature(monomial_function(Exponent(s.real, s.imag, logpow)), z)
+        f = PiecewiseMonomial.monomial(Exponent(s.real, s.imag, logpow))
+        res = forward_quadrature(SampledFunction.of(f), z)
         return res.value, res.error, "quadrature"
     if kind == "indicator":
         s = real_field(spec.get("s", 1.0), "indicator cutoff s")

@@ -387,13 +387,19 @@ class PiecewiseMonomial:
         return acc.real
 
     def evaluate(self, x) -> np.ndarray:
+        """f at the points x; a term is masked only if a > 0 and scaled only if c != 1, and the sum
+        starts at the first term, since 0 + v would turn a -0.0 part into 0.0."""
         x_arr = np.asarray(x, dtype=float)
-        out = np.zeros_like(x_arr, dtype=complex)
+        out = None
         for c, t, a, k in self.terms:
             v = x_arr.astype(complex) ** t.s
             if k:
                 v = v * np.log(x_arr) ** k
-            out += c * np.where(x_arr >= a, v, 0j)
+            if a > 0:
+                v = np.where(x_arr >= a, v, 0j)
+            if c != 1:
+                v = c * v
+            out = v if out is None else out + v
         return out
 
 
@@ -463,24 +469,22 @@ def _rung() -> _Rung | None:
 class _Memo:
     """What the sets of one distances() call share, each computed once.
 
-    f's pairings, its norm and its Schur node data, keyed by the rung in
-    force: its kind and digits, or none in double.  A memo lives for one call.
+    f's norm and its Schur node data (which hold its pairings), keyed by the
+    rung in force: its kind and digits, or none in double.  A memo lives for
+    one call.
     """
 
     def __init__(self, f: PiecewiseMonomial) -> None:
         self.f, self._values = f, {}
         self.real = all(c.imag == 0 and t.im == 0 for c, t, _, _ in f.terms)
 
-    def _once(self, key: tuple, make, *args):
+    def _once(self, key: tuple, make):
         rung = _rung()
         key += (None,) if rung is None else (rung.real, rung.prec)
         value = self._values.get(key)
         if value is None:
-            value = self._values[key] = make(*args)
+            value = self._values[key] = make()
         return value
-
-    def pairing(self, s: complex, j: int = 0):
-        return self._once(("pairing", s, j), self.f.pairing, s, j)
 
     def norm_sq(self):
         return self._once(("norm",), lambda: self.f.norm_sq)
@@ -494,7 +498,7 @@ class _Memo:
         def make():
             rung = _rung()
             w = complex(z.real + 0.5, -z.imag) if rung is None else rung.lift(z).conjugate() + rung.lift(0.5)
-            return w, [self.pairing(z)] + [self.pairing(z, j) / math.factorial(j) for j in range(1, m)]
+            return w, [self.f.pairing(z)] + [self.f.pairing(z, j) / math.factorial(j) for j in range(1, m)]
 
         w, F = self._once(("node", z, m), make)
         return w, list(F)

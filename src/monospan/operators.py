@@ -290,6 +290,8 @@ class PhiSpec:
                 raise DomainError("rational spec needs numerator and denominator")
             object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
             object.__setattr__(self, "denom", tuple(complex(c) for c in self.denom))
+            if not any(self.denom):  # np.roots finds no root of the zero polynomial
+                raise DomainError("rational denominator is identically zero")
             roots = np.roots(list(self.denom)[::-1])
             for r in roots:
                 if abs(r - 1) <= 1 + 1e-12:

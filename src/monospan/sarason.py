@@ -9,9 +9,10 @@ held as a DiskFunction (a finite sum of Szego kernels), and indicators of
 [0, s] go to sqrt(s) times the singular inner function with one atom at 1 of
 mass -ln(s)/2, held as an atomic.InnerFunction with scale sqrt(s); the
 inverse carries kernels back to monomials.  The module provides those closed
-forms, an adaptive-quadrature route for general functions, the moment/value
-dictionary on the interpolation points n/(n+1), and the inverse power series
-from derivatives at 1.
+forms, an adaptive-quadrature route for a SampledFunction (a
+core.PiecewiseMonomial through SampledFunction.of, or a table), the
+moment/value dictionary on the interpolation points n/(n+1), and the inverse
+power series from derivatives at 1.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .atomic import AtomicMeasure, DiskPoint, InnerFunction, as_disk
-from .core import Exponent, ExponentLike, as_exponent
+from .core import Exponent, ExponentLike, PiecewiseMonomial, as_exponent
 from .errors import DomainError, SeriesWarning
 from .laguerre import apply_J_monomial
 from .quadrature import QuadResult, integrate, integrate_family
@@ -90,26 +91,10 @@ class SampledFunction:
             raise DomainError("breakpoints must lie strictly inside (0, 1)")
         object.__setattr__(self, "breakpoints", bp)
 
-
-def monomial_function(s: ExponentLike) -> SampledFunction:
-    es = as_exponent(s)
-
-    def ev(x):
-        out = np.asarray(x, dtype=complex) ** es.s
-        if es.logpow:
-            out = out * np.log(np.asarray(x, dtype=float)) ** es.logpow
-        return out
-
-    return SampledFunction(ev)
-
-
-def indicator_function(s: float) -> SampledFunction:
-    s = float(s)
-    if not 0 < s <= 1:
-        raise DomainError(f"indicator endpoint must lie in (0, 1], got {s}")
-    ev = lambda x: np.where(np.asarray(x, dtype=float) <= s, 1.0 + 0j, 0.0 + 0j)
-    bp = (s,) if s < 1 else ()
-    return SampledFunction(ev, bp)
+    @classmethod
+    def of(cls, f: PiecewiseMonomial) -> SampledFunction:
+        """f sampled by PiecewiseMonomial.evaluate, with its nonzero cutoffs as breakpoints."""
+        return cls(f.evaluate, tuple({a for _, _, a, _ in f.terms if a > 0}))
 
 
 def forward_monomial(beta: ExponentLike) -> DiskFunction:
@@ -226,13 +211,12 @@ def moment_interpolation(w: Sequence[complex], direction: str) -> list[complex]:
     )
 
 
-def reflected_inverse_as_stated(alpha: DiskPoint | complex, x):
-    """Inverse transform of z -> k_alpha(-z), by the coordinate involution J.
+def reflected_inverse(alpha: DiskPoint | complex, x):
+    """U* of z -> k_alpha(-z) at x, by the involution J: (1/(1+conj a)) x^(-conj a/(1+conj a)).
 
-    Composing the inverse with J gives a monomial with exponent
-    -conj(alpha)/(1+conj(alpha)).  The other reading, "substitute 1/x in the
-    plain inverse", disagrees with the worked kernel case and with the
-    reflection identity.
+    U* k_alpha = c0 x^e0 (inverse_kernel), and apply_J_monomial sends it to
+    c0 jc x^jexp.  Substituting 1/x in c0 x^e0 instead disagrees with the
+    worked kernel case and with the reflection identity.
     """
     c0, e0 = inverse_kernel(alpha)
     jc, jexp = apply_J_monomial(e0)

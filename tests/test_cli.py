@@ -1,5 +1,7 @@
 """End-to-end CLI tests: schemas, manifests, exit codes, worked values."""
 
+import csv
+import io
 import json
 import math
 
@@ -131,6 +133,22 @@ def test_sarason_eval_indicator_edges(capsys, spec, z, value):
                    f'  "z": [\n    {re!r},\n    {im!r}\n  ]\n}}\n')
 
 
+@pytest.mark.parametrize("spec, z, value, error", [
+    ('{"kind":"monomial","s":0.5,"logpow":1}', "0.3", "-0.384087791495396", "8.468157768891261e-12"),
+    ('{"kind":"monomial","s":0.5,"logpow":2}', "-0.4", "0.7978831671079586", "5.010587322961699e-12"),
+    ('{"kind":"monomial","s":0.5,"logpow":3}', "0", "-1.1851851851855517", "9.740992485940861e-12"),
+    ('{"kind":"monomial","s":[2,0],"logpow":1}', "-0.4", "-0.09695290858724817", "3.1246529815592883e-12"),
+    ('{"kind":"monomial","s":[2,0],"logpow":2}', "0.9", "0.011574074074074072", "9.726496273980077e-15"),
+    ('{"kind":"monomial","s":0,"logpow":1}', "0", "-0.9999999999992117", "6.477271135458213e-12"),
+])
+def test_sarason_eval_real_log_monomial_bytes(capsys, spec, z, value, error):
+    """Real s and real z print an imaginary part of 0.0, not -0.0, and these exact quadrature bytes."""
+    code, out, err = run(capsys, ["sarason", "eval", "--f", spec, f"--z={z}"])
+    assert (code, err) == (0, "")
+    assert out == (f'{{\n  "error_estimate": {error},\n  "method": "quadrature",\n  "value": [\n    {value},\n'
+                   f'    0.0\n  ],\n  "z": [\n    {float(z)!r},\n    0.0\n  ]\n}}\n')
+
+
 def test_sarason_eval_combination_quadrature(capsys):
     spec = (
         '{"kind":"linear-combination","terms":['
@@ -190,6 +208,56 @@ def test_op_pick_pass_and_fail(capsys):
     validate("op", bad)
     assert bad["passes"] is False
     assert abs(bad["min_eigenvalue"] + 0.1545084971874737) < 1e-12
+
+
+_PICK_GRID = [0, 1, 0.5 + 0.5j, 2, 0.3 - 1.2j]
+
+
+def _grid_json(grid):
+    return json.dumps([[complex(s).real, complex(s).imag] for s in grid])
+
+
+@pytest.mark.parametrize("M, passes", [(4.0, True), (0.5, False)])
+def test_op_pick_rational_matches_a_numpy_pick_matrix(capsys, M, passes):
+    num, den = [1, 0.5 + 0.25j], [3, -1]  # phi(w) = (1 + (0.5+0.25i) w) / (3 - w), pole at w = 3
+    phi = '{"kind":"rational","coeffs":[[1,0],[0.5,0.25]],"denom":[[3,0],[-1,0]]}'
+    payload = run_json(capsys, ["op", "pick", "--phi", phi, "--M", str(M), "--grid", _grid_json(_PICK_GRID)])
+    s = np.array(_PICK_GRID, dtype=complex)
+    w = 1 / (1 + s)
+    v = np.polyval(num[::-1], w) / np.polyval(den[::-1], w)
+    P = (M**2 - v[:, None] * v.conj()[None, :]) / (1 + s[:, None] + s.conj()[None, :])
+    smallest = np.linalg.eigvalsh(P)[0]
+    assert payload["min_eigenvalue"] == pytest.approx(smallest, rel=1e-12, abs=1e-14)
+    assert payload["passes"] is passes is bool(smallest >= 0)
+    assert payload["grid_size"] == len(_PICK_GRID)
+
+
+@pytest.mark.parametrize("denom, message", [
+    ("[0.5,-1]", "denominator root (0.5+0j) lies in the closed disk |w-1| <= 1"),
+    ("[2,-1]", "denominator root (2+0j) lies in the closed disk |w-1| <= 1"),
+    ("[[1,1],[-1,0]]", "denominator root (1+1j) lies in the closed disk |w-1| <= 1"),
+    ("[0,[0,0]]", "rational denominator is identically zero"),
+], ids=["root-inside", "root-at-w=2", "root-at-w=1+i", "zero"])
+def test_op_pick_rational_denominator_vanishing_on_the_closed_disk_exits_3(capsys, denom, message):
+    phi = f'{{"kind":"rational","coeffs":[1],"denom":{denom}}}'
+    code, out, err = run(capsys, ["op", "pick", "--phi", phi, "--M", "2", "--grid", "[0]"])
+    assert (code, out, err) == (3, "", f"mono: domain error: {message}\n")
+
+
+def test_op_pick_table_of_exact_values_prints_the_poly_bytes(capsys):
+    coeffs = [0.5, 0.25 - 0.1j, -0.3j]
+    poly = run(capsys, ["op", "pick", "--phi", json.dumps({"kind": "poly", "coeffs": [
+        [c.real, c.imag] for c in map(complex, coeffs)]}), "--M", "1.2", "--grid", _grid_json(_PICK_GRID)])
+    entries = []
+    for s in _PICK_GRID:
+        w = 1 / (1 + complex(s))  # the point phi_of_H reads, and Horner's value there
+        v = 0j
+        for c in coeffs[::-1]:
+            v = v * w + c
+        entries.append([[w.real, w.imag], [v.real, v.imag]])
+    table = run(capsys, ["op", "pick", "--phi", json.dumps({"kind": "table", "entries": entries}),
+                         "--M", "1.2", "--grid", _grid_json(_PICK_GRID)])
+    assert poly[0] == 0 and poly == table
 
 
 def test_atomic_proj(capsys):
@@ -312,6 +380,17 @@ def test_accept_runs_and_validates(capsys):
     validate("accept", payload)
     assert payload["all_passed"] is True
     assert [c["index"] for c in payload["criteria"]] == list(range(1, 11))
+
+
+def test_accept_csv_rows_are_the_json_criteria(capsys):
+    payload = run_json(capsys, ["accept", "--suite", "primary", "--seed", "7"])
+    code, out, err = run(capsys, ["accept", "--suite", "primary", "--seed", "7", "--format", "csv"])
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["index", "name", "passed", "detail"]
+    assert rows[1:] == [[str(c["index"]), c["name"], "true" if c["passed"] else "false", c["detail"]]
+                        for c in payload["criteria"]]
+    assert len(rows) == 11
 
 
 def test_manifest_written_and_validates(tmp_path, capsys):

@@ -623,7 +623,7 @@ def _mpf_node(memo, z, m):
     def make():
         w = mp.mpf(z.real) + mp.mpf(1) / 2
         return (w if z.imag == 0 else mp.mpc(w, -mp.mpf(z.imag)),
-                [memo.pairing(z)] + [memo.pairing(z, j) / math.factorial(j) for j in range(1, m)])
+                [memo.f.pairing(z)] + [memo.f.pairing(z, j) / math.factorial(j) for j in range(1, m)])
 
     w, F = memo._once(("node", z, m), make)
     return w, list(F)

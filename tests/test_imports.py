@@ -1,7 +1,10 @@
 """Every name a library module imports is used there or re-exported in its __all__, imports sit at
-module level without cycles through atomic, and the runtime needs no scipy."""
+module level without cycles through atomic, the runtime needs no scipy, and every name the
+benchmark's tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -99,3 +102,16 @@ def test_accept_passes_with_scipy_unimportable():
     r = _run_fresh("import sys\nsys.modules['scipy'] = None  # import scipy raises ImportError\n"
                    "from monospan import cli\nsys.exit(cli.dispatch(['accept', '--suite', 'primary']))")
     assert r.returncode == 0, r.stdout + r.stderr
+
+
+def test_every_traced_name_exists():
+    # perfbench/tracing.py looks up each name in TRACED in its monospan module when a traced run
+    # starts, so a name deleted from monospan makes every --trace 1 run fail with AttributeError
+    path = _SRC.parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module}.{name}" for module, names in tracing.TRACED.items()
+               for name in names if not hasattr(importlib.import_module(f"monospan.{module}"), name)]
+    assert len(tracing.TRACED) == len(tracing.LAYERS)
+    assert missing == []

@@ -10,7 +10,7 @@ import scipy.special
 from monospan import atomic as at
 from monospan import laguerre as lg
 from monospan import sarason as sr
-from monospan.core import Exponent, monomial_inner
+from monospan.core import Exponent, PiecewiseMonomial, monomial_inner
 from monospan.errors import DomainError, SeriesWarning
 
 
@@ -29,13 +29,43 @@ def test_sampled_function_breakpoints():
         sr.SampledFunction(lambda x: x, breakpoints=(0.0,))
 
 
+def _indicator(s):
+    """The indicator of [0, s] as the two terms 1 x^0 and -1 x^0 chi_[s,1]."""
+    return PiecewiseMonomial(((1.0, 0.0, 0.0), (-1.0, 0.0, s)))
+
+
+def _bits(v):
+    v = np.asarray(v, dtype=complex)
+    return v.real.tobytes() + v.imag.tobytes()
+
+
+def test_sampled_function_of_keeps_the_sampled_bits():
+    x = np.concatenate([np.linspace(0.001, 1.0, 400), [1e-300, 0.5]])
+    for e in (Exponent(0.0), Exponent(0.7), Exponent(-0.3, 1.2), Exponent(2.0, 0.0, 1),
+              Exponent(0.5, -0.4, 3), Exponent(1.5, 0.0, 2)):
+        f = sr.SampledFunction.of(PiecewiseMonomial.monomial(e))
+        assert f.breakpoints == ()
+        # the evaluator that sampled log monomials before SampledFunction.of
+        ref = np.asarray(x, dtype=complex) ** e.s
+        if e.logpow:
+            ref = ref * np.log(x) ** e.logpow
+        assert _bits(f.evaluator(x)) == _bits(ref), e
+    for s in (0.05, 0.5, 0.999):
+        f = sr.SampledFunction.of(_indicator(s))
+        assert f.breakpoints == (s,)
+        off = x[x != s]  # quadrature never samples a breakpoint
+        assert _bits(f.evaluator(off)) == _bits(np.where(off <= s, 1.0 + 0j, 0.0 + 0j))
+    twice = PiecewiseMonomial(((1.0, 0.0, 0.3), (2.0, 1.0, 0.3), (1.0, 0.0, 0.1)))
+    assert sr.SampledFunction.of(twice).breakpoints == (0.1, 0.3)
+
+
 def test_forward_monomial_matches_quadrature():
     rng = np.random.default_rng(5)
     for _ in range(12):
         s = complex(rng.uniform(-0.3, 2.0), rng.uniform(-2.0, 2.0))
         z = 0.6 * rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         closed = sr.forward_monomial(s).evaluate(z)
-        quad = sr.forward_quadrature(sr.monomial_function(s), z)
+        quad = sr.forward_quadrature(sr.SampledFunction.of(PiecewiseMonomial.monomial(s)), z)
         assert abs(closed - quad.value) < 1e-9 * (1 + abs(closed))
 
 
@@ -129,7 +159,7 @@ def test_forward_indicator_matches_quadrature():
     pts = 0.55 * rng.uniform(0.1, 1.0, 5) * np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
     for s in (0.1, 0.5, 0.9):
         closed = sr.forward_indicator(s)
-        sampled = sr.indicator_function(s)
+        sampled = sr.SampledFunction.of(_indicator(s))
         for z in pts:
             quad = sr.forward_quadrature(sampled, z)
             assert abs(closed.evaluate(z) - quad.value) < 1e-8
@@ -141,7 +171,7 @@ def test_forward_quadrature_log_monomial():
         sr.forward_monomial(Exponent(0.5, 0.0, 1))
     z = 0.3 + 0.4j
     wz = z / (1 - z)
-    got = sr.forward_quadrature(sr.monomial_function(Exponent(0.5, 0.0, 1)), z)
+    got = sr.forward_quadrature(sr.SampledFunction.of(PiecewiseMonomial.monomial(Exponent(0.5, 0.0, 1))), z)
     exact = (1 / (1 - z)) * (-1 / (0.5 + wz + 1) ** 2)
     assert abs(got.value - exact) < 1e-10
 
@@ -191,7 +221,7 @@ def test_analytic_series_warns_on_growing_terms():
 def test_reflected_inverse_routes():
     alpha = 0.4
     x = np.array([0.3, 0.5, 0.8])
-    got = sr.reflected_inverse_as_stated(alpha, x)
+    got = sr.reflected_inverse(alpha, x)
     # the involution route in closed form: (1/(1+conj(a))) x^(-conj(a)/(1+conj(a)))
     ac = np.conj(alpha)
     ref = (1 / (1 + ac)) * x ** (-ac / (1 + ac))

@@ -15,7 +15,7 @@ second.  For any finitely atomic measure with inner function phi, x^s is
 k_alpha / (s+1) under the transform, k_alpha the Szego kernel at
 alpha = conj(s)/(conj(s)+1), so its squared distance to the atomic space is
 |phi(alpha)|^2 / (1+2u) exactly (kernel_distance).  Truncated Toeplitz
-projections T_phi T_phibar serve Laguerre-coefficient input and the tests.
+projections T_phi T_phibar serve Laguerre-coefficient input.
 
 InnerFunction(measure, scale) is every singular inner function times a
 constant; sarason.forward_indicator(s) is the one with one atom at 1 of mass
@@ -44,19 +44,12 @@ from .core import (
     real_field,
     required_field,
 )
-from .errors import (
-    ConvergenceWarning,
-    DomainError,
-    NumericalError,
-    SizeLimitError,
-    TruncationWarning,
-)
+from .errors import DomainError, NumericalError, SizeLimitError, TruncationWarning
 from .laguerre import LaguerreExpansion
 
 _MODEL_N_MAX = 8192
 _ATOM_COLLISION = 1e-14
 _SENSITIVITY_TOL = 0.01
-_MOMENT_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -125,8 +118,12 @@ def proj_norm_sq(p: AtomicSpaceParams, s: ExponentLike) -> float:
     u, v = e.re, e.im
     if p.c is None:
         return (1 - math.exp(-2 * p.w * (1 + 2 * u))) / (1 + 2 * u)
-    rate = (1 + 2 * u) / ((1 + 2 * u) ** 2 + 4 * (p.c - v) ** 2)
-    return (1 - math.exp(-2 * p.wp * rate)) / (1 + 2 * u)
+    num, y = 1 + 2 * u, p.c - v
+    try:  # rate -> 0 as num -> inf; past 1.34e154 a square overflows, so form it without squares
+        rate = num / (num**2 + 4 * y**2) if num < math.inf else 0.0
+    except OverflowError:
+        rate = 1 / (num + 4 * y * (y / num))
+    return (1 - math.exp(-2 * p.wp * rate)) / num
 
 
 @dataclass(frozen=True)
@@ -151,13 +148,6 @@ class AtomicMeasure:
     @property
     def total_mass(self) -> float:
         return sum(w for _, w in self.atoms)
-
-    def moments(self, J: int) -> np.ndarray:
-        """Trigonometric moments m_j = sum_k w_k tau_k^j for j = 0..J."""
-        out = np.zeros(J + 1, dtype=complex)
-        for tau, w in self.atoms:
-            out += w * tau ** np.arange(J + 1)
-        return out
 
     @classmethod
     def single(cls, tau: complex, w: float) -> "AtomicMeasure":
@@ -372,52 +362,3 @@ def kernel_distance(mu: AtomicMeasure, s: ExponentLike) -> float:
         expo -= w * _over_square(num, abs(tau + (tau - 1) * sb))
     return math.exp(expo) / math.sqrt(num)
 
-
-@dataclass(frozen=True)
-class WeakStarReport:
-    """Distances along a measure sequence, one row per test function."""
-
-    distances: np.ndarray  # shape (num_functions, num_measures)
-    limit_distances: np.ndarray  # shape (num_functions,)
-    phi_gaps: np.ndarray  # H2 gap ||phi_n - phi|| per measure
-    moment_deviations: np.ndarray  # weak-* test residuals per measure
-
-
-def weakstar_experiment(
-    mu_seq: list[AtomicMeasure],
-    mu_limit: AtomicMeasure,
-    test_functions: list[LaguerreExpansion],
-    N: int = 2048,
-) -> WeakStarReport:
-    """Track dist(f, M(mu_n)) along a weak-star convergent measure sequence.
-
-    Weak-star convergence is checked on trigonometric moments up to
-    order 8; a sequence whose final deviation has not shrunk below
-    its initial deviation draws a ConvergenceWarning (the experiment still
-    runs).  The H2 gap between the inner functions of mu_n and of the
-    limit is reported alongside, since it controls the distance gap.
-    """
-    if not mu_seq:
-        raise DomainError("empty measure sequence")
-    if not test_functions:
-        raise DomainError("no test functions supplied")
-    check_order(N)
-    m_limit = mu_limit.moments(_MOMENT_ORDER)
-    devs = np.array(
-        [float(np.max(np.abs(mu.moments(_MOMENT_ORDER) - m_limit))) for mu in mu_seq]
-    )
-    if len(mu_seq) >= 2 and devs[-1] > 1e-9 and devs[-1] > 0.9 * devs[0]:
-        warnings.warn(
-            f"moment test does not look weak-* convergent: deviation {devs[0]:.3g} -> "
-            f"{devs[-1]:.3g} over the sequence",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    phi_limit = InnerFunction(mu_limit).taylor(N)
-    phis = [InnerFunction(mu).taylor(N) for mu in mu_seq]
-    gaps = np.array([float(np.linalg.norm(phi - phi_limit)) for phi in phis])
-    dist = np.array(
-        [[_model_distance(f, phi, N) for phi in phis] for f in test_functions]
-    )
-    lim = np.array([_model_distance(f, phi_limit, N) for f in test_functions])
-    return WeakStarReport(dist, lim, gaps, devs)

@@ -33,9 +33,10 @@ from .core import (
     sequence_from_spec,
     sequence_terms,
 )
-from .errors import ConvergenceWarning, DomainError, NumericalError
+from .errors import ConvergenceWarning, DomainError, NumericalError, SizeLimitError
 
 DEFAULT_TOL = 1e-3
+_CURVE_N_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,9 @@ def interval_family(rho: float) -> SubspaceSequence:
     """S_n = {n+1, ..., n+N_n} with n/(n+N_n) approaching sqrt(rho).
 
     The spanned spaces converge to the functions supported on [rho, 1],
-    even though the sets are not nested; rho = 1/4 gives N_n = n.
+    even though the sets are not nested; rho = 1/4 gives N_n = n.  A set past
+    2^15 entries (2 MB) raises SizeLimitError before it is built, so a
+    1024-point curve's closed form reads at most 2^24 entries, about 0.5 s.
     """
     if not 0 < rho < 1:
         raise DomainError(f"rho must lie in (0, 1), got {rho}")
@@ -68,6 +71,8 @@ def interval_family(rho: float) -> SubspaceSequence:
         if n < 1:
             raise DomainError("sequence index starts at 1")
         N = max(1, round(ratio * n))
+        if N > 2**15:
+            raise SizeLimitError(f"the interval set at n = {n} holds {N} entries, limit is 2^15")
         return MonomialSet._checked(np.arange(n + 1, n + N + 1))  # distinct positive integers
 
     return SubspaceSequence(gen, f"interval(rho={rho})")
@@ -114,11 +119,14 @@ def distance_curve(
     data at each node and precision, one solve for a set that repeats the
     one before, and one pass for sets that nest.  A point where the solve fails
     numerically becomes NaN, with condition estimate inf, leaving a gap
-    instead of aborting the curve.
+    instead of aborting the curve.  n_max runs from 1 to 1024 (SizeLimitError
+    past it), several times the longest curve run, whose tail O(1/n) it resolves.
     """
     f = PiecewiseMonomial.from_spec(f)
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
+    if n_max > _CURVE_N_MAX:
+        raise SizeLimitError(f"a curve of {n_max} points exceeds the limit {_CURVE_N_MAX}")
     points = distances(f, map(seq.set_at, range(1, n_max + 1)), precision=precision)
     ok = [not isinstance(p, NumericalError) for p in points]
     dists = np.array([p.distance if good else math.nan for p, good in zip(points, ok)])

@@ -20,17 +20,17 @@ recursion: x^s is the half-plane Szego kernel at w = conj(s) + 1/2,
 x^s (ln x)^k its k-th derivative, so the Gram matrix is a (confluent) Cauchy
 matrix and each step divides by one Blaschke factor (z - w_k)/(z + conj w_k),
 the factors of monomial_distance_closed_form.  It runs in complex128 when
-the set has no log powers and the Blaschke growth g of its nodes (_growth)
-is at most 4 decades, and otherwise on a ladder of precisions (34 to 160
-digits); 10^g is the condition estimate.  distance() takes the closed-form
-product when f is a single uncut monomial and distance_to_span otherwise,
-each giving a DistanceResult; distances() gives them for a sequence of sets
-in one call, where nested sets share one pass per precision.  A ladder rung
-on real data runs in the standard library's decimal.Decimal (the C library
-libmpdec) at dps + 3 digits, and otherwise in mpmath's mpc at dps digits;
-either way the rung's own decimal context (_Rung) is current while it
-runs, and nothing else, a caller's mpmath precision included, moves the
-arithmetic off double.
+the set has no log powers, the Blaschke growth g of its nodes (_growth)
+is at most 4 decades and f allows it (_Memo), and otherwise on a ladder of
+precisions (34 to 160 digits); 10^g is the condition estimate.  distance()
+takes the closed-form product when f is a single uncut monomial and
+distance_to_span otherwise, each giving a DistanceResult; distances() gives
+them for a sequence of sets in one call, where nested sets share one pass
+per precision.  A ladder rung on real data runs in the standard library's
+decimal.Decimal (the C library libmpdec) at dps + 3 digits, and otherwise
+in mpmath's mpc at dps digits; either way the rung's own decimal context
+(_Rung) is current while it runs, and nothing else, a caller's mpmath
+precision included, moves the arithmetic off double.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ HALF_PLANE_EDGE = -0.5
 _DOUBLE_GROWTH_MAX = 4.0  # the largest Blaschke growth, in decades, that the double pass takes
 _EXTENDED_DPS_LADDER = (34, 50, 80, 120, 160)
 _GRAM_N_MAX = 64
+_LOGPOW_MAX = 128
 
 ExponentLike = Union["Exponent", complex, float, int]
 
@@ -295,6 +296,8 @@ class PiecewiseMonomial:
     pairings and norm are sums of cauchy_moment values, so they follow the
     rung in force: floats in double, and on the extended ladder
     full-precision mpmath numbers, or Decimals in a real rung's context.
+    A log power above 128 raises SizeLimitError: a cut term's moments loop k
+    times, and at k = 128 a complex one on 64 entries takes 2 s up the ladder.
     """
 
     terms: tuple[tuple[complex, Exponent, float, int], ...]
@@ -310,6 +313,8 @@ class PiecewiseMonomial:
                 raise DomainError("a term's log power goes in its fourth field, not its exponent")
             if not (isinstance(k, (int, np.integer)) and k >= 0):
                 raise DomainError(f"logpow must be a nonnegative integer, got {k!r}")
+            if k > _LOGPOW_MAX:
+                raise SizeLimitError(f"logpow {k} exceeds the limit {_LOGPOW_MAX}")
             a = float(a)
             if not 0 <= a < 1:
                 raise DomainError(f"cutoff must lie in [0, 1), got {a}")
@@ -478,6 +483,19 @@ class _Memo:
         self.f, self._values = f, {}
         self.real = all(c.imag == 0 and t.im == 0 for c, t, _, _ in f.terms)
 
+    def double(self) -> bool:
+        """Whether f may take the double pass; called in double only.
+
+        Not with a cutoff and a log power: cauchy_moment's recurrence then loses
+        about log10(m! / |p|^(m+1) / |I_m|) digits, which g does not bound; nor
+        with a double norm that is not finite or raises (p^(m+1) overflowing or 0).
+        """
+        cut_log = any(a > 0 for _, _, a, _ in self.f.terms) and any(k for *_, k in self.f.terms)
+        try:
+            return not cut_log and math.isfinite(self.norm_sq())
+        except ArithmeticError:
+            return False
+
     def _once(self, key: tuple, make):
         rung = _rung()
         key += (None,) if rung is None else (rung.real, rung.prec)
@@ -630,7 +648,7 @@ def _distances(f: PiecewiseMonomial, sets: Iterable, precision: str, closed_form
     def settle_gram(base, members):  # members: (slot, nodes)
         g = _growth(base)
         # in double, the prefixes of growth at most _DOUBLE_GROWTH_MAX (g never falls) take one pass
-        double = precision == "double" and not base.confluent
+        double = precision == "double" and not base.confluent and memo.double()
         cut = sum(x <= _DOUBLE_GROWTH_MAX for x in g) if double else 0
         end = max([n for _, n in members if n <= cut], default=0)
         d2s = _schur_rung(base, memo, end) if end else []
@@ -695,9 +713,10 @@ def distance_to_span(f: PiecewiseMonomial, S, *, precision: str = "double") -> D
 
     The returned distance is sqrt(max(0, ||f||^2 - q)), q the mass the
     recursion projects.  With precision="double" a set without log powers
-    whose Blaschke growth g is at most 4 takes one complex128 pass; every
-    other set, and every set under precision="extended", takes the ladder,
-    where each rung evaluates f's pairings and norm at its own precision.
+    whose Blaschke growth g is at most 4 takes one complex128 pass if f
+    allows it (_Memo.double); every other set, and every set under
+    precision="extended", takes the ladder, where each rung evaluates f's
+    pairings and norm at its own precision.
     """
     return _one(_distances(f, [S], precision, closed_form=False))
 

@@ -11,9 +11,8 @@ unitary involution acting as (-1)^n on e_n; on monomials it sends x^s to
 (1/(1+2s)) x^(-s/(1+2s)).
 
 One three-term recurrence in t = -ln x produces e_0, e_1, ..., e_n in turn;
-eval_e keeps its last row, eval_basis keeps every row, and
-LaguerreExpansion.evaluate accumulates c_n e_n row by row, so all three
-give the same bits for the same n and x.
+eval_e keeps its last row and eval_basis every row, so both give the same
+bits for the same n and x; an expansion's values are coeffs @ eval_basis(n, x).
 """
 
 from __future__ import annotations
@@ -24,11 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Exponent, ExponentLike, as_exponent
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, SizeLimitError
 
 _TAIL_TARGET = 1e-16
 _N_MIN = 8
 _N_MAX = 4096
+_N_LIMIT = 2**16
 
 
 def _rows(n: int, t):
@@ -102,21 +102,9 @@ class LaguerreExpansion:
         if not self.tail_norm_sq >= 0:
             raise DomainError("tail_norm_sq must be nonnegative")
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
     @property
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.coeffs) ** 2) + self.tail_norm_sq)
-
-    def evaluate(self, x) -> np.ndarray | complex:
-        """Pointwise sum of c_n e_n(x) for x in (0, 1]; the tail is not evaluable and ignored."""
-        n = len(self.coeffs) - 1
-        t = _log_coordinate(n, x)
-        acc = np.zeros_like(t, dtype=complex)
-        for c, row in zip(self.coeffs, _rows(n, t)):
-            acc += c * row
-        return complex(acc) if np.isscalar(x) else acc
 
 
 def default_truncation(s: ExponentLike) -> int:
@@ -135,7 +123,8 @@ def expand_monomial(s: ExponentLike, N: int | None = None) -> LaguerreExpansion:
     """Laguerre coordinates of x^s: c_n = (1/(s+1)) (s/(s+1))^n for n <= N.
 
     The discarded tail is an exact geometric sum,
-    tail_norm_sq = |s/(s+1)|^(2(N+1)) / (2 Re s + 1).
+    tail_norm_sq = |s/(s+1)|^(2(N+1)) / (2 Re s + 1).  N past 2^16 (1 MB of
+    coefficients, far past the 8192 that distances read) is a SizeLimitError.
     """
     es = as_exponent(s)
     if es.logpow != 0:
@@ -144,6 +133,8 @@ def expand_monomial(s: ExponentLike, N: int | None = None) -> LaguerreExpansion:
         N = default_truncation(es)
     if N < 0:
         raise DomainError("truncation order must be nonnegative")
+    if N > _N_LIMIT:
+        raise SizeLimitError(f"truncation order {N} exceeds the limit {_N_LIMIT}")
     sv = es.s
     rho = sv / (sv + 1)
     coeffs = (1 / (sv + 1)) * rho ** np.arange(N + 1)

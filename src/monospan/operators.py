@@ -196,15 +196,6 @@ class AutomorphismParams:
             raise NumericalError(f"automorphism denominator vanished at s = {s}")
         return (self.A * sigma - 1j * self.B) / denom - 0.5
 
-    def compose(self, other: "AutomorphismParams") -> "AutomorphismParams":
-        """Matrix product; induces tau_self after tau_other."""
-        return AutomorphismParams(
-            self.A * other.A + self.B * other.C,
-            self.A * other.B + self.B * other.D,
-            self.C * other.A + self.D * other.C,
-            self.C * other.B + self.D * other.D,
-        )
-
 
 @dataclass(frozen=True)
 class MonomialOperator:
@@ -292,7 +283,11 @@ class PhiSpec:
             object.__setattr__(self, "denom", tuple(complex(c) for c in self.denom))
             if not any(self.denom):  # np.roots finds no root of the zero polynomial
                 raise DomainError("rational denominator is identically zero")
-            roots = np.roots(list(self.denom)[::-1])
+            try:  # the companion matrix may leave the float range
+                with np.errstate(all="ignore"):
+                    roots = np.roots(list(self.denom)[::-1])
+            except np.linalg.LinAlgError:
+                raise NumericalError(f"denominator roots of {self.denom} are not finite in double") from None
             for r in roots:
                 if abs(r - 1) <= 1 + 1e-12:
                     raise DomainError(
@@ -349,13 +344,15 @@ def pick_positivity_check(
 
     Assembles P[i, j] = (M^2 - phi_i conj(phi_j)) / (1 + s_i + conj(s_j))
     and reports (is_psd, smallest eigenvalue).  A pass on a finite grid is
-    only evidence, never a certificate; a fail is conclusive.
+    only evidence, never a certificate; a fail is conclusive.  A matrix with
+    an entry past the float range has no eigenvalues: NumericalError.
     """
     pts = [as_exponent(g) for g in grid]
     if len(pts) == 0:
         raise DomainError("empty grid")
     if len(pts) > 64:
         raise SizeLimitError(f"grid size {len(pts)} exceeds the limit 64")
+    M = float(M)
     if M <= 0:
         raise DomainError("the bound M must be positive")
     vals = [phi_of_H(phi, e) for e in pts]
@@ -366,7 +363,9 @@ def pick_positivity_check(
         for j in range(n):
             denom = 1 + pts[i].s + pts[j].s.conjugate()
             cauchy[i, j] = 1 / denom
-            P[i, j] = (M**2 - vals[i] * vals[j].conjugate()) / denom
+            P[i, j] = (M * M - vals[i] * vals[j].conjugate()) / denom
+    if not np.isfinite(P).all():
+        raise NumericalError("the Pick matrix has an entry past the float range")
     cond = float(np.linalg.cond(cauchy))
     if cond > 1e12:
         warnings.warn(

@@ -10,9 +10,8 @@ held as a DiskFunction (a finite sum of Szego kernels), and indicators of
 mass -ln(s)/2, held as an atomic.InnerFunction with scale sqrt(s); the
 inverse carries kernels back to monomials.  The module provides those closed
 forms, an adaptive-quadrature route for a SampledFunction (a
-core.PiecewiseMonomial through SampledFunction.of, or a table), the
-moment/value dictionary on the interpolation points n/(n+1), and the inverse
-power series from derivatives at 1.
+core.PiecewiseMonomial through SampledFunction.of, or a table), and the
+inverse power series from derivatives at 1.
 """
 
 from __future__ import annotations
@@ -26,9 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .atomic import AtomicMeasure, DiskPoint, InnerFunction, as_disk
-from .core import Exponent, ExponentLike, PiecewiseMonomial, as_exponent
+from .core import ExponentLike, PiecewiseMonomial, as_exponent
 from .errors import DomainError, SeriesWarning
-from .laguerre import apply_J_monomial
 from .quadrature import QuadResult, integrate, integrate_family
 
 DEFAULT_TAYLOR_N = 512
@@ -143,15 +141,6 @@ def forward_quadrature(f: SampledFunction, z) -> QuadResult | list[QuadResult]:
     return out if many else out[0]
 
 
-def inverse_kernel(alpha: DiskPoint | complex) -> tuple[complex, Exponent]:
-    """U* k_alpha = (1/(1-conj(alpha))) x^(conj(alpha)/(1-conj(alpha)))."""
-    av = as_disk(alpha)
-    ac = av.conjugate()
-    const = 1 / (1 - ac)
-    expo = ac / (1 - ac)
-    return const, Exponent(expo.real, expo.imag)
-
-
 def analytic_series(derivs_at_1: Sequence[complex], w: complex) -> complex:
     """Evaluate sum_j d_j w^j / (j!)^2 from the given derivative list.
 
@@ -194,30 +183,3 @@ def inverse_analytic(derivs_at_1: Sequence[complex], x) -> complex:
         return analytic_series(derivs_at_1, math.log(xv.real))
     return analytic_series(derivs_at_1, cmath.log(xv))
 
-
-def moment_interpolation(w: Sequence[complex], direction: str) -> list[complex]:
-    """Dictionary between moments w_n and the values Uf(n/(n+1)).
-
-    direction "moments-to-values" sends w_n to (n+1) w_n; direction
-    "values-to-moments" sends v_n to v_n/(n+1).
-    """
-    vals = [complex(v) for v in w]
-    if direction == "moments-to-values":
-        return [(n + 1) * v for n, v in enumerate(vals)]
-    if direction == "values-to-moments":
-        return [v / (n + 1) for n, v in enumerate(vals)]
-    raise DomainError(
-        f"unknown direction {direction!r}; expected 'moments-to-values' or 'values-to-moments'"
-    )
-
-
-def reflected_inverse(alpha: DiskPoint | complex, x):
-    """U* of z -> k_alpha(-z) at x, by the involution J: (1/(1+conj a)) x^(-conj a/(1+conj a)).
-
-    U* k_alpha = c0 x^e0 (inverse_kernel), and apply_J_monomial sends it to
-    c0 jc x^jexp.  Substituting 1/x in c0 x^e0 instead disagrees with the
-    worked kernel case and with the reflection identity.
-    """
-    c0, e0 = inverse_kernel(alpha)
-    jc, jexp = apply_J_monomial(e0)
-    return c0 * jc * np.asarray(x, dtype=float) ** jexp.s

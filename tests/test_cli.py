@@ -1,9 +1,13 @@
 """End-to-end CLI tests: schemas, manifests, exit codes, worked values."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import re
+import signal
+import time
 
 import jsonschema
 import numpy as np
@@ -265,6 +269,26 @@ def test_atomic_proj(capsys):
     validate("atomic", payload)
     assert abs(payload["proj_norm_sq"] - (1 - math.exp(-1))) < 1e-14
     assert payload["c"] is None
+
+
+@pytest.mark.parametrize("s", ["0.3,1e200", "0.3,-1e200", "1e200,0.2", "1e308,1"])
+def test_atomic_proj_past_1e154_prints_its_underflowed_value(capsys, s):
+    # (1+2u)^2 or 4(c-v)^2 overflowed (OverflowError), and at u = 1e308, 1+2u = inf gave NaN
+    # (printed null); the projection's norm is then below 1e-300 and rounds to 0
+    payload = run_json(capsys, ["atomic", "proj", "--tau=0.6,0.8", "--w=0.5", f"--s={s}"])
+    assert payload["proj_norm_sq"] == 0.0
+
+
+@pytest.mark.parametrize("phi, M, message", [
+    ('{"kind":"poly","coeffs":[0.1,1e308]}', "1", "numerical failure: the Pick matrix has an entry past"),
+    ('{"kind":"poly","coeffs":[0.1,0.2]}', "1e308", "numerical failure: the Pick matrix has an entry past"),
+    ('{"kind":"rational","coeffs":[0.2],"denom":[3,1e-320]}', "1",
+     "numerical failure: denominator roots of ((3+0j), (1e-320+0j)) are not finite in double"),
+], ids=["poly-1e308", "M-1e308", "denominator-1e-320"])
+def test_op_pick_past_the_float_range_exits_4(capsys, phi, M, message):
+    # these raised LinAlgError, OverflowError and LinAlgError
+    code, out, err = run(capsys, ["op", "pick", "--phi", phi, f"--M={M}", "--grid", "[0.5,1.5]"])
+    assert (code, out) == (4, "") and err.startswith(f"mono: {message}")
 
 
 def test_atomic_dist(capsys):
@@ -839,3 +863,89 @@ def test_version_flag(capsys):
     code, out, _ = run(capsys, ["--version"])
     assert code == 0
     assert "0.1.0" in out
+
+
+_SET2 = '{"exponents":[{"re":0.3},{"re":2}]}'
+# one short request per command and verb (accept aside), with every kind of target and input
+_SWEEP_TEMPLATES = [
+    ["dist", "--t=1,0.5", "--set", _SET2],
+    ["dist", "--t=0.5", "--logpow", "1", "--set", '{"exponents":[{"re":0},{"re":0,"logpow":1}]}'],
+    ["dist", "--t=0.5", "--logpow", "13", "--set", '{"exponents":[{"re":2}]}'],
+    ["dist", "--f", '{"terms":[{"coeff":2,"t":0.2,"a":0.3,"logpow":1},{"t":1.5}]}', "--set", _SET2],
+    ["dist", "--f", '{"terms":[{"t":0.2,"a":0.3,"logpow":1}]}', "--set", _SET2],
+    ["dist", "--precision", "extended", "--f", '{"terms":[{"coeff":[1,0.5],"t":[0.2,0.1],"a":0.3}]}',
+     "--set", _SET2],
+    ["dist", "--f", "chi:0.5", "--set", _SET2],
+    ["muntz", "--seq", "[1, 2.5, 4]"],
+    ["muntz", "--criterion", "real", "--seq", '{"kind":"geometric","first":1,"ratio":2}'],
+    ["muntz", "--seq", '{"kind":"affine","a":1,"b":2}'],
+    ["sarason", "eval", "--f", '{"kind":"monomial","s":[0.5,0.2],"logpow":1}', "--z=0.3,0.1"],
+    ["sarason", "eval", "--f", '{"kind":"indicator","s":0.5}', "--z=0.2,0.1"],
+    ["sarason", "eval", "--f", '{"kind":"table","x":[0.2,1],"y":[1,[0.5,0.1]]}', "--z=0.2"],
+    ["sarason", "eval", "--f",
+     '{"kind":"linear-combination","terms":[{"coeff":2,"f":{"kind":"monomial","s":1}}]}', "--z=0.2"],
+    ["laguerre", "expand", "--s=0.5,0.2", "--n", "5"],
+    ["op", "apply", "--op", "H", "--input", '{"kind":"monomial","s":[0.5,0.1],"coeff":2}'],
+    ["op", "apply", "--op", "J", "--input", '{"kind":"monomial","s":0.5}'],
+    ["op", "apply", "--op", "X", "--input", '{"kind":"coefficients","values":[1,[0.5,0.1]]}'],
+    ["op", "apply", "--op", "J", "--input", '{"kind":"coefficients","values":[1,0.5]}'],
+    ["op", "pick", "--phi", '{"kind":"poly","coeffs":[0.1,0.2]}', "--M=1", "--grid", "[0.5,[1.5,0.2]]"],
+    ["op", "pick", "--phi", '{"kind":"rational","coeffs":[0.2],"denom":[3,1]}', "--M=1",
+     "--grid", "[0.5,1.5]"],
+    ["op", "pick", "--phi", '{"kind":"table","entries":[[0.5,0.2],[[1.5,0.1],0.3]]}', "--M=1",
+     "--grid", "[0.5,[1.5,0.1]]"],
+    ["atomic", "proj", "--tau=0.6,0.8", "--w=0.5", "--s=0.3,1"],
+    ["atomic", "dist", "--s=0.3,0.2", "--measure", '{"atoms":[{"tau":[0,1],"w":0.5}]}', "--n", "64"],
+    ["converge", "--family", "interval", "--rho", "0.25", "--f", "chi:0.3", "--nmax", "3"],
+    ["converge", "--family", "interval", "--rho", "0.25", "--f", "monomial:0.5", "--nmax", "3"],
+    ["converge", "--family", "muntz", "--seq", "[1,2,3.5]", "--f", "chi:0.5", "--nmax", "2"],
+    ["converge", "--family", "constant", "--set", _SET2, "--f", "monomial:0.5,0.2", "--nmax", "3"],
+]
+_SWEEP_VALUES = ["0", "-0.5", "-0.4999999999999", "1", "-1", "3", "13", "1e16", "1e200", "-1e200", "1e308",
+                 "1e-320", "0.9999999999999999"]
+_NUMBER = re.compile(r"(?<![\w.])\d+(?:\.\d+)?(?:e-?\d+)?(?![\w.])")
+
+
+def _sweep():
+    """Each template with one numeric literal replaced by one of the sweep values, every way."""
+    for template in _SWEEP_TEMPLATES:
+        for i, word in enumerate(template):
+            if word.startswith("--") and "=" not in word:
+                continue  # a flag name
+            for m in _NUMBER.finditer(word):
+                for v in _SWEEP_VALUES:
+                    yield [*template[:i], word[:m.start()] + v + word[m.end():], *template[i + 1:]]
+
+
+class _Overdue(Exception):
+    pass
+
+
+def test_no_input_escapes_dispatch():
+    # every request ends in an exit code, 0 or a typed error, within a second of CPU time: no
+    # traceback, no unbounded allocation or loop.  CPU time, so that load on the host does not
+    # decide the bound; the wall-clock alarm only ends a hang
+    def overdue(*_):
+        raise _Overdue
+
+    previous = signal.signal(signal.SIGALRM, overdue)
+    bad, count = [], 0
+    try:
+        for argv in _sweep():
+            count += 1
+            start = time.process_time()
+            signal.setitimer(signal.ITIMER_REAL, 5.0)  # ends a hang; the bound below is 1 s
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    result = dispatch(argv)
+            except Exception as exc:
+                result = f"{type(exc).__name__}: {exc}"
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            elapsed = time.process_time() - start
+            if result not in (0, 2, 3, 4) or elapsed >= 1.0:
+                bad.append((result, round(elapsed, 2), argv))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert count > 1000
+    assert bad == []

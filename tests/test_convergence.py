@@ -423,6 +423,20 @@ def test_distance_curve_keeps_the_size_limit_error():
             curve("chi:0.5", muntz_family({"kind": "affine", "a": 1.0}), 70)
 
 
+def test_curve_sizes_are_capped_before_anything_is_built():
+    # rho = 1e-320 asked numpy for 1e160 entries; rho = 1e-12 built sets of 1e6 and 2e6
+    for rho, n in ((1e-320, 1), (1e-12, 1), (1 / 33**2, 1025)):
+        with pytest.raises(SizeLimitError, match=f"^the interval set at n = {n} holds"):
+            interval_family(rho).set_at(n)
+    assert len(interval_family(1 / 33**2).set_at(1024)) == 2**15
+    # the cap reads the rounded size: ratio * n = 32768.25 builds exactly 2^15 entries
+    assert len(interval_family(1 / 32769.25**2).set_at(1)) == 2**15
+    with pytest.raises(SizeLimitError, match="^the interval set at n = 1 holds 999999 entries, limit is 2\\^15$"):
+        interval_family(1e-12).set_at(1)
+    with pytest.raises(SizeLimitError, match="^a curve of 1025 points exceeds the limit 1024$"):
+        distance_curve("const", constant_family([1.0]), 1025)
+
+
 def test_interval_curve_pairs_f_once_per_node_and_precision(monkeypatch):
     calls = []
     pairing = PiecewiseMonomial.pairing

@@ -23,6 +23,7 @@ from monospan import (
     SizeLimitError,
     WrongCriterionError,
     as_exponent,
+    distance,
     distance_to_span,
     gram_build,
     interval_family,
@@ -547,14 +548,19 @@ def _growth_reference(S):
         return float(max(rows))
 
 
-@pytest.mark.parametrize("f", ["chi:0.37", "const", "monomial:0.7,1.3", {"terms": [
-    {"coeff": [1.0, 0.5], "t": [0.3, 0.0], "a": 0.25, "logpow": 1},
-    {"coeff": [-2.0, 0.0], "t": [1.5, 0.2], "a": 0.0}, {"coeff": [0.5, 0.0], "t": [0.0, 0.0], "a": 0.6}]}],
-    ids=["chi", "const", "monomial", "terms"])
+def _terms(logpow):
+    return {"terms": [{"coeff": [1.0, 0.5], "t": [0.3, 0.0], "a": 0.25, "logpow": logpow},
+                      {"coeff": [-2.0, 0.0], "t": [1.5, 0.2], "a": 0.0},
+                      {"coeff": [0.5, 0.0], "t": [0.0, 0.0], "a": 0.6}]}
+
+
+@pytest.mark.parametrize("f", ["chi:0.37", "const", "monomial:0.7,1.3", _terms(1), _terms(0)],
+                         ids=["chi", "const", "monomial", "terms", "terms-logpow-0"])
 def test_double_pass_is_gated_by_the_growth_and_meets_its_bound(f):
-    # a set takes the complex128 pass exactly when g <= 4, and its d^2 is then within
-    # 16 * 10^g * 2^-52 * ||f||^2 of the recursion at 60 digits
+    # a set takes the complex128 pass exactly when g <= 4 and f has no cutoff alongside a log
+    # power, and its d^2 is then within 16 * 10^g * 2^-52 * ||f||^2 of the recursion at 60 digits
     f = PiecewiseMonomial.from_spec(f)
+    takes_double = not (any(a > 0 for _, _, a, _ in f.terms) and any(k for *_, k in f.terms))
     routes = collections.Counter()
     for chain in _double_pass_cases():
         g = core._growth(chain[-1])
@@ -566,10 +572,42 @@ def test_double_pass_is_gated_by_the_growth_and_meets_its_bound(f):
             assert gS == g[:len(S)]  # a prefix's values are its own
             assert r.condition_estimate == 10.0 ** gS[-1]
             routes[r.precision] += 1
-            assert (r.precision == "double") == (gS[-1] <= 4), (S.values, gS[-1], r)
+            assert (r.precision == "double") == (takes_double and gS[-1] <= 4), (S.values, gS[-1], r)
             if r.precision == "double":
                 assert abs(r.distance ** 2 - ref[len(S) - 1]) <= 16 * r.condition_estimate * 2.0 ** -52 * f.norm_sq
-    assert routes["double"] > 50 and sum(routes.values()) > routes["double"] + 50
+    if takes_double:
+        assert routes["double"] > 50 and sum(routes.values()) > routes["double"] + 50
+    else:
+        assert routes["double"] == 0 and sum(routes.values()) > 100
+
+
+# the integral of x^(p-1) (ln x)^k over [a, 1] is (-1)^k gamma(k+1, p ln(1/a)) / p^(k+1), the lower
+# incomplete gamma function; these distances solve the Gram system on it at 300 digits
+@pytest.mark.parametrize("terms, entries, reference", [
+    ([(1.0, Exponent(0.2), 0.3, 8)], [0.3, 2.0], 0.48328514567891049735),
+    ([(1.0, Exponent(0.2), 0.3, 12)], [0.3, 2.0], 0.85167061457636734326),
+    ([(1.0, Exponent(0.2), 0.3, 40)], [0.3, 2.0], 87.387870653384057483),
+    ([(1.0, Exponent(-0.4), 0.0, 70)], [2.0], 6.949287831634218739e+169),
+    ([(1.0, Exponent(0.7), 0.0, 100)], [2.0], 1.7266906129707441587e+149),
+    ([(1.0, Exponent(-0.4999999999999), 0.0, 13)], [2.0], 5.4996656548428121997e+184),
+], ids=["cut-k8", "cut-k12", "cut-k40", "norm-past-1e308", "norm-overflows", "norm-underflows"])
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_targets_the_double_pass_cannot_hold_take_the_ladder(terms, entries, reference, precision):
+    # a cutoff with a log power loses digits in the moment recurrence, and a norm past the float
+    # range has no double value: the double pass printed 0.0 at k = 12 and 40, null at k = 70,
+    # and raised OverflowError at k = 100; at 1 + 2t = 2e-13 and k = 13, p^27 underflows to 0
+    # and the double norm divides by it, so the gate is read only under precision="double"
+    f = PiecewiseMonomial(tuple(terms))
+    r = distance(f, MonomialSet(entries), precision=precision)
+    assert r.precision.startswith("extended")
+    assert r.distance == pytest.approx(reference, rel=1e-12, abs=0)
+
+
+def test_target_log_power_is_capped():
+    PiecewiseMonomial(((1.0, Exponent(0.5), 0.3, 128),))
+    for k in (129, 10**16):  # a JSON 1e16 reads as this integer; the recurrence would loop k times
+        with pytest.raises(SizeLimitError, match=f"^logpow {k} exceeds the limit 128$"):
+            PiecewiseMonomial(((1.0, Exponent(0.5), 0.3, k),))
 
 
 def test_growth_matches_its_formula_at_50_digits():

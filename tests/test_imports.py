@@ -1,13 +1,16 @@
 """Every name a library module imports is used there or re-exported in its __all__, imports sit at
-module level without cycles through atomic, the runtime needs no scipy, and every name the
-benchmark's tracer wraps exists."""
+module level without cycles through atomic, the runtime needs no scipy, every name the
+benchmark's tracer wraps exists, and every function and class is named outside its own definition."""
 
 import ast
 import importlib
 import importlib.util
+import io
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parent.parent / "src" / "monospan"
@@ -115,3 +118,45 @@ def test_every_traced_name_exists():
                for name in names if not hasattr(importlib.import_module(f"monospan.{module}"), name)]
     assert len(tracing.TRACED) == len(tracing.LAYERS)
     assert missing == []
+
+
+def unnamed_definitions(sources: dict[str, str], readme: str) -> list[str]:
+    """Functions and classes (dunder methods aside) that no source names outside their own
+    definition, that no __all__ lists and that the README does not mention, as 'file:name'."""
+    tokens = {}  # file -> [(name, line)] of every NAME token and every __all__ entry
+    for path, source in sources.items():
+        names = [(t.string, t.start[0]) for t in tokenize.generate_tokens(io.StringIO(source).readline)
+                 if t.type == tokenize.NAME]
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                names += [(name, node.lineno) for name in ast.literal_eval(node.value)]
+        tokens[path] = names
+    readme_words = set(re.findall(r"\w+", readme))
+    found = []
+    for path, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name, lines = node.name, range(node.lineno, node.end_lineno + 1)
+            if name.startswith("__") and name.endswith("__") or name in readme_words:
+                continue
+            if not any(n == name and (p != path or line not in lines)
+                       for p, names in tokens.items() for n, line in names):
+                found.append(f"{path}:{name}")
+    return sorted(found)
+
+
+def test_unnamed_definition_finder():
+    sources = {"a.py": "def used():\n    return used()\n\ndef called():\n    pass\n\n"
+                       "class C:\n    def __len__(self):\n        return 0\n\n    def method(self):\n        pass\n",
+               "b.py": "from a import called\n__all__ = ['exported']\n\ndef exported():\n    pass\n\n"
+                       "def documented():\n    pass\n"}
+    assert unnamed_definitions(sources, "see `documented(x)`") == ["a.py:C", "a.py:method", "a.py:used"]
+
+
+def test_every_definition_is_named_outside_itself():
+    # library code that only tests reach is dead weight: each function or class must be called,
+    # exported or documented from the package itself
+    sources = {p.name: p.read_text() for p in sorted(_SRC.glob("*.py"))}
+    readme = (_SRC.parent.parent / "README.md").read_text()
+    assert unnamed_definitions(sources, readme) == []

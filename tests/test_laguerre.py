@@ -9,7 +9,7 @@ import scipy.special
 
 from monospan import laguerre as lg
 from monospan.core import Exponent, monomial_inner
-from monospan.errors import DomainError
+from monospan.errors import DomainError, SizeLimitError
 from monospan.quadrature import integrate
 
 
@@ -68,7 +68,7 @@ def test_expansion_norm_identity_random():
 def test_expansion_evaluates_to_monomial():
     e = lg.expand_monomial(1.0, 64)
     x = np.linspace(0.2, 1.0, 17)
-    assert np.max(np.abs(e.evaluate(x) - x)) < 1e-10
+    assert np.max(np.abs(e.coeffs @ lg.eval_basis(64, x) - x)) < 1e-10
 
 
 def test_default_truncation_clamps_and_meets_target():
@@ -198,34 +198,7 @@ def test_eval_basis_domain_errors():
         lg.eval_basis(-1, 0.5)
 
 
-def test_expansion_evaluate_domain_errors():
-    e = lg.expand_monomial(1.0, 8)
-    with pytest.raises(DomainError):
-        e.evaluate(0.0)
-    with pytest.raises(DomainError):
-        e.evaluate(1.5)
-    with pytest.raises(DomainError):
-        e.evaluate(np.array([0.5, 1.5]))
-
-
-def test_expansion_evaluate_equals_recurrence_loop():
-    # the loop that LaguerreExpansion.evaluate ran before it shared the recurrence
-    def reference(coeffs, x):
-        x_arr = np.asarray(x, dtype=float)
-        acc = np.zeros_like(x_arr, dtype=complex)
-        t = -np.log(x_arr)
-        prev = np.ones_like(t)
-        acc += coeffs[0] * prev
-        if len(coeffs) > 1:
-            cur = 1.0 - t
-            acc += coeffs[1] * cur
-            for k in range(1, len(coeffs) - 1):
-                prev, cur = cur, ((2 * k + 1 - t) * cur - k * prev) / (k + 1)
-                acc += coeffs[k + 1] * cur
-        return complex(acc) if np.isscalar(x) else acc
-
-    x = np.linspace(1e-6, 1.0, 41)
-    for s, N in ((0.0, 0), (1.0, 1), (0.3 + 0.7j, 12), (2.0 - 1.0j, 64)):
-        e = lg.expand_monomial(s, N)
-        assert np.array_equal(e.evaluate(x), reference(e.coeffs, x))
-        assert e.evaluate(0.42) == reference(e.coeffs, 0.42)
+def test_explicit_truncation_order_is_capped():
+    assert len(lg.expand_monomial(0.5, 2**16).coeffs) == 2**16 + 1
+    with pytest.raises(SizeLimitError, match="^truncation order 65537 exceeds the limit 65536$"):
+        lg.expand_monomial(0.5, 2**16 + 1)

@@ -286,7 +286,13 @@ def test_dilation_automorphism():
 def test_composition_of_automorphisms():
     pJ = op.AutomorphismParams(0.0, 0.5, -2.0, 0.0)
     pD = op.AutomorphismParams(2.0, 0.0, 0.0, 0.5)
-    comp = pJ.compose(pD)
+    # the 2x2 matrix product pJ pD induces tau_J after tau_D
+    comp = op.AutomorphismParams(
+        pJ.A * pD.A + pJ.B * pD.C,
+        pJ.A * pD.B + pJ.B * pD.D,
+        pJ.C * pD.A + pJ.D * pD.C,
+        pJ.C * pD.B + pJ.D * pD.D,
+    )
     rng = np.random.default_rng(29)
     for _ in range(10):
         s = complex(rng.uniform(-0.3, 1.5), rng.uniform(-1.5, 1.5))

@@ -106,8 +106,10 @@ def test_inverse_kernel_round_trip():
         beta = complex(rng.uniform(-0.4, 2.0), rng.uniform(-2.0, 2.0))
         img = sr.forward_monomial(beta)
         (c, alpha), = img.terms
-        const, expo = sr.inverse_kernel(alpha)
-        assert abs(expo.s - beta) < 1e-12 * (1 + abs(beta))
+        # U* k_alpha = (1/(1-conj(alpha))) x^(conj(alpha)/(1-conj(alpha)))
+        ac = alpha.conjugate()
+        const, expo = 1 / (1 - ac), ac / (1 - ac)
+        assert abs(expo - beta) < 1e-12 * (1 + abs(beta))
         assert abs(const * c - 1.0) < 1e-12
 
 
@@ -176,20 +178,6 @@ def test_forward_quadrature_log_monomial():
     assert abs(got.value - exact) < 1e-10
 
 
-def test_moment_interpolation_dictionary():
-    s = 0.7 + 0.3j
-    n_list = range(6)
-    moments = [1 / (s + n + 1) for n in n_list]
-    vals = sr.moment_interpolation(moments, "moments-to-values")
-    for n, v in zip(n_list, vals):
-        z = n / (n + 1)
-        assert abs(v - sr.forward_monomial(s).evaluate(z)) < 1e-12
-    back = sr.moment_interpolation(vals, "values-to-moments")
-    assert np.max(np.abs(np.array(back) - np.array(moments))) < 1e-14
-    with pytest.raises(DomainError):
-        sr.moment_interpolation([1.0], "sideways")
-
-
 def test_inverse_of_exponential_is_bessel():
     """All derivatives 1 at the base point gives J0(2 sqrt(-ln x))."""
     derivs = [1.0] * 40
@@ -219,16 +207,18 @@ def test_analytic_series_warns_on_growing_terms():
 
 
 def test_reflected_inverse_routes():
+    """U* of z -> k_alpha(-z) by the involution J: apply_J_monomial on U* k_alpha = c0 x^e0."""
     alpha = 0.4
     x = np.array([0.3, 0.5, 0.8])
-    got = sr.reflected_inverse(alpha, x)
-    # the involution route in closed form: (1/(1+conj(a))) x^(-conj(a)/(1+conj(a)))
     ac = np.conj(alpha)
+    c0, e0 = 1 / (1 - ac), ac / (1 - ac)
+    jc, jexp = lg.apply_J_monomial(e0)
+    got = c0 * jc * x**jexp.s
+    # the involution route in closed form: (1/(1+conj(a))) x^(-conj(a)/(1+conj(a)))
     ref = (1 / (1 + ac)) * x ** (-ac / (1 + ac))
     assert np.max(np.abs(got - ref)) < 1e-12
     # the other reading, 1/x substituted in the plain inverse c0 x^e0, disagrees
-    c0, e0 = sr.inverse_kernel(alpha)
-    suspect = c0 * (1.0 / x) ** e0.s
+    suspect = c0 * (1.0 / x) ** e0
     assert np.max(np.abs(suspect - ref)) > 1e-2
 
 

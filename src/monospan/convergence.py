@@ -5,12 +5,13 @@ f belongs to the limit exactly when dist(f, M(S_n)) -> 0.  A curve is one
 core.distances call over the sets S_1..S_n_max, with the values of a
 core.distance call per point.  f is a core.PiecewiseMonomial (a combination
 of indicator-times-monomial terms, each with an optional log power): for
-monomial f a point is the stable closed-form product, and along nested sets
-the curve is the running product of its factors; otherwise it is the Schur
-recursion on f's closed moment pairings (core.cauchy_moment), never
-quadrature, and nested sets take one pass per precision for all their
-points.  Limits are never decided by a finite curve; the fitted verdict is
-three-valued, with explicit thresholds and an undetermined fallback.
+monomial f a point is the stable closed-form product, on any set, log
+powers included, and along nested sets the curve is the running product of
+its factors; otherwise it is the Schur recursion on f's closed moment
+pairings (core.cauchy_moment), never quadrature, and nested sets take one
+pass per precision for all their points.  Limits are never decided by a
+finite curve; the fitted verdict is three-valued, with explicit thresholds
+and an undetermined fallback.
 """
 
 from __future__ import annotations
@@ -43,8 +44,10 @@ _CURVE_N_MAX = 1024
 class SubspaceSequence:
     """n -> MonomialSet, with a tag.
 
-    A curve solves a set equal to the one before it once, and sets without
-    log powers that nest, each a prefix of the next, in one pass.
+    A curve solves consecutive sets that nest in one pass (core._chains):
+    each a prefix of the next or the next of it, or, for sets with log
+    powers, equal to it, so a set that repeats the one before is one more
+    member of that pass.
     """
 
     generator: Callable[[int], MonomialSet]
@@ -116,8 +119,8 @@ def distance_curve(
     The points are core.distances of the curve's sets, with the values a loop
     of core.distance calls gives, bit for bit: the closed-form product for a
     monomial f and Gram solves on the exact pairings otherwise, sharing f's
-    data at each node and precision, one solve for a set that repeats the
-    one before, and one pass for sets that nest.  A point where the solve fails
+    data at each node and precision, and one pass for sets that nest, a set
+    that repeats the one before among them.  A point where the solve fails
     numerically becomes NaN, with condition estimate inf, leaving a gap
     instead of aborting the curve.  n_max runs from 1 to 1024 (SizeLimitError
     past it), several times the longest curve run, whose tail O(1/n) it resolves.

@@ -23,11 +23,13 @@ the factors of monomial_distance_closed_form.  It runs in complex128 when
 the set has no log powers, the Blaschke growth g of its nodes (_growth)
 is at most 4 decades and f allows it (_Memo), and otherwise on a ladder of
 precisions (34 to 160 digits); 10^g is the condition estimate.  distance()
-takes the closed-form product when f is a single uncut monomial and
+takes the closed-form product when f is a single uncut monomial c x^t, on
+any set (an s of multiplicity m gives its factor m times), and
 distance_to_span otherwise, each giving a DistanceResult; distances() gives
-them for a sequence of sets in one call, where nested sets share one pass
-per precision.  A ladder rung on real data runs in the standard library's
-decimal.Decimal (the C library libmpdec) at dps + 3 digits, and otherwise
+them for a sequence of sets in one call, where nested sets, a repeated set
+among them, share one pass per precision.  A ladder rung on real data runs
+in the standard library's decimal.Decimal (the C library libmpdec) at
+dps + 3 digits, and otherwise
 in mpmath's mpc at dps digits; either way the rung's own decimal context
 (_Rung) is current while it runs, and nothing else, a caller's mpmath
 precision included, moves the arithmetic off double.
@@ -623,68 +625,71 @@ def _growth(S: MonomialSet) -> list[float]:
     return list(itertools.accumulate(rows, max))
 
 
-def _chain(chains: list, S: MonomialSet, member: tuple, settle) -> None:
-    """Add member to the last chain if S and that chain's longest set, without log powers, nest.
+def _chains(sets: Iterable, size) -> Iterator[list]:
+    """The sets as runs of consecutive sets that nest, each run [longest set, size(S) for each S].
 
-    Otherwise the last chain is settled, since no later set can join it, and
-    S starts a new one; a chain is [longest set, members].
+    Two sets nest when the shorter one's entries (values and log powers) are
+    a prefix of the longer one's, and, if either has log powers, the two are
+    equal; so a repeated set is a member like any other.  Each set is read
+    (as_monomial_set, then size) when it is drawn, and a run is yielded as
+    soon as a set does not nest with it, since no later set can join it.
     """
-    if chains:
-        short, long = sorted((S, chains[-1][0]), key=len)
-        if not long.confluent and long.values[:len(short)].tobytes() == short.values.tobytes():
-            chains[-1][0] = long
-            chains[-1][1].append(member)
-            return
-        settle(*chains.pop())
-    chains.append([S, [member]])
+    chain = None
+    for S in map(as_monomial_set, sets):
+        n = size(S)
+        if chain:
+            short, long = sorted((S, chain[0]), key=len)
+            if (long.values.tobytes().startswith(short.values.tobytes()) and long.logpows.tobytes().startswith(
+                    short.logpows.tobytes()) and (len(short) == len(long) or not long.confluent)):
+                chain[0] = long
+                chain[1].append(n)
+                continue
+            yield chain
+        chain = [S, [n]]
+    if chain:
+        yield chain
 
 
 def _distances(f: PiecewiseMonomial, sets: Iterable, precision: str, closed_form: bool) -> list:
     """The body of distances(), which takes the closed form only when closed_form is true."""
-    memo = _Memo(f)
+    if precision not in ("double", "extended"):
+        raise DomainError(f"unknown precision mode {precision!r}")
     c, t, _, k = f.terms[0]
-    closed_form = closed_form and f.is_single_monomial and k == 0
+    if closed_form and f.is_single_monomial and k == 0:
+        try:
+            scale = abs(c)
+        except OverflowError:  # |c| past the float range, though both parts are finite
+            scale = math.inf
 
-    def settle_gram(base, members):  # members: (slot, nodes)
-        g = _growth(base)
-        # in double, the prefixes of growth at most _DOUBLE_GROWTH_MAX (g never falls) take one pass
-        double = precision == "double" and not base.confluent and memo.double()
-        cut = sum(x <= _DOUBLE_GROWTH_MAX for x in g) if double else 0
-        end = max([n for _, n in members if n <= cut], default=0)
-        d2s = _schur_rung(base, memo, end) if end else []
-        slow = [n for _, n in members if n > cut]
-        ladder = iter(_solve_extended(base, memo, slow) if slow else ())
-        cond = [10.0 ** x if x <= 308 else math.inf for x in g]  # inf past the float range
-        for slot, n in members:
-            res = (math.sqrt(d2s[n - 1]) if d2s[n - 1] > 0 else 0.0, "double") if n <= cut else next(ladder)
-            slot[0] = res if isinstance(res, NumericalError) else DistanceResult(res[0], cond[n - 1], res[1])
+        def settle(base, sizes):  # sizes: entries
+            d = _closed_form_prefixes(t.s, base.values)
+            for n in sizes:
+                x = float(d[n]) and scale * float(d[n])  # 0 when t is in the set, whatever c
+                yield DistanceResult(x, 1.0, "closed-form") if math.isfinite(x) else NumericalError(
+                    f"closed-form distance |c| * {float(d[n])!r} is past the float range (|c| = {scale!r})")
 
-    def settle_prods(base, members):  # members: (slot, size)
-        d = _closed_form_prefixes(t.s, base.values)
-        for slot, size in members:
-            slot[0] = DistanceResult(abs(c) * float(d[size]), 1.0, "closed-form")
+        size = len
+    else:
+        memo = _Memo(f)
 
-    slots, last, gram, prods = [], None, [], []  # a set equal to the one before shares its slot
-    for S in sets:
-        S = as_monomial_set(S)
-        if S is last or (last is not None and len(S) == len(last) and S.values.tobytes()
-                         == last.values.tobytes() and S.logpows.tobytes() == last.logpows.tobytes()):
-            slots.append(slots[-1])
-            continue
-        last, slot = S, [None]
-        slots.append(slot)
-        if closed_form and not S.confluent:
-            _chain(prods, S, (slot, len(S)), settle_prods)
-            continue
-        if precision not in ("double", "extended"):
-            raise DomainError(f"unknown precision mode {precision!r}")
-        _check_gram_size(S)
-        _chain(gram, S, (slot, len(dict.fromkeys(S.values.tolist()))), settle_gram)
-    for chain in gram:
-        settle_gram(*chain)
-    for chain in prods:
-        settle_prods(*chain)
-    return [slot[0] for slot in slots]
+        def settle(base, sizes):  # sizes: nodes
+            g = _growth(base)
+            # in double, the prefixes of growth at most _DOUBLE_GROWTH_MAX (g never falls) take one pass
+            double = precision == "double" and not base.confluent and memo.double()
+            cut = sum(x <= _DOUBLE_GROWTH_MAX for x in g) if double else 0
+            end = max([n for n in sizes if n <= cut], default=0)
+            d2s = _schur_rung(base, memo, end) if end else []
+            ladder = iter(_solve_extended(base, memo, [n for n in sizes if n > cut]))
+            cond = [10.0 ** x if x <= 308 else math.inf for x in g]  # inf past the float range
+            for n in sizes:
+                res = (math.sqrt(d2s[n - 1]) if d2s[n - 1] > 0 else 0.0, "double") if n <= cut else next(ladder)
+                yield res if isinstance(res, NumericalError) else DistanceResult(res[0], cond[n - 1], res[1])
+
+        def size(S):
+            _check_gram_size(S)
+            return len(dict.fromkeys(S.values.tolist()))
+
+    return [r for chain in _chains(sets, size) for r in settle(*chain)]
 
 
 def distances(f: PiecewiseMonomial, sets: Iterable, *, precision: str = "double") -> list:
@@ -693,11 +698,11 @@ def distances(f: PiecewiseMonomial, sets: Iterable, *, precision: str = "double"
     Each item is a DistanceResult, or the NumericalError that distance()
     raises for that set.  The sets are drawn and checked one at a time, so
     any other error is raised where a loop of distance() calls would raise
-    it.  A set equal to the one before it is solved once; f's pairings,
-    norm and Schur node data at each precision are computed once;
-    consecutive sets without log powers that nest (each a prefix of
-    the next, or the next of it) share one Schur pass per precision, or
-    for a monomial f one running product of the closed-form factors.
+    it.  f's pairings, norm and Schur node data at each precision are
+    computed once, and consecutive sets that nest (_chains: a prefix of the
+    next or the next of it, or, with log powers, equal to it, so a repeated
+    set too) share one Schur pass per precision, or for a monomial f one
+    running product of the closed-form factors.
     """
     return _distances(f, sets, precision, closed_form=True)
 
@@ -722,24 +727,28 @@ def distance_to_span(f: PiecewiseMonomial, S, *, precision: str = "double") -> D
 
 
 def distance(f: PiecewiseMonomial, S, *, precision: str = "double") -> DistanceResult:
-    """dist(f, M(S)) by the exact product when f is c x^t and S has no log powers.
+    """dist(f, M(S)) by the exact product when f is c x^t, on any set S, log powers included.
 
-    Every other f and S go through distance_to_span at `precision`.  The
-    closed form reports condition estimate 1.0 and precision "closed-form".
+    Every other f goes through distance_to_span at `precision`.  The closed
+    form reports condition estimate 1.0 and precision "closed-form"; a
+    product past the float range raises NumericalError.
     """
     return _one(distances(f, [S], precision=precision))
 
 
 def monomial_distance_closed_form(t: ExponentLike, S) -> float:
-    """dist(x^t, M(S)) for logpow-0 data, as a stable product of factors.
+    """dist(x^t, M(S)) for a target without a log power, as a stable product of factors.
 
     Equals (2 Re t + 1)^(-1/2) * prod over s in S of |t - s| / |t + conj(s) + 1|,
-    the last of _closed_form_prefixes' running products.
+    the last of _closed_form_prefixes' running products.  S may carry log
+    powers: span{x^s (ln x)^j : j < m} is the model space of a Blaschke
+    factor with a zero of order m, so an s of multiplicity m contributes its
+    factor m times, once per entry.
     """
     et = as_exponent(t)
     S = as_monomial_set(S)
-    if et.logpow != 0 or S.confluent:
-        raise DomainError("closed-form distance requires logpow = 0 throughout")
+    if et.logpow != 0:
+        raise DomainError("closed-form distance requires a target without a log power")
     return float(_closed_form_prefixes(et.s, S.values)[-1])
 
 

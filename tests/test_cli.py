@@ -68,6 +68,29 @@ def test_dist_f_and_t_agree_on_confluent_set(capsys):
     assert by_f["distance"] == pytest.approx(0.5 * (1 / 7) ** 2, rel=1e-9)
 
 
+def test_dist_closed_form_takes_confluent_sets(capsys):
+    # t in the set gives 0.0 exactly, which no Gram rung can (d^2 <= 0 on each), and a set of
+    # 70 entries, past the 64 a Gram route takes, is no limit for the product
+    member = '{"exponents":[{"re":1},{"re":1,"logpow":1},{"re":2.5}]}'
+    payload = run_json(capsys, ["dist", "--t", "1", "--set", member])
+    assert payload == {"condition_estimate": 1.0, "distance": 0.0, "method": "closed-form"}
+    big = json.dumps({"exponents": [{"re": 0.5 * k, "logpow": j} for k in range(35) for j in (0, 1)]})
+    payload = run_json(capsys, ["dist", "--t", "0.3", "--set", big])
+    assert payload["method"] == "closed-form"
+    # (prod over k < 35 of |0.3 - k/2| / (1.3 + k/2))^2 / sqrt(1.6), at 60 digits
+    assert payload["distance"] == pytest.approx(1.4193483860029594691e-11, rel=72 * 2.0 ** -51, abs=0)
+
+
+@pytest.mark.parametrize("coeff", ["1e308", "[1.7e308, 1.7e308]"])
+def test_dist_closed_form_past_the_float_range_exits_4(capsys, coeff):
+    # a product past the float range is a numerical failure, not a null distance, and so is
+    # |c| past it although both parts of c are finite
+    f = '{"terms":[{"coeff":%s,"t":-0.45}]}' % coeff
+    code, out, err = run(capsys, ["dist", "--f", f, "--set", X2_SET])
+    assert (code, out) == (4, "")
+    assert err.startswith("mono: numerical failure: closed-form distance |c| * 3.0382667715343263 is past the float range")
+
+
 def test_muntz_affine_classical_dense(capsys):
     payload = run_json(
         capsys,

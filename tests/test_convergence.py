@@ -394,6 +394,10 @@ def _oracle_cases():
     vals = rng.uniform(0.0, 5.0, 4).tolist()
     yield (lambda: SubspaceSequence(lambda n: MonomialSet(vals[:max(1, abs(5 - n))]))), 8
     yield (lambda: constant_family(MonomialSet([0.5, 0.5, 2.0], [0, 1, 0]))), 4
+    # a confluent set repeated by value (new objects), then logpow-0 sets on its value prefix
+    a, b = rng.uniform(0.0, 5.0, 2).tolist()
+    yield (lambda: SubspaceSequence(lambda n: MonomialSet([a, a, b], [0, 1, 0]) if n <= 3
+                                    else MonomialSet([a, b][:n - 3]))), 5
 
 
 _ORACLE_TARGETS = (
@@ -414,6 +418,17 @@ def test_distance_curve_matches_the_per_point_loop(f, precision):
         d_ref, c_ref = _per_point_curve(f, family(), n_max, precision)
         assert np.array_equal(d, d_ref, equal_nan=True), (family().description, d, d_ref)
         assert np.array_equal(c, c_ref, equal_nan=True), (family().description, c, c_ref)
+
+
+def test_closed_form_point_past_the_float_range_is_nan():
+    # a product past the float range fails its point, as a failed solve does, and the next
+    # node brings the product back into range
+    f = {"terms": [{"coeff": 1e308, "t": -0.45}]}
+    d, c = distance_curve(f, muntz_family([2.0, 3.0, -0.449]), 2)
+    assert np.isnan(d[0]) and c[0] == math.inf
+    assert math.isfinite(d[1]) and c[1] == 1.0
+    d_ref, c_ref = _per_point_curve(f, muntz_family([2.0, 3.0, -0.449]), 2)
+    assert np.array_equal(d, d_ref, equal_nan=True) and np.array_equal(c, c_ref)
 
 
 def test_distance_curve_keeps_the_size_limit_error():

@@ -8,8 +8,10 @@ of indicator-times-monomial terms, each with an optional log power): for
 monomial f a point is the stable closed-form product, on any set, log
 powers included, and along nested sets the curve is the running product of
 its factors; otherwise it is the Schur recursion on f's closed moment
-pairings (core.cauchy_moment), never quadrature, and nested sets take one
-pass per precision for all their points.  Limits are never decided by a
+pairings (core.cauchy_moment), never quadrature.  Nested sets take one
+double pass for all their points, and the points on the extended ladder
+take one elimination tree per rung, where overlapping sets such as the
+interval family's eliminate their common exponents once.  Limits are never decided by a
 finite curve; the fitted verdict is three-valued, with explicit thresholds
 and an undetermined fallback.
 """
@@ -44,10 +46,12 @@ _CURVE_N_MAX = 1024
 class SubspaceSequence:
     """n -> MonomialSet, with a tag.
 
-    A curve solves consecutive sets that nest in one pass (core._chains):
-    each a prefix of the next or the next of it, or, for sets with log
-    powers, equal to it, so a set that repeats the one before is one more
-    member of that pass.
+    A curve solves consecutive sets that nest (core._chains: each a prefix
+    of the next or the next of it, or, for sets with log powers, equal to
+    it, so a repeated set too) in one double pass.  Its ladder points share
+    one elimination tree per rung (core._schur_tree), so any sets that
+    overlap share the steps of their common exponents, and a repeated set
+    is solved once.
     """
 
     generator: Callable[[int], MonomialSet]
@@ -61,7 +65,9 @@ def interval_family(rho: float) -> SubspaceSequence:
     """S_n = {n+1, ..., n+N_n} with n/(n+N_n) approaching sqrt(rho).
 
     The spanned spaces converge to the functions supported on [rho, 1],
-    even though the sets are not nested; rho = 1/4 gives N_n = n.  A set past
+    even though the sets are not nested; rho = 1/4 gives N_n = n.  Neighbouring
+    sets share most of their exponents, so the ladder points of a curve
+    eliminate each shared exponent once per rung (core._schur_tree).  A set past
     2^15 entries (2 MB) raises SizeLimitError before it is built, so a
     1024-point curve's closed form reads at most 2^24 entries, about 0.5 s.
     """
@@ -117,10 +123,16 @@ def distance_curve(
     """(distances, condition estimates) of dist(f, M(S_n)) for n = 1..n_max, in one call.
 
     The points are core.distances of the curve's sets, with the values a loop
-    of core.distance calls gives, bit for bit: the closed-form product for a
-    monomial f and Gram solves on the exact pairings otherwise, sharing f's
-    data at each node and precision, and one pass for sets that nest, a set
-    that repeats the one before among them.  A point where the solve fails
+    of core.distance calls gives: the closed-form product for a monomial f
+    and Gram solves on the exact pairings otherwise, sharing f's data at
+    each node and precision, one double pass for sets that nest and one
+    elimination tree per ladder rung for all the points it takes.  Closed
+    forms, double points and condition estimates keep their bits.  A ladder
+    point is only guaranteed to agree with a separate core.distance within
+    the ladder's agreement rule, 1e-13 (1 + d): the tree's order of
+    elimination depends on the curve's other sets, n_max among them, which
+    moves d^2 in the rung's last digits, so its float or its rung can
+    differ at a near-tie.  A point where the solve fails
     numerically becomes NaN, with condition estimate inf, leaving a gap
     instead of aborting the curve.  n_max runs from 1 to 1024 (SizeLimitError
     past it), several times the longest curve run, whose tail O(1/n) it resolves.

@@ -26,8 +26,12 @@ precisions (34 to 160 digits); 10^g is the condition estimate.  distance()
 takes the closed-form product when f is a single uncut monomial c x^t, on
 any set (an s of multiplicity m gives its factor m times), and
 distance_to_span otherwise, each giving a DistanceResult; distances() gives
-them for a sequence of sets in one call, where nested sets, a repeated set
-among them, share one pass per precision.  A ladder rung on real data runs
+them for a sequence of sets in one call.  There the double pass and the
+closed form run once along sets that nest in set order, and the ladder
+points of the whole call take one elimination tree per rung (_schur_tree),
+in which overlapping sets eliminate their common nodes once, since d(f, S)
+does not depend on the order in which S's nodes are eliminated; a repeated
+set is solved once on either.  A ladder rung on real data runs
 in the standard library's decimal.Decimal (the C library libmpdec) at
 dps + 3 digits, and otherwise
 in mpmath's mpc at dps digits; either way the rung's own decimal context
@@ -236,10 +240,9 @@ def cauchy_moment(t: complex, s: complex, m: int = 0, a: float = 0.0, c=1):
 
 
 def _decimal_ln(a: float) -> Decimal:
-    """ln a in the current decimal context widened by 6 guard digits."""
-    wide = decimal.getcontext().copy()
-    wide.prec += 6
-    return Decimal(a).ln(wide)
+    """ln a in the rung's wide context, its digits and 6 guard digits."""
+    rung = _rung()
+    return rung.lift(a).ln(rung.wide)
 
 
 def _decimal_power(a: float, p: Decimal) -> Decimal:
@@ -248,12 +251,11 @@ def _decimal_power(a: float, p: Decimal) -> Decimal:
     decimal's own power takes about 1 us for a whole exponent and over 100 us
     for any other.
     """
-    wide = decimal.getcontext().copy()
-    wide.prec += 6
-    whole = p.to_integral_value(decimal.ROUND_FLOOR)
-    ap = wide.power(Decimal(a), whole)
+    rung = _rung()
+    wide, whole = rung.wide, p.to_integral_value(decimal.ROUND_FLOOR)
+    ap = wide.power(rung.lift(a), whole)
     if p != whole:
-        ap = wide.multiply(ap, wide.multiply(p - whole, _rung().ln(a)).exp(wide))
+        ap = wide.multiply(ap, wide.multiply(p - whole, rung.ln(a)).exp(wide))
     return ap
 
 
@@ -432,7 +434,8 @@ class _Rung(decimal.Context):
     It holds dps + 3 digits, and no field comes from the caller.  mpmath's
     dps digits carry about 0.9 more (34 digits are 116 bits), and base-10
     rounding wobbles by a digit; at dps + 1 a 32-entry indicator distance
-    moved from the 50-digit rung to the 80-digit one.  `with _Rung(dps,
+    moved from the 50-digit rung to the 80-digit one.  `wide` is the same
+    context with 6 more guard digits, for a^p and ln a.  `with _Rung(dps,
     real):` makes this object itself the current decimal context
     (decimal.localcontext would install a plain copy) and sets mpmath's
     working precision to dps digits; cauchy_moment and _Memo read the
@@ -444,7 +447,9 @@ class _Rung(decimal.Context):
         traps = [decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow]
         super().__init__(prec=dps + 3, rounding=decimal.ROUND_HALF_EVEN, Emin=-999999, Emax=999999,
                          capitals=1, clamp=0, flags=[], traps=traps)
-        self.real, self._mp, self._ln = real, mp.workdps(dps), {}
+        self.real, self._mp, self._ln, self._lifted = real, mp.workdps(dps), {}, {}
+        self.wide = self.copy()
+        self.wide.prec += 6
 
     def ln(self, a: float) -> Decimal:
         """_decimal_ln(a), formed once per cutoff a while this rung lives."""
@@ -453,8 +458,16 @@ class _Rung(decimal.Context):
         return self._ln[a]
 
     def lift(self, z):
-        """z exactly, as a Decimal (its real part) on a real rung and an mpc on a complex one."""
-        return Decimal(z.real) if self.real else mp.mpc(z)
+        """z exactly, as a Decimal (its real part) on a real rung and an mpc on a complex one.
+
+        Formed once per value while this rung lives: a node's pairings lift
+        the target's exponents, coefficients and cutoffs again at every node,
+        and a conversion from float costs about 1 us.
+        """
+        x = self._lifted.get(z)
+        if x is None:
+            x = self._lifted[z] = Decimal(z.real) if self.real else mp.mpc(z)
+        return x
 
     def __enter__(self) -> _Rung:
         self._caller = decimal.getcontext()
@@ -524,81 +537,138 @@ class _Memo:
         return w, list(F)
 
 
-def _schur_rung(S: MonomialSet, memo: _Memo, end: int | None = None) -> list:
-    """||f||^2 - q after each of S's first `end` nodes (all by default), by the Schur recursion.
+def _eliminate(wk, Fk: list, data: dict, q, dead: set):
+    """Eliminate node wk, whose data is Fk, from the other nodes' data; return q plus the mass it projects.
 
     With w = conj(s) + 1/2 and F(z) = integral of f(x) x^(z - 1/2) dx,
-    <f, x^s (ln x)^j> = F^(j)(w).  A node w_k that occurs m times (nodes in
-    order of first appearance) carries F_j = F^(j)(w_k)/j!, j < m, and takes
-    m steps; each adds 2 Re(w_k) |F_0|^2 to the projected mass q and divides
-    the rest by the Blaschke factor:
+    <f, x^s (ln x)^j> = F^(j)(w).  A node w_k that occurs m times carries
+    F_j = F^(j)(w_k)/j!, j < m, and takes m steps; each adds
+    2 Re(w_k) |F_0|^2 to the projected mass q and divides the rest by the
+    Blaschke factor:
 
         F(z) <- (F(z) (z + conj w_k) - 2 Re(w_k) F_0) / (z - w_k).
 
-    On a later node's data V, with c = w_j + conj w_k and d = w_j - w_k, this
-    is V_0 <- (V_0 c - 2 Re(w_k) F_0) / d and V_i <- (V_i c + V_(i-1) - V'_(i-1)) / d,
-    V' the updated value; at w_k itself F_i <- 2 Re(w_k) F_(i+1) + F_i, one
-    shorter.  After k nodes q is the projection of f onto their kernels, so
-    one O(n^2) pass gives d^2 for every prefix of the nodes.  The list stops
-    before the first node that coincides with an earlier one at this
-    precision (d = 0), since no prefix holding both can be solved.  The
-    nodes are built at the rung's precision; rounded to double first, nearby
-    nodes lose the digits the divisions need.  On a real rung (S and f real)
-    every value is a Decimal, on a complex rung an mpc, and outside the
-    ladder a complex.  The update is
-    the same code for every type.
+    On another node's data V (data maps each key to (w_j, V)), with
+    c = w_j + conj w_k and d = w_j - w_k, this is V_0 <- (V_0 c - 2 Re(w_k) F_0) / d
+    and V_i <- (V_i c + V_(i-1) - V'_(i-1)) / d, V' the updated value; at w_k
+    itself F_i <- 2 Re(w_k) F_(i+1) + F_i, one shorter.  A node that
+    coincides with w_k at this precision (d = 0) is not updated and joins
+    dead, since no set holding both can be solved.  The update is the same
+    code for a complex, an mpc and a Decimal.
     """
-    nodes = itertools.islice(collections.Counter(S.values.tolist()).items(), end)
-    w, F = map(list, zip(*(memo.node(z, m) for z, m in nodes)))
-    norm, q, out = memo.norm_sq(), 0, []
-    for k, (wk, Fk) in enumerate(zip(w, F)):
-        two_re, wbk = 2 * wk.real, wk.conjugate()
-        while Fk:
-            alpha = two_re * Fk[0]
-            q += two_re * (Fk[0].real ** 2 + Fk[0].imag ** 2)
-            for j, (wj, V) in enumerate(zip(w[k + 1:], F[k + 1:]), k + 1):
-                c, d = wj + wbk, wj - wk
-                if not d:  # w_j = w_k at this precision
-                    del w[j:], F[j:]
+    two_re, wbk = 2 * wk.real, wk.conjugate()
+    while Fk:
+        alpha = two_re * Fk[0]
+        q += two_re * (Fk[0].real ** 2 + Fk[0].imag ** 2)
+        for key, (wj, V) in data.items():
+            c, d = wj + wbk, wj - wk
+            if not d:  # w_j = w_k at this precision
+                dead.add(key)
+                continue
+            if len(V) == 1:  # a simple node, most of them: the loop below would not run
+                V[0] = (V[0] * c - alpha) / d
+                continue
+            old, V[0] = V[0], (V[0] * c - alpha) / d
+            for i in range(1, len(V)):
+                old, V[i] = V[i], (V[i] * c + old - V[i - 1]) / d
+        Fk[:] = [two_re * b + a for a, b in zip(Fk, Fk[1:])]
+    return q
+
+
+def _schur_tree(members: list[list], memo: _Memo) -> list:
+    """||f||^2 - q for each member, a list of (z, m) nodes, by one elimination tree; None where two nodes coincide.
+
+    After its nodes are eliminated (_eliminate), in any order, q is the
+    projection of f onto a member's kernels, so d^2 = ||f||^2 - q.  The
+    members form one run.  A run eliminates, once, the nodes that every
+    member still holds, in the order the members first list them, and each
+    member with no nodes left reads its d^2, such as the shorter of two
+    nested ones.  A run whose members share no node left splits in
+    two halves, each with the data of the nodes its own members hold, the
+    first half a copy.  So a run of nested sets never splits and eliminates
+    in set order, bit for bit the pass of its longest set, while overlapping
+    sets such as the interval family's share their common steps.  A node w
+    that occurs m times is one node (z, m) and is eliminated whole, so a
+    common part always holds every copy of a node; sets holding z with
+    other multiplicities share no step of it.  A member holding two nodes
+    that coincide at this precision gets None.  On a real rung every value
+    is a Decimal, on a complex rung an mpc, and outside the ladder a
+    complex; the nodes are built at the rung's precision, since rounded to
+    double first, nearby nodes lose the digits the divisions need.
+    """
+    norm, out = memo.norm_sq(), [None] * len(members)
+    held = [set(nodes) for nodes in members]
+    keys = dict.fromkeys(itertools.chain.from_iterable(members))
+
+    def run(idx: list, data: dict, q) -> None:
+        while idx:
+            common = held[idx[0]].intersection(*[held[i] for i in idx[1:]])
+            if not common:  # the members share nothing left: the first half takes a copy of its data
+                half = len(idx) // 2
+                own = set().union(*[held[i] for i in idx[:half]])
+                run(idx[:half], {k: (w, F[:]) for k, (w, F) in data.items() if k in own}, q)
+                idx = idx[half:]
+                own = set().union(*[held[i] for i in idx])
+                for k in [k for k in data if k not in own]:
+                    del data[k]
+                continue
+            dead = set()
+            for key in [k for k in data if k in common]:
+                if key in dead:  # every member holds it
                     break
-                old, V[0] = V[0], (V[0] * c - alpha) / d
-                for i in range(1, len(V)):
-                    old, V[i] = V[i], (V[i] * c + old - V[i - 1]) / d
-            Fk[:] = [two_re * b + a for a, b in zip(Fk, Fk[1:])]
-        out.append(norm - q)
+                wk, Fk = data.pop(key)
+                q = _eliminate(wk, Fk, data, q, dead)
+            rest = []
+            for i in idx:
+                if dead and not dead.isdisjoint(held[i]):
+                    continue
+                held[i] -= common
+                if held[i]:
+                    rest.append(i)
+                else:
+                    out[i] = norm - q
+            idx = rest
+
+    run(list(range(len(members))), {k: memo.node(*k) for k in keys}, 0)
     return out
 
 
-def _solve_extended(S: MonomialSet, memo: _Memo, ends: list[int]) -> list:
-    """(distance, precision label), or a NumericalError, for the first `end` nodes of S, for each end.
+def _solve_extended(members: list[list], memo: _Memo) -> list:
+    """(distance, precision label), or a NumericalError, for each member, a list of (z, m) nodes.
 
     The distance comes from an escalating-precision ladder.  Each rung is one
-    pass of the Schur recursion (`_schur_rung`) over the longest prefix still
-    on the ladder; it evaluates f's pairings and its norm at its own
-    precision, so d^2 = ||f||^2 - q keeps the digits the rung works with.
-    When S's exponents and every term of f are real, the rung at dps runs
-    in Decimal, in its own context of dps + 3 digits, and otherwise in mpc
-    at dps digits (_Rung).  A prefix stops when two consecutive
-    rungs agree on its distance; a rung whose d^2 is not positive (clamped)
-    does not count toward that agreement, and a rung on which two of its
-    nodes coincide fails it.
+    elimination tree (_schur_tree) over the members still on the ladder, one
+    for those whose nodes and target are real and one for the rest; it
+    evaluates f's pairings and its norm at its own precision, so
+    d^2 = ||f||^2 - q keeps the digits the rung works with.  A real member's
+    rung at dps runs in Decimal, in its own context of dps + 3 digits, and
+    otherwise in mpc at dps digits (_Rung).  A member stops when two
+    consecutive rungs agree on its distance; a rung whose d^2 is not
+    positive (clamped) does not count toward that agreement, a rung on
+    which two of its nodes coincide fails it, and so does a distance past
+    the float range.
     """
-    out, prev = [None] * len(ends), [None] * len(ends)
+    out, prev = [None] * len(members), [None] * len(members)
+    real = [memo.real and not any(z.imag for z, _ in nodes) for nodes in members]
     for dps in _EXTENDED_DPS_LADDER:
         todo = [i for i, r in enumerate(out) if r is None]
-        if not todo:
-            break
-        with _Rung(dps, memo.real and not S.values.imag.any()):
-            d2s = _schur_rung(S, memo, max(ends[i] for i in todo))
-            for i in todo:
-                if len(d2s) < ends[i]:
-                    out[i] = NumericalError(f"Schur recursion failed: nodes coincide at {dps} digits")
-                    continue
-                d2 = d2s[ends[i] - 1]
-                dist = float(d2.sqrt() if isinstance(d2, Decimal) else mp.sqrt(d2)) if d2 > 0 else None
-                if dist is not None and prev[i] is not None and abs(dist - prev[i]) <= 1e-13 * (1.0 + dist):
-                    out[i] = dist, f"extended(dps={dps})"
-                prev[i] = dist
+        for kind in (True, False):
+            group = [i for i in todo if real[i] == kind]
+            if not group:
+                continue
+            with _Rung(dps, kind):
+                for i, d2 in zip(group, _schur_tree([members[i] for i in group], memo)):
+                    if d2 is None:
+                        out[i] = NumericalError(f"Schur recursion failed: nodes coincide at {dps} digits")
+                        continue
+                    root = (d2.sqrt() if isinstance(d2, Decimal) else mp.sqrt(d2)) if d2 > 0 else None
+                    dist = None if root is None else float(root)
+                    if dist == math.inf:
+                        out[i] = NumericalError(
+                            f"Schur distance {Decimal(str(root)):.6e} is past the float range at {dps} digits")
+                    elif dist is not None and prev[i] is not None and abs(dist - prev[i]) <= 1e-13 * (1.0 + dist):
+                        out[i] = dist, f"extended(dps={dps})"
+                    prev[i] = dist
     last = ["d^2 <= 0" if p is None else f"distance {p}" for p in prev]
     return [r or NumericalError(f"Gram solve did not stabilize on the extended-precision ladder (last rung: {x})")
             for r, x in zip(out, last)]
@@ -628,11 +698,15 @@ def _growth(S: MonomialSet) -> list[float]:
 def _chains(sets: Iterable, size) -> Iterator[list]:
     """The sets as runs of consecutive sets that nest, each run [longest set, size(S) for each S].
 
-    Two sets nest when the shorter one's entries (values and log powers) are
-    a prefix of the longer one's, and, if either has log powers, the two are
-    equal; so a repeated set is a member like any other.  Each set is read
-    (as_monomial_set, then size) when it is drawn, and a run is yielded as
-    soon as a set does not nest with it, since no later set can join it.
+    A run holds what must stay in set order: g, the double pass and the
+    closed form's running product are those of its longest set, read at each
+    member's size; the points it leaves to the ladder join the call's
+    elimination tree (_schur_tree) as its members.  Two sets nest when the
+    shorter one's entries (values and log powers) are a prefix of the longer
+    one's, and, if either has log powers, the two are equal; so a repeated
+    set is a member like any other.  Each set is read (as_monomial_set, then
+    size) when it is drawn, and a run is yielded as soon as a set does not
+    nest with it, since no later set can join it.
     """
     chain = None
     for S in map(as_monomial_set, sets):
@@ -655,6 +729,7 @@ def _distances(f: PiecewiseMonomial, sets: Iterable, precision: str, closed_form
     if precision not in ("double", "extended"):
         raise DomainError(f"unknown precision mode {precision!r}")
     c, t, _, k = f.terms[0]
+    ladder = {}  # the nodes of each point left to the extended ladder, once each, in order
     if closed_form and f.is_single_monomial and k == 0:
         try:
             scale = abs(c)
@@ -672,24 +747,33 @@ def _distances(f: PiecewiseMonomial, sets: Iterable, precision: str, closed_form
     else:
         memo = _Memo(f)
 
-        def settle(base, sizes):  # sizes: nodes
+        def settle(base, sizes):  # sizes: nodes; a ladder point yields its condition estimate
             g = _growth(base)
             # in double, the prefixes of growth at most _DOUBLE_GROWTH_MAX (g never falls) take one pass
             double = precision == "double" and not base.confluent and memo.double()
             cut = sum(x <= _DOUBLE_GROWTH_MAX for x in g) if double else 0
-            end = max([n for n in sizes if n <= cut], default=0)
-            d2s = _schur_rung(base, memo, end) if end else []
-            ladder = iter(_solve_extended(base, memo, [n for n in sizes if n > cut]))
-            cond = [10.0 ** x if x <= 308 else math.inf for x in g]  # inf past the float range
+            nodes = list(collections.Counter(base.values.tolist()).items())
+            ends = list(dict.fromkeys(n for n in sizes if n <= cut))  # a repeated prefix is solved once
+            d2s = dict(zip(ends, _schur_tree([nodes[:n] for n in ends], memo) if ends else ()))
             for n in sizes:
-                res = (math.sqrt(d2s[n - 1]) if d2s[n - 1] > 0 else 0.0, "double") if n <= cut else next(ladder)
-                yield res if isinstance(res, NumericalError) else DistanceResult(res[0], cond[n - 1], res[1])
+                cond = 10.0 ** g[n - 1] if g[n - 1] <= 308 else math.inf  # inf past the float range
+                if n > cut:
+                    yield cond, ladder.setdefault(tuple(nodes[:n]), len(ladder))
+                    continue
+                d2 = d2s[n]
+                yield DistanceResult(math.sqrt(d2) if d2 > 0 else 0.0, cond, "double")
 
         def size(S):
             _check_gram_size(S)
             return len(dict.fromkeys(S.values.tolist()))
 
-    return [r for chain in _chains(sets, size) for r in settle(*chain)]
+    points = [p for chain in _chains(sets, size) for p in settle(*chain)]
+    solved = _solve_extended(list(ladder), memo) if ladder else []
+    for i, p in enumerate(points):
+        if isinstance(p, tuple):  # a ladder point: its condition estimate and its nodes' place in ladder
+            res = solved[p[1]]
+            points[i] = res if isinstance(res, NumericalError) else DistanceResult(res[0], p[0], res[1])
+    return points
 
 
 def distances(f: PiecewiseMonomial, sets: Iterable, *, precision: str = "double") -> list:
@@ -699,10 +783,15 @@ def distances(f: PiecewiseMonomial, sets: Iterable, *, precision: str = "double"
     raises for that set.  The sets are drawn and checked one at a time, so
     any other error is raised where a loop of distance() calls would raise
     it.  f's pairings, norm and Schur node data at each precision are
-    computed once, and consecutive sets that nest (_chains: a prefix of the
+    computed once.  Consecutive sets that nest (_chains: a prefix of the
     next or the next of it, or, with log powers, equal to it, so a repeated
-    set too) share one Schur pass per precision, or for a monomial f one
-    running product of the closed-form factors.
+    set too) share g, the double pass and, for a monomial f, one running
+    product of the closed-form factors, all in set order.  Every point left
+    to the ladder, from any chain, joins one elimination tree per rung
+    (_schur_tree), where sets that overlap without nesting, such as the
+    interval family's, share the eliminations of the nodes they hold in
+    common.  Points with the same nodes take one member of the double pass
+    or of the tree; each is still read and checked where it is drawn.
     """
     return _distances(f, sets, precision, closed_form=True)
 

@@ -91,6 +91,20 @@ def test_dist_closed_form_past_the_float_range_exits_4(capsys, coeff):
     assert err.startswith("mono: numerical failure: closed-form distance |c| * 3.0382667715343263 is past the float range")
 
 
+@pytest.mark.parametrize("coeff", ["1e308", "[1e308, 1e300]"])
+def test_dist_ladder_past_the_float_range_exits_4_on_the_first_rung(capsys, coeff):
+    # d = 7.0147e308 on a real (Decimal) and a complex (mpc) rung has no float: the first rung
+    # that finds d past the float range fails the point and says so, and no higher rung runs
+    f = '{"terms":[{"coeff":%s,"t":-0.49},{"coeff":1,"t":1}]}' % coeff
+    code, out, err = run(capsys, ["dist", "--f", f, "--set", '{"exponents":[{"re":2}]}'])
+    assert (code, out) == (4, "")
+    assert err == "mono: numerical failure: Schur distance 7.014725e+308 is past the float range at 34 digits\n"
+    # a tenth of that coefficient stays in range
+    f = '{"terms":[{"coeff":1e307,"t":-0.49},{"coeff":1,"t":1}]}'
+    assert run_json(capsys, ["dist", "--f", f, "--set", '{"exponents":[{"re":2}]}'])["distance"] == pytest.approx(
+        7.014724642049811e307, rel=1e-15)
+
+
 def test_muntz_affine_classical_dense(capsys):
     payload = run_json(
         capsys,
@@ -873,13 +887,19 @@ def test_numerical_error_exit_4(capsys):
 def test_constant_family_curve_solves_once(capsys, monkeypatch):
     set_json = '{"exponents":[{"re":1},{"re":2.5},{"re":4}]}'
     point = distance(PiecewiseMonomial.indicator(0.5), MonomialSet.from_json(json.loads(set_json)))
-    passes, rung = [], core._schur_rung
-    monkeypatch.setattr(core, "_schur_rung", lambda *a: passes.append(a) or rung(*a))
+    passes, tree = [], core._schur_tree
+    monkeypatch.setattr(core, "_schur_tree", lambda *a: passes.append(a) or tree(*a))
     payload = run_json(capsys, ["converge", "--family", "constant", "--set", set_json,
                                 "--f", "chi:0.5", "--nmax", "6"])
-    assert len(passes) == 1  # one Schur pass for six points
+    assert [len(members) for members, _ in passes] == [1]  # one Schur pass, one member, six points
     assert payload["distance"] == [point.distance] * 6
     assert payload["condition_estimate"] == [point.condition_estimate] * 6
+    # on the ladder, each rung's tree holds the repeated set once
+    passes.clear()
+    payload = run_json(capsys, ["converge", "--family", "constant", "--set", set_json, "--precision",
+                                "extended", "--f", "chi:0.5", "--nmax", "6"])
+    assert passes and all(len(members) == 1 for members, _ in passes)
+    assert len(set(payload["distance"])) == 1
 
 
 def test_version_flag(capsys):

@@ -382,8 +382,14 @@ def _schur_test_sets(rng):
         yield MonomialSet.from_exponents(z)
 
 
+def _schur_prefixes(S, memo):
+    """d^2 after each prefix of S's nodes: core._schur_tree on the prefixes, a nested run, so in set order."""
+    nodes = list(collections.Counter(S.values.tolist()).items())
+    return core._schur_tree([nodes[:n] for n in range(1, len(nodes) + 1)], memo)
+
+
 def _lu_rung(S, f):
-    """Reference for core._schur_rung: d^2 = ||f||^2 - q by an mpmath LU solve, O(n^3)."""
+    """Reference for core._schur_tree: d^2 = ||f||^2 - q by an mpmath LU solve, O(n^3)."""
     s, k = S.values.tolist(), S.logpows.tolist()
     n = len(s)
     G = mp.matrix(n, n)
@@ -566,7 +572,7 @@ def test_double_pass_is_gated_by_the_growth_and_meets_its_bound(f):
         g = core._growth(chain[-1])
         got = core._distances(f, chain, "double", closed_form=False)
         with core._Rung(60, real=False):
-            ref = core._schur_rung(chain[-1], core._Memo(f))
+            ref = _schur_prefixes(chain[-1], core._Memo(f))
         for S, r in zip(chain, got):
             gS = core._growth(S)
             assert gS == g[:len(S)]  # a prefix's values are its own
@@ -622,16 +628,16 @@ def test_growth_matches_its_formula_at_50_digits():
 
 
 def test_clamped_rungs_do_not_agree(monkeypatch):
-    def rung_from(d2_by_dps):  # d^2 of every prefix; a real rung holds dps + 3 digits
-        return lambda S, memo, end: [Decimal(d2_by_dps[decimal.getcontext().prec - 3])] * end
+    def rung_from(d2_by_dps):  # d^2 of every member; a real rung holds dps + 3 digits
+        return lambda members, memo: [Decimal(d2_by_dps[decimal.getcontext().prec - 3])] * len(members)
 
     # every rung clamps: no distance is supported, so no 0.0 is returned
     clamped = dict.fromkeys((34, 50, 80, 120, 160), -1e-40)
-    monkeypatch.setattr(core, "_schur_rung", rung_from(clamped))
+    monkeypatch.setattr(core, "_schur_tree", rung_from(clamped))
     with pytest.raises(NumericalError):
         distance_to_span(monomial(0), [1, 2], precision="extended")
     # a clamped rung does not pair with the next one; two positive rungs do
-    monkeypatch.setattr(core, "_schur_rung", rung_from({34: 0.25, 50: 0.0, 80: 0.25, 120: 0.25}))
+    monkeypatch.setattr(core, "_schur_tree", rung_from({34: 0.25, 50: 0.0, 80: 0.25, 120: 0.25}))
     r = distance_to_span(monomial(0), [1, 2], precision="extended")
     assert (r.distance, r.precision) == (0.5, "extended(dps=120)")
 
@@ -667,30 +673,6 @@ def _mpf_node(memo, z, m):
     return w, list(F)
 
 
-def _mpf_rung(S, memo, end=None):
-    """_schur_rung on the mpf ladder: mpf and mpc operands, mixed as they meet."""
-    nodes = itertools.islice(collections.Counter(S.values.tolist()).items(), end)
-    w, F = map(list, zip(*(memo.node(z, m) for z, m in nodes)))
-    norm, q, out = memo.norm_sq(), mp.mpf(0), []
-    for k, (wk, Fk) in enumerate(zip(w, F)):
-        two_re, wbk = 2 * wk.real, mp.conj(wk)
-        while Fk:
-            alpha = two_re * Fk[0]
-            q += two_re * (Fk[0].real ** 2 + Fk[0].imag ** 2)
-            for j, (wj, V) in enumerate(zip(w[k + 1:], F[k + 1:]), k + 1):
-                c, d = wj + wbk, wj - wk
-                try:
-                    old, V[0] = V[0], (V[0] * c - alpha) / d
-                except ZeroDivisionError:
-                    del w[j:], F[j:]
-                    break
-                for i in range(1, len(V)):
-                    old, V[i] = V[i], (V[i] * c + old - V[i - 1]) / d
-            Fk[:] = [two_re * b + a for a, b in zip(Fk, Fk[1:])]
-        out.append(norm - q)
-    return out
-
-
 def _mpc_memo(monkeypatch):
     """Make every new _Memo take its rungs in mpmath, real data too."""
     init = core._Memo.__init__
@@ -720,8 +702,7 @@ def mpf_path(monkeypatch):
         with monkeypatch.context() as m:
             _mpc_memo(m)
             m.setattr(core, "cauchy_moment", _mpf_moment)
-            m.setattr(core._Memo, "node", _mpf_node)
-            m.setattr(core, "_schur_rung", _mpf_rung)
+            m.setattr(core._Memo, "node", _mpf_node)  # core._eliminate takes mpf and mpc as they come
             return fn(*args, **kwargs)
 
     return run
@@ -767,13 +748,13 @@ def test_real_rung_matches_the_complex_path(complex_path):
         longest = chain[-1]
         for f in targets:
             with core._Rung(120, real=False):
-                ref = core._schur_rung(longest, core._Memo(f))
+                ref = _schur_prefixes(longest, core._Memo(f))
             for dps in (34, 50):
                 with core._Rung(dps, real=True):
-                    real = core._schur_rung(longest, core._Memo(f))
+                    real = _schur_prefixes(longest, core._Memo(f))
                     assert isinstance(f.norm_sq, Decimal) and all(isinstance(v, Decimal) for v in real)
                 with core._Rung(dps, real=False):
-                    cplx = core._schur_rung(longest, core._Memo(f))
+                    cplx = _schur_prefixes(longest, core._Memo(f))
                     ulp = mp.mpf(2) ** -mp.mp.prec * f.norm_sq
                 assert all(isinstance(v, mp.mpf) for v in cplx)  # d^2 is real on either path
                 assert len(real) == len(cplx) == len(ref)
@@ -831,9 +812,9 @@ def test_mixed_data_matches_the_complex_path(complex_path, monkeypatch):
         w, F = core._Memo(g).node(1.5, 1)
         assert isinstance(w, mp.mpc) and isinstance(F[0], mp.mpc)
         assert isinstance(g.norm_sq, mp.mpf)
-    rungs, rung = [], core._schur_rung  # whether each rung ran in Decimal
-    monkeypatch.setattr(core, "_schur_rung",
-                        lambda S, memo, end: rungs.append(core._rung().real) or rung(S, memo, end))
+    rungs, tree = [], core._schur_tree  # whether each rung ran in Decimal
+    monkeypatch.setattr(core, "_schur_tree",
+                        lambda members, memo: rungs.append(core._rung().real) or tree(members, memo))
     rng, kinds = np.random.default_rng(23), set()
     for _ in range(3):
         for f, sets in _mixed_cases(rng):
